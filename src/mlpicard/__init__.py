@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .brownian import GridPath, generate, snap
 from .errors import ConfigError, ResourceLimitError
-from .hier_rng import IndexKey, child, derive_seed, gaussian_vector, normals, uniform, uniforms
+from .hier_rng import IndexKey, child, derive_seed, normals, uniform, uniforms
 from .ledger import CostLedger
 from .mlp import (
     L2ErrorResult,
@@ -71,7 +71,6 @@ __all__ = [
     "derive_seed",
     "ensemble_stats",
     "error_bound",
-    "gaussian_vector",
     "generate",
     "gronwall_beta",
     "gronwall_bound",

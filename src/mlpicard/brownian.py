@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .hier_rng import IndexKey, gaussian_vector
+from .hier_rng import IndexKey, step_normals
 from .ledger import CostLedger
 
 __all__ = ["GridPath", "GridTime", "generate", "snap"]
@@ -88,9 +88,11 @@ def generate(
 ) -> GridPath:
     """Materialize the full path for ``key`` at the given level.
 
-    Increments are drawn one grid step at a time with the step index as
-    purpose tag, so regenerating from the same key is bit-identical and the
-    ledger charge is exactly branching**level * dim scalar draws.
+    The increment of grid step k is the keyed Gaussian vector of ``key`` with
+    purpose tag k.  All steps are drawn in one bulk call that hashes a shared
+    message prefix once and maps every digest in a single vector pass, so
+    regenerating from the same key is bit-identical and the ledger charge is
+    exactly branching**level * dim scalar draws.
     """
     if level < 1:
         raise ValueError(f"grid level must be at least 1, got {level}")
@@ -103,13 +105,9 @@ def generate(
     steps = branching**level
     if steps > _MAX_GRID:
         raise OverflowError(f"grid with {steps} steps exceeds the index range")
-    step_var = horizon / steps
-    increments = np.empty((steps, dim))
-    for k in range(steps):
-        increments[k] = gaussian_vector(key, k, dim, step_var)
     values = np.empty((steps + 1, dim))
     values[0] = 0.0
-    np.cumsum(increments, axis=0, out=values[1:])
+    np.cumsum(step_normals(key, steps, dim, horizon / steps), axis=0, out=values[1:])
     values.setflags(write=False)
     if ledger is not None:
         ledger.add_draws(steps * dim)

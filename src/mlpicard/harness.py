@@ -742,7 +742,10 @@ def _mode_certificate(cfg: ExperimentConfig) -> ExperimentResult:
             rows.append((eps, -1, 0, math.nan, log_rhs, _status(False),
                          time.perf_counter() - started))
             continue
-        bound = cost_bound(n_eps, n_eps, cfg.d, 1, 1)
+        try:
+            bound = cost_bound(n_eps, n_eps, cfg.d, 1, 1)
+        except OverflowError as exc:
+            raise ResourceLimitError(f"certificate at eps={eps}: {exc}") from exc
         log_lhs = math.log(bound) + (2.0 + cfg.delta) * math.log(eps)
         ok = log_lhs <= log_rhs
         all_ok &= ok

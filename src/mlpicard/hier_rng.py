@@ -29,8 +29,8 @@ __all__ = [
     "IndexKey",
     "child",
     "derive_seed",
-    "gaussian_vector",
     "normals",
+    "step_normals",
     "uniform",
     "uniforms",
 ]
@@ -40,6 +40,7 @@ Tag = Union[int, str]
 _SEED_MASK = (1 << 64) - 1
 _WORDS_PER_BLOCK = 8  # 64-byte digest -> eight little-endian u64 words
 _INV_2_53 = 1.0 / (1 << 53)
+_INT_TAG = b"I"
 
 
 def _varint(n: int) -> bytes:
@@ -62,7 +63,7 @@ def _tag_bytes(tag: Tag) -> bytes:
     if isinstance(tag, bool):
         raise TypeError("boolean purpose tags are ambiguous; use int or str")
     if isinstance(tag, int):
-        return b"I" + _varint(tag)
+        return _INT_TAG + _varint(tag)
     if isinstance(tag, str):
         enc = tag.encode("utf-8")
         return b"S" + _varint(len(enc)) + enc
@@ -95,34 +96,57 @@ def child(key: IndexKey, extension: Sequence[int]) -> IndexKey:
     return IndexKey(key.seed, key.path + tuple(extension))
 
 
-def _message(path: tuple[int, ...], tag: Tag) -> bytes:
+def _path_bytes(path: tuple[int, ...]) -> bytes:
     # Length-prefixed varints make the encoding prefix-free: paths like
     # (1, 23) and (12, 3) can never collide.  The leading domain byte keeps
     # draw messages disjoint from seed-derivation messages.
     parts = [b"W", _varint(len(path))]
     parts.extend(_varint(c) for c in path)
-    parts.append(_tag_bytes(tag))
     return b"".join(parts)
 
 
+def _message(path: tuple[int, ...], tag: Tag) -> bytes:
+    return _path_bytes(path) + _tag_bytes(tag)
+
+
+def _hash_suffixes(key: IndexKey, prefix: bytes, suffixes: Sequence[bytes]) -> bytes:
+    """Joined 64-byte keyed digests of ``prefix + suffix`` for each suffix.
+
+    The hasher absorbs the shared prefix once and is copied per suffix.
+    """
+    primed = hashlib.blake2b(prefix, key=key.seed.to_bytes(8, "little"), digest_size=64)
+    digests = []
+    for suffix in suffixes:
+        hasher = primed.copy()
+        hasher.update(suffix)
+        digests.append(hasher.digest())
+    return b"".join(digests)
+
+
+def _digests(key: IndexKey, tag: Tag, blocks: int) -> bytes:
+    """``blocks`` joined 64-byte digests for (key, tag), counter-based."""
+    return _hash_suffixes(key, _message(key.path, tag), [_varint(blk) for blk in range(blocks)])
+
+
 def _words(key: IndexKey, tag: Tag, count: int) -> np.ndarray:
-    """``count`` pseudo-random u64 words for (key, tag), counter-based."""
+    """``count`` pseudo-random u64 words for (key, tag)."""
     if count < 0:
         raise ValueError(f"word count must be non-negative, got {count}")
-    if count == 0:
-        return np.empty(0, dtype="<u8")
-    base = _message(key.path, tag)
-    skey = key.seed.to_bytes(8, "little")
-    blocks = []
-    for blk in range((count + _WORDS_PER_BLOCK - 1) // _WORDS_PER_BLOCK):
-        digest = hashlib.blake2b(base + _varint(blk), key=skey, digest_size=64).digest()
-        blocks.append(np.frombuffer(digest, dtype="<u8"))
-    return np.concatenate(blocks)[:count]
+    blocks = -(-count // _WORDS_PER_BLOCK)
+    return np.frombuffer(_digests(key, tag, blocks), dtype="<u8")[:count]
+
+
+def _gaussians(words: np.ndarray, variance: float) -> np.ndarray:
+    if variance < 0:
+        raise ValueError(f"variance must be non-negative, got {variance}")
+    # Shift into the open interval (0, 1) so ndtri stays finite.
+    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+    return ndtri(u) * np.sqrt(variance)
 
 
 def uniform(key: IndexKey, tag: Tag) -> float:
     """One uniform draw in [0, 1), deterministic in (key, tag)."""
-    word = int(_words(key, tag, 1)[0])
+    word = int.from_bytes(_digests(key, tag, 1)[:8], "little")
     return (word >> 11) * _INV_2_53
 
 
@@ -138,18 +162,24 @@ def normals(key: IndexKey, tag: Tag, count: int, variance: float = 1.0) -> np.nd
     Uses the inverse normal CDF on counter-based uniforms shifted into the
     open interval (0, 1), so generation is rejection-free and deterministic.
     """
-    if variance < 0:
-        raise ValueError(f"variance must be non-negative, got {variance}")
-    words = _words(key, tag, count)
-    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
-    return ndtri(u) * np.sqrt(variance)
+    return _gaussians(_words(key, tag, count), variance)
 
 
-def gaussian_vector(key: IndexKey, tag: Tag, dim: int, variance: float = 1.0) -> np.ndarray:
-    """One centered Gaussian vector with i.i.d. coordinates; rejects dim = 0."""
-    if dim < 1:
-        raise ValueError(f"dimension must be at least 1, got {dim}")
-    return normals(key, tag, dim, variance)
+def step_normals(key: IndexKey, steps: int, dim: int, variance: float = 1.0) -> np.ndarray:
+    """Row k is ``normals(key, k, dim, variance)`` for k = 0..steps-1, bit for bit.
+
+    The rows share the message prefix (path and integer-tag marker), so a
+    keyed hasher is primed with it once and copied for each (step, block)
+    suffix; all digests are then mapped to Gaussians in one vector pass.
+    """
+    if steps < 0 or dim < 0:
+        raise ValueError(f"steps and dim must be non-negative, got {steps}, {dim}")
+    blocks = [_varint(blk) for blk in range(-(-dim // _WORDS_PER_BLOCK))]
+    # _message(path, k) is this prefix followed by _varint(k) for integer tags
+    prefix = _path_bytes(key.path) + _INT_TAG
+    suffixes = [_varint(k) + blk for k in range(steps) for blk in blocks]
+    words = np.frombuffer(_hash_suffixes(key, prefix, suffixes), dtype="<u8")
+    return _gaussians(words.reshape(steps, len(blocks) * _WORDS_PER_BLOCK)[:, :dim], variance)
 
 
 def derive_seed(seed: int, *components: Tag) -> int:

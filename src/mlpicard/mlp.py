@@ -19,16 +19,27 @@ the path's creation level.
 Randomness is addressed, not stored: re-evaluating the same (theta, l)
 process at a different time re-draws the identical underlying uniforms and
 increments through :mod:`mlpicard.hier_rng`, which is what makes the
-recursion a well-defined random function.  Sub-trees are recomputed rather
-than memoized, matching the per-call structure of the cost budget; any
-memoization would have to be bit-transparent.
+recursion a well-defined random function.
+
+Memoization: the random inputs of a term, its sub-index eta, uniform u and
+fresh path, depend on (theta, n, k, l) but not on the query time t.  Each
+node therefore keeps them in a dict owned by its index theta: the same-index
+calls X_theta[l] and X_theta[l-1] receive that dict unchanged, while the two
+X_eta calls of one term share a new dict that is dropped with their subtree,
+so memory stays bounded by the live part of the recursion.  Since every
+memoized value is a pure function of its address, a hit returns exactly the
+bits a recomputation would, and the estimator's output does not depend on
+whether or where the memo hits.  Drift evaluations are not memoized: they
+depend on t.
 
 Instrumentation: the top-level path generation charges m**n * d draws, each
 call with n >= 1 charges one drift evaluation for its cached mu(0, 0) read,
 and each (l, k) term charges one uniform draw, m**l * d draws for the fresh
-path, and two drift evaluations.  The tallies are dominated by the budget
-recursion (which re-charges path generation for same-index sub-calls) and
-are bounded below by the m**n * d draws of the top path alone.
+path, and two drift evaluations.  These are logical charges, made on every
+term whether its inputs come from the memo or not, so the tallies do not
+depend on the memo.  They are dominated by the budget recursion (which
+re-charges path generation for same-index sub-calls) and are bounded below by
+the m**n * d draws of the top path alone.
 """
 
 from __future__ import annotations
@@ -105,7 +116,9 @@ def _evaluate(
     t: float,
     path: Optional[GridPath],
     ledger: CostLedger,
+    terms: dict,
 ) -> np.ndarray:
+    """``terms`` memoizes (sub key, u, fresh path) per (n, k, level) for ``key``."""
     d = problem.dim
     if n == 0:
         return np.zeros(d)
@@ -116,17 +129,23 @@ def _evaluate(
         fan = m ** (n - level)
         weight = t / fan
         for k in range(1, fan + 1):
-            sub = child(key, (n, k, level))
-            ledger.add_draws(1)
-            s = uniform(sub, "u") * t
-            # One fresh path per k, generated at the finer level l and shared
-            # by the level-l and level-(l-1) independent-copy evaluations.
-            fresh = generate(sub, level, m, problem.horizon, d, ledger)
-            x_hi = _evaluate(problem, key, level, m, s, path, ledger)
-            y_hi = _evaluate(problem, sub, level, m, s, fresh, ledger)
+            # Logical charge, memo hit or not: one uniform plus the fresh path.
+            ledger.add_draws(1 + m**level * d)
+            term = terms.get((n, k, level))
+            if term is None:
+                sub = child(key, (n, k, level))
+                # One fresh path per k, generated at the finer level l and
+                # shared by the level-l and level-(l-1) independent copies.
+                term = (sub, uniform(sub, "u"), generate(sub, level, m, problem.horizon, d))
+                terms[n, k, level] = term
+            sub, u, fresh = term
+            s = u * t
+            sub_terms: dict = {}
+            x_hi = _evaluate(problem, key, level, m, s, path, ledger, terms)
+            y_hi = _evaluate(problem, sub, level, m, s, fresh, ledger, sub_terms)
             if level >= 2:
-                x_lo = _evaluate(problem, key, level - 1, m, s, path, ledger)
-                y_lo = _evaluate(problem, sub, level - 1, m, s, fresh, ledger)
+                x_lo = _evaluate(problem, key, level - 1, m, s, path, ledger, terms)
+                y_lo = _evaluate(problem, sub, level - 1, m, s, fresh, ledger, sub_terms)
             else:
                 # Level-0 estimator is identically zero: no query, no charge.
                 x_lo = y_lo = np.zeros(d)
@@ -138,7 +157,7 @@ def _evaluate(
 def mlp_evaluate(call: MlpCall, ledger: CostLedger) -> np.ndarray:
     """Evaluate the estimator for a validated call, charging the ledger."""
     return _evaluate(
-        call.problem, call.key, call.picard_n, call.branching_m, call.t, call.path, ledger
+        call.problem, call.key, call.picard_n, call.branching_m, call.t, call.path, ledger, {}
     )
 
 
@@ -176,7 +195,7 @@ def realize_estimate(
         ledger = CostLedger()
     root = IndexKey(master_seed, (0,))
     path = generate(root, n, m, problem.horizon, problem.dim, ledger)
-    value = _evaluate(problem, root, n, m, problem.horizon, path, ledger)
+    value = _evaluate(problem, root, n, m, problem.horizon, path, ledger, {})
     return RealizeResult(value=value, ledger=ledger, w0_terminal=np.array(path.values[-1]))
 
 

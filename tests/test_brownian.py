@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlpicard.brownian import generate, snap
-from mlpicard.hier_rng import IndexKey
+from mlpicard.hier_rng import IndexKey, normals
 from mlpicard.ledger import CostLedger
 
 SEED = 1234
@@ -56,6 +56,21 @@ def test_generate_counts_and_start():
     muted = CostLedger(count_draws=False)
     generate(IndexKey(SEED, (0,)), 1, 4, 1.0, 1, muted)
     assert muted.scalar_draws == 0
+
+
+@pytest.mark.parametrize("dim", [1, 4, 8, 9, 17])
+def test_generate_matches_per_step_reference(dim):
+    # step k's increment is normals(key, k, dim, T/m**l); dims past 8 cross
+    # the 8-word digest block
+    horizon = 1.5
+    for level in (1, 2, 3):
+        for m in (2, 3, 5):
+            key = IndexKey(SEED, (5, level, m))
+            var = horizon / m**level
+            increments = np.array([normals(key, k, dim, var) for k in range(m**level)])
+            want = np.vstack([np.zeros((1, dim)), np.cumsum(increments, axis=0)])
+            got = generate(key, level, m, horizon, dim).values
+            assert got.tobytes() == want.tobytes(), (level, m, dim)
 
 
 def test_generate_reproducible():

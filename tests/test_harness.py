@@ -220,6 +220,14 @@ def test_statistical_failure_exit_code(tmp_path, monkeypatch):
     assert "FAIL" in text  # machine-readable failure rows
 
 
+def test_certificate_default_config_is_a_resource_refusal(tmp_path, capsys):
+    # the default accuracy list selects levels whose cost bound leaves the
+    # 64-bit tally range: a refusal (exit 3), not a traceback
+    code = main(["certificate", "--out", str(tmp_path / "cert.csv")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("resource refusal:")
+
+
 def test_resource_refusal_from_run(tmp_path):
     cfg = _cfg("convergence", tmp_path, extra=["cost_ceiling=5", "k_min=2", "k_max=2"])
     with pytest.raises(ResourceLimitError):

@@ -8,8 +8,8 @@ from mlpicard.hier_rng import (
     IndexKey,
     child,
     derive_seed,
-    gaussian_vector,
     normals,
+    step_normals,
     uniform,
     uniforms,
 )
@@ -44,7 +44,7 @@ def test_key_validation():
 def test_determinism():
     key = IndexKey(SEED, (1, 2, 3))
     assert uniform(key, "u") == uniform(key, "u")
-    assert np.array_equal(gaussian_vector(key, 7, 5, 2.0), gaussian_vector(key, 7, 5, 2.0))
+    assert np.array_equal(normals(key, 7, 5, 2.0), normals(key, 7, 5, 2.0))
     assert np.array_equal(uniforms(key, "block", 100), uniforms(key, "block", 100))
 
 
@@ -67,13 +67,14 @@ def test_uniform_distribution_ks():
 
 
 def test_gaussian_zero_variance_and_moments():
-    assert np.all(gaussian_vector(IndexKey(SEED), "g", 4, 0.0) == 0.0)
+    assert np.all(normals(IndexKey(SEED), "g", 4, 0.0) == 0.0)
+    assert normals(IndexKey(SEED), "g", 0, 1.0).shape == (0,)
     with pytest.raises(ValueError):
-        gaussian_vector(IndexKey(SEED), "g", 0, 1.0)
+        normals(IndexKey(SEED), "g", -1, 1.0)
     with pytest.raises(ValueError):
         normals(IndexKey(SEED), "g", 3, -1.0)
     n = 10**5
-    draws = np.array([gaussian_vector(IndexKey(SEED, (i,)), "var", 2, 1.0) for i in range(n)])
+    draws = np.array([normals(IndexKey(SEED, (i,)), "var", 2, 1.0) for i in range(n)])
     for coord in range(2):
         assert abs(draws[:, coord].var(ddof=1) - 1.0) < 0.05
 
@@ -129,3 +130,27 @@ def test_normals_block_consistency(seed, count):
     full = normals(key, "blk", count, 1.0)
     assert np.array_equal(full[: count // 2], normals(key, "blk", count, 1.0)[: count // 2])
     assert full.shape == (count,)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 4, 8, 9, 17])
+def test_step_normals_rows_are_per_step_normals(dim):
+    # dims 8, 9 and 17 cross the 8-word digest block; paths with components
+    # >= 128 take the multi-byte varint encoding
+    for path in ((0, 4, 2, 1), (300, 1), ()):
+        key = IndexKey(SEED, path)
+        for steps in (0, 1, 130):
+            got = step_normals(key, steps, dim, 0.25)
+            assert got.shape == (steps, dim)
+            want = np.array([normals(key, k, dim, 0.25) for k in range(steps)])
+            assert got.tobytes() == want.tobytes(), (path, steps, dim)
+
+
+def test_step_normals_validation():
+    key = IndexKey(SEED, (1,))
+    with pytest.raises(ValueError):
+        step_normals(key, 4, 1, -1.0)
+    with pytest.raises(ValueError):
+        step_normals(key, -1, 1)
+    with pytest.raises(ValueError):
+        step_normals(key, 4, -1)
+    assert np.all(step_normals(key, 3, 2, 0.0) == 0.0)

@@ -175,13 +175,51 @@ def reference_estimator(problem, key, n, m, t, path):
 
 
 def test_matches_independent_reimplementation():
-    prob = builtin_problem("sine_meanfield", d=2, T=1.5, xi=0.75, L=1.0)
-    for n, m in ((1, 3), (2, 2), (3, 2), (3, 3), (4, 2)):
+    # includes d = 9, which crosses the eight-word digest block
+    for d, n, m in ((2, 1, 3), (2, 2, 2), (2, 3, 2), (2, 3, 3), (2, 4, 2),
+                    (1, 3, 3), (1, 4, 4), (9, 3, 2)):
+        prob = builtin_problem("sine_meanfield", d=d, T=1.5, xi=0.75, L=1.0)
         key = IndexKey(SEED + n + 10 * m, (0,))
         path = generate(key, n, m, prob.horizon, prob.dim)
         got = mlp_evaluate(MlpCall(prob, key, n, m, prob.horizon, path), CostLedger())
         want = reference_estimator(prob, key, n, m, prob.horizon, path)
-        assert np.array_equal(got, want), (n, m)
+        assert got.tobytes() == want.tobytes(), (d, n, m)
+
+
+def test_term_memo_call_counts_and_scope():
+    # the (sub key, u, fresh path) memo cuts physical draws from 661 paths
+    # and 660 uniforms to 397 and 396 at n = m = 4, while the ledger keeps
+    # charging the logical draws; a second realization repeats the counts,
+    # so no memo outlives its call
+    prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
+    real_uniform = mlp_mod.uniform
+    real_generate = mlp_mod.generate
+    calls = {"uniform": 0, "generate": 0}
+
+    def counted_uniform(*args):
+        calls["uniform"] += 1
+        return real_uniform(*args)
+
+    def counted_generate(*args):
+        calls["generate"] += 1
+        return real_generate(*args)
+
+    mlp_mod.uniform = counted_uniform
+    mlp_mod.generate = counted_generate
+    try:
+        results = []
+        for _ in range(2):
+            calls.update(uniform=0, generate=0)
+            results.append(realize_estimate(prob, 4, 4, SEED))
+            assert calls == {"uniform": 396, "generate": 397}
+            assert results[-1].ledger.snapshot() == (4372, 2745)
+    finally:
+        mlp_mod.uniform = real_uniform
+        mlp_mod.generate = real_generate
+    assert results[0].value.tobytes() == results[1].value.tobytes()
+    # the logical charge scales the path draws with d; evaluations do not
+    prob4 = builtin_problem("law_only_linear", d=4, T=1.0, xi=1.0, b=-1.0)
+    assert realize_estimate(prob4, 4, 4, SEED).ledger.snapshot() == (15508, 2745)
 
 
 def test_level_two_hand_expansion():
