@@ -39,9 +39,11 @@ from .recursions import (
     cost_bound,
     cost_budget,
     error_bound,
+    exact_cost_bound,
     gronwall_beta,
     gronwall_bound,
     gronwall_closed_form,
+    log_cost_bound,
     log_error_bound,
     log_moment_bound,
     moment_bound,
@@ -71,12 +73,14 @@ __all__ = [
     "derive_seed",
     "ensemble_stats",
     "error_bound",
+    "exact_cost_bound",
     "generate",
     "gronwall_beta",
     "gronwall_bound",
     "gronwall_closed_form",
     "l2_error_estimate",
     "lipschitz_selfcheck",
+    "log_cost_bound",
     "log_error_bound",
     "log_moment_bound",
     "make_drift",

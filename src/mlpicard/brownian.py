@@ -11,6 +11,7 @@ once, at creation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -28,29 +29,39 @@ class GridTime(NamedTuple):
     time: float
 
 
-def snap(t: float, level: int, branching: int, horizon: float) -> GridTime:
-    """Largest grid point of {k*horizon/branching**level} not exceeding t.
+_GRIDS = 64  # float grids kept; a run queries a handful of (steps, horizon) pairs
 
-    The floor is computed in floating point and then nudged so that the
-    result is consistent with the float grid times themselves: a query t that
-    equals a grid point never rounds down to the previous cell.
+
+@lru_cache(maxsize=_GRIDS)
+def _grid(steps: int, horizon: float) -> np.ndarray:
+    """The float grid times k*horizon/steps for k = 1..steps, read-only."""
+    grid = np.arange(1, steps + 1) * horizon / steps
+    grid.setflags(write=False)
+    return grid
+
+
+def _snap_indices(t, level: int, branching: int, horizon: float):
+    """Index of the largest level-``level`` grid time not exceeding each t.
+
+    One rule for scalars and arrays: the index is the number of grid times
+    k*horizon/steps, k >= 1, that do not exceed t, compared as floats, so a
+    query equal to a grid point never rounds down to the previous cell.
     """
     if level < 1:
         raise ValueError(f"grid level must be at least 1, got {level}")
     if branching < 1:
         raise ValueError(f"branching must be at least 1, got {branching}")
-    if not 0.0 <= t <= horizon:
+    times = np.asarray(t)
+    # min/max propagate NaN, so a NaN query fails the range check too
+    if not (times.min(initial=np.inf) >= 0.0 and times.max(initial=-np.inf) <= horizon):
         raise ValueError(f"time {t} outside [0, {horizon}]")
-    steps = branching**level
-    k = int(t * steps / horizon)
-    if k > steps:
-        k = steps
-    # Half-ulp style guards: align with the actual float grid values.
-    while k + 1 <= steps and (k + 1) * horizon / steps <= t:
-        k += 1
-    while k > 0 and k * horizon / steps > t:
-        k -= 1
-    return GridTime(k, k * horizon / steps)
+    return _grid(branching**level, horizon).searchsorted(times, side="right")
+
+
+def snap(t: float, level: int, branching: int, horizon: float) -> GridTime:
+    """Largest grid point of {k*horizon/branching**level} not exceeding t."""
+    k = int(_snap_indices(t, level, branching, horizon))
+    return GridTime(k, k * horizon / branching**level)
 
 
 @dataclass(frozen=True)
@@ -64,18 +75,20 @@ class GridPath:
     dim: int
     values: np.ndarray  # shape (branching**level + 1, dim), values[0] == 0
 
-    def value_at(self, t: float, query_level: int) -> np.ndarray:
+    def value_at(self, t, query_level: int) -> np.ndarray:
         """Path value at the level-``query_level`` grid point snapped from t.
 
-        Queries finer than the creation level are rejected: the recursion
-        never needs them, so such a call signals an indexing bug.
+        ``t`` is a time or an array of times; the result has shape (dim,) or
+        t's shape followed by (dim,).  Queries finer than the creation level
+        are rejected: the recursion never needs them, so such a call signals
+        an indexing bug.
         """
         if query_level > self.level:
             raise ValueError(
                 f"query level {query_level} exceeds creation level {self.level}"
             )
-        idx, _ = snap(t, query_level, self.branching, self.horizon)
-        return self.values[idx * self.branching ** (self.level - query_level)]
+        idx = _snap_indices(t, query_level, self.branching, self.horizon)
+        return self.values[:: self.branching ** (self.level - query_level)][idx]
 
 
 def generate(

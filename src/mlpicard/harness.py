@@ -50,8 +50,10 @@ from .recursions import (
     cost_bound,
     cost_budget,
     error_bound,
+    exact_cost_bound,
     gronwall_bound,
     gronwall_closed_form,
+    log_cost_bound,
     moment_bound,
     two_step_closed_form,
 )
@@ -70,6 +72,9 @@ __all__ = [
 
 _Z95_ONE_SIDED = 1.6448536269514722
 _HARNESS_BRANCH = 2  # root path coordinate reserved for harness parameter draws
+# Longest exact integer a CSV cell holds: CPython's default int-to-str limit,
+# fixed here so the output does not depend on interpreter settings.
+_MAX_INT_DIGITS = 4300
 _PROBLEM_PARAMS = {
     "zero_drift": (),
     "law_only_linear": ("b",),
@@ -742,11 +747,16 @@ def _mode_certificate(cfg: ExperimentConfig) -> ExperimentResult:
             rows.append((eps, -1, 0, math.nan, log_rhs, _status(False),
                          time.perf_counter() - started))
             continue
-        try:
-            bound = cost_bound(n_eps, n_eps, cfg.d, 1, 1)
-        except OverflowError as exc:
-            raise ResourceLimitError(f"certificate at eps={eps}: {exc}") from exc
-        log_lhs = math.log(bound) + (2.0 + cfg.delta) * math.log(eps)
+        # Checked in log space and written exactly: no tally is involved, so the
+        # 64-bit range of cost_bound does not apply.
+        log_bound = log_cost_bound(n_eps, n_eps, cfg.d, 1, 1)
+        if log_bound >= _MAX_INT_DIGITS * math.log(10):
+            raise ResourceLimitError(
+                f"certificate at eps={eps}: cost bound for n={n_eps} has more than "
+                f"{_MAX_INT_DIGITS} digits"
+            )
+        bound = exact_cost_bound(n_eps, n_eps, cfg.d, 1, 1)
+        log_lhs = log_bound + (2.0 + cfg.delta) * math.log(eps)
         ok = log_lhs <= log_rhs
         all_ok &= ok
         rows.append((eps, n_eps, bound, log_lhs, log_rhs, _status(ok),

@@ -14,12 +14,18 @@ bit-reproducible and safe to compute concurrently.
 
 Uniform draws take values in [0, 1); the closed right endpoint would be a
 measure-zero distinction with no observable effect at 53-bit resolution.
+
+Two caches save re-encoding and change no output: a key encodes its path on
+first use and keeps the bytes (``IndexKey.path_bytes``), and the block and
+(step, block) counter suffixes live in small bounded LRU tables keyed by
+their sizes.  Both start empty; nothing is built at import time.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -41,6 +47,7 @@ _SEED_MASK = (1 << 64) - 1
 _WORDS_PER_BLOCK = 8  # 64-byte digest -> eight little-endian u64 words
 _INV_2_53 = 1.0 / (1 << 53)
 _INT_TAG = b"I"
+_SUFFIX_TABLES = 64  # (steps, blocks) suffix tables kept; a grid run uses a handful
 
 
 def _varint(n: int) -> bytes:
@@ -90,6 +97,11 @@ class IndexKey:
             raise ValueError(f"index path must be non-negative, got {path}")
         object.__setattr__(self, "path", path)
 
+    @cached_property
+    def path_bytes(self) -> bytes:
+        """``_path_bytes(self.path)``, encoded on first use and kept with the key."""
+        return _path_bytes(self.path)
+
 
 def child(key: IndexKey, extension: Sequence[int]) -> IndexKey:
     """Return ``key`` with its path extended; the input is never mutated."""
@@ -105,8 +117,17 @@ def _path_bytes(path: tuple[int, ...]) -> bytes:
     return b"".join(parts)
 
 
-def _message(path: tuple[int, ...], tag: Tag) -> bytes:
-    return _path_bytes(path) + _tag_bytes(tag)
+@lru_cache(maxsize=_SUFFIX_TABLES)
+def _block_suffixes(blocks: int) -> tuple[bytes, ...]:
+    """Block-counter suffixes of one (key, tag) stream."""
+    return tuple(_varint(blk) for blk in range(blocks))
+
+
+@lru_cache(maxsize=_SUFFIX_TABLES)
+def _step_suffixes(steps: int, blocks: int) -> tuple[bytes, ...]:
+    """(integer tag, block counter) suffixes for tags 0..steps-1, tag-major."""
+    per_step = _block_suffixes(blocks)
+    return tuple(_varint(k) + blk for k in range(steps) for blk in per_step)
 
 
 def _hash_suffixes(key: IndexKey, prefix: bytes, suffixes: Sequence[bytes]) -> bytes:
@@ -125,7 +146,7 @@ def _hash_suffixes(key: IndexKey, prefix: bytes, suffixes: Sequence[bytes]) -> b
 
 def _digests(key: IndexKey, tag: Tag, blocks: int) -> bytes:
     """``blocks`` joined 64-byte digests for (key, tag), counter-based."""
-    return _hash_suffixes(key, _message(key.path, tag), [_varint(blk) for blk in range(blocks)])
+    return _hash_suffixes(key, key.path_bytes + _tag_bytes(tag), _block_suffixes(blocks))
 
 
 def _words(key: IndexKey, tag: Tag, count: int) -> np.ndarray:
@@ -174,12 +195,12 @@ def step_normals(key: IndexKey, steps: int, dim: int, variance: float = 1.0) -> 
     """
     if steps < 0 or dim < 0:
         raise ValueError(f"steps and dim must be non-negative, got {steps}, {dim}")
-    blocks = [_varint(blk) for blk in range(-(-dim // _WORDS_PER_BLOCK))]
-    # _message(path, k) is this prefix followed by _varint(k) for integer tags
-    prefix = _path_bytes(key.path) + _INT_TAG
-    suffixes = [_varint(k) + blk for k in range(steps) for blk in blocks]
-    words = np.frombuffer(_hash_suffixes(key, prefix, suffixes), dtype="<u8")
-    return _gaussians(words.reshape(steps, len(blocks) * _WORDS_PER_BLOCK)[:, :dim], variance)
+    blocks = -(-dim // _WORDS_PER_BLOCK)
+    # the message of integer tag k is this prefix followed by _varint(k)
+    prefix = key.path_bytes + _INT_TAG
+    digests = _hash_suffixes(key, prefix, _step_suffixes(steps, blocks))
+    words = np.frombuffer(digests, dtype="<u8")
+    return _gaussians(words.reshape(steps, blocks * _WORDS_PER_BLOCK)[:, :dim], variance)
 
 
 def derive_seed(seed: int, *components: Tag) -> int:

@@ -21,25 +21,28 @@ process at a different time re-draws the identical underlying uniforms and
 increments through :mod:`mlpicard.hier_rng`, which is what makes the
 recursion a well-defined random function.
 
-Memoization: the random inputs of a term, its sub-index eta, uniform u and
-fresh path, depend on (theta, n, k, l) but not on the query time t.  Each
-node therefore keeps them in a dict owned by its index theta: the same-index
-calls X_theta[l] and X_theta[l-1] receive that dict unchanged, while the two
-X_eta calls of one term share a new dict that is dropped with their subtree,
-so memory stays bounded by the live part of the recursion.  Since every
-memoized value is a pure function of its address, a hit returns exactly the
-bits a recomputation would, and the estimator's output does not depend on
-whether or where the memo hits.  Drift evaluations are not memoized: they
-depend on t.
+Level-synchronous evaluation: the random inputs of a term, its sub-index
+eta, uniform u and fresh path, depend on (theta, n, k, l) but not on the
+query time t; only s = u*t does.  The nodes (theta, j) of one index theta
+form a key group.  Its query times are gathered top-down, j = n..1: each
+node's times are the concatenation of those asked of it, and every term of
+the node draws its uniform once and appends s = u*t, over all the node's
+times, to the same-index nodes (theta, l) and (theta, l-1).  The group is
+then evaluated bottom-up, j = 1..n, each node once with numpy over all its
+times; a term's fresh path is generated once, right before the key group of
+eta evaluates the two X_eta nodes at s, and dropped with it.  Per query time
+the arithmetic is that of the scalar recursion, term by term in (l, k)
+order, so every value is bit-identical to evaluating one time at a time.
 
 Instrumentation: the top-level path generation charges m**n * d draws, each
-call with n >= 1 charges one drift evaluation for its cached mu(0, 0) read,
-and each (l, k) term charges one uniform draw, m**l * d draws for the fresh
-path, and two drift evaluations.  These are logical charges, made on every
-term whether its inputs come from the memo or not, so the tallies do not
-depend on the memo.  They are dominated by the budget recursion (which
-re-charges path generation for same-index sub-calls) and are bounded below by
-the m**n * d draws of the top path alone.
+node with n >= 1 charges, per query time, one drift evaluation for its
+cached mu(0, 0) read, and each (l, k) term charges, per query time, one
+uniform draw, m**l * d draws for the fresh path, and two drift evaluations.
+These are logical charges: they count what the scalar recursion would draw
+and evaluate, not the hashes actually computed, so the tallies do not depend
+on how the evaluation is batched.  They are dominated by the budget
+recursion (which re-charges path generation for same-index sub-calls) and
+are bounded below by the m**n * d draws of the top path alone.
 """
 
 from __future__ import annotations
@@ -111,54 +114,93 @@ class MlpCall:
 def _evaluate(
     problem: Problem,
     key: IndexKey,
-    n: int,
+    path: GridPath,
     m: int,
-    t: float,
-    path: Optional[GridPath],
+    levels: tuple[int, ...],
+    times: np.ndarray,
     ledger: CostLedger,
-    terms: dict,
-) -> np.ndarray:
-    """``terms`` memoizes (sub key, u, fresh path) per (n, k, level) for ``key``."""
+) -> list[np.ndarray]:
+    """Values of the nodes (key, j) for j in ``levels``, each at ``times``.
+
+    ``levels`` lists distinct levels >= 1, highest first; the highest is the
+    top of the key group and must not exceed the creation level of ``path``.
+    Each returned array has shape (len(times), d).
+    """
     d = problem.dim
-    if n == 0:
-        return np.zeros(d)
+    top = levels[0]
+    asked: list[list[np.ndarray]] = [[] for _ in range(top + 1)]
+    rows = [0] * (top + 1)  # times asked of node j so far
+    for j in levels:
+        asked[j].append(times)
+        rows[j] = len(times)
+
+    # Top-down: gather every node's times; each term's uniform is drawn once.
+    # A node's terms are kept per level l as (l, fan, [(eta, s, row of s in
+    # node l, row of s in node l-1) for k = 1..fan]).
+    node_times: list = [None] * (top + 1)
+    node_terms: list = [None] * (top + 1)
+    for j in range(top, 0, -1):
+        t = asked[j][0] if len(asked[j]) == 1 else np.concatenate(asked[j])
+        terms = []
+        for level in range(1, j):
+            fan = m ** (j - level)
+            samples = []
+            for k in range(1, fan + 1):
+                sub = child(key, (j, k, level))
+                s = uniform(sub, "u") * t
+                samples.append((sub, s, rows[level], rows[level - 1]))
+                asked[level].append(s)
+                rows[level] += len(t)
+                if level >= 2:
+                    asked[level - 1].append(s)
+                    rows[level - 1] += len(t)
+            terms.append((level, fan, samples))
+            # Per query time and term: one uniform, the fresh path and two
+            # drift evaluations.
+            ledger.add_draws(len(t) * fan * (1 + m**level * d))
+            ledger.add_evals(len(t) * fan * 2)
+        ledger.add_evals(len(t))  # per query time: the cached mu(0,0) read
+        node_times[j] = t
+        node_terms[j] = terms
+
+    # Bottom-up: each node once over all its times.
     drift = problem.drift
-    ledger.add_evals(1)  # cached mu(0,0) read, the standalone drift charge
-    value = problem.initial + path.value_at(t, n) + t * drift.value_at_origin
-    for level in range(1, n):
-        fan = m ** (n - level)
-        weight = t / fan
-        for k in range(1, fan + 1):
-            # Logical charge, memo hit or not: one uniform plus the fresh path.
-            ledger.add_draws(1 + m**level * d)
-            term = terms.get((n, k, level))
-            if term is None:
-                sub = child(key, (n, k, level))
+    values: list = [None] * (top + 1)
+    for j in range(1, top + 1):
+        t = node_times[j]
+        size = len(t)  # every term queries its sub-nodes at this many times
+        value = problem.initial + path.value_at(t, j) + t[:, None] * drift.value_at_origin
+        for level, fan, samples in node_terms[j]:
+            weight = t[:, None] / fan
+            if level == 1:
+                zeros = np.zeros((size, d))
+            for sub, s, at_hi, at_lo in samples:
+                x_hi = values[level][at_hi : at_hi + size]
                 # One fresh path per k, generated at the finer level l and
                 # shared by the level-l and level-(l-1) independent copies.
-                term = (sub, uniform(sub, "u"), generate(sub, level, m, problem.horizon, d))
-                terms[n, k, level] = term
-            sub, u, fresh = term
-            s = u * t
-            sub_terms: dict = {}
-            x_hi = _evaluate(problem, key, level, m, s, path, ledger, terms)
-            y_hi = _evaluate(problem, sub, level, m, s, fresh, ledger, sub_terms)
-            if level >= 2:
-                x_lo = _evaluate(problem, key, level - 1, m, s, path, ledger, terms)
-                y_lo = _evaluate(problem, sub, level - 1, m, s, fresh, ledger, sub_terms)
-            else:
-                # Level-0 estimator is identically zero: no query, no charge.
-                x_lo = y_lo = np.zeros(d)
-            ledger.add_evals(2)
-            value += weight * (drift.evaluate(x_hi, y_hi) - drift.evaluate(x_lo, y_lo))
-    return value
+                fresh = generate(sub, level, m, problem.horizon, d)
+                if level >= 2:
+                    y_hi, y_lo = _evaluate(problem, sub, fresh, m, (level, level - 1), s, ledger)
+                    x_lo = values[level - 1][at_lo : at_lo + size]
+                else:
+                    # Level-0 estimator is identically zero: no query, no charge.
+                    (y_hi,) = _evaluate(problem, sub, fresh, m, (level,), s, ledger)
+                    x_lo = y_lo = zeros
+                value += weight * (drift.evaluate(x_hi, y_hi) - drift.evaluate(x_lo, y_lo))
+        values[j] = value
+    # The requested times come first in each node's rows.
+    return [values[j][: len(times)] for j in levels]
 
 
 def mlp_evaluate(call: MlpCall, ledger: CostLedger) -> np.ndarray:
     """Evaluate the estimator for a validated call, charging the ledger."""
-    return _evaluate(
-        call.problem, call.key, call.picard_n, call.branching_m, call.t, call.path, ledger, {}
+    if call.picard_n == 0:
+        return np.zeros(call.problem.dim)
+    (value,) = _evaluate(
+        call.problem, call.key, call.path, call.branching_m, (call.picard_n,),
+        np.array([call.t]), ledger,
     )
+    return value[0]
 
 
 @dataclass(frozen=True)
@@ -195,8 +237,8 @@ def realize_estimate(
         ledger = CostLedger()
     root = IndexKey(master_seed, (0,))
     path = generate(root, n, m, problem.horizon, problem.dim, ledger)
-    value = _evaluate(problem, root, n, m, problem.horizon, path, ledger, {})
-    return RealizeResult(value=value, ledger=ledger, w0_terminal=np.array(path.values[-1]))
+    (value,) = _evaluate(problem, root, path, m, (n,), np.array([problem.horizon]), ledger)
+    return RealizeResult(value=value[0], ledger=ledger, w0_terminal=np.array(path.values[-1]))
 
 
 def rep_seed(master_seed: int, rep: int) -> int:

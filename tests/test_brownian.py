@@ -10,6 +10,17 @@ from mlpicard.ledger import CostLedger
 SEED = 1234
 
 
+def loop_snap_index(t, level, branching, horizon):
+    """Independent snapping rule: float floor, then nudged onto the float grid."""
+    steps = branching**level
+    k = min(int(t * steps / horizon), steps)
+    while k + 1 <= steps and (k + 1) * horizon / steps <= t:
+        k += 1
+    while k > 0 and k * horizon / steps > t:
+        k -= 1
+    return k
+
+
 def test_snap_examples():
     assert snap(1.0, 3, 2, 1.0) == (8, 1.0)  # t = T hits the last grid point
     assert snap(0.35, 2, 2, 1.0) == (1, 0.25)
@@ -44,6 +55,44 @@ def test_snap_properties(frac, level, branching, horizon):
     # the next grid point (if any) lies strictly beyond t
     if idx < steps:
         assert (idx + 1) * horizon / steps > t
+
+
+@pytest.mark.parametrize("branching", [1, 2, 3, 5, 7])
+def test_snap_rule_matches_loop_oracle(branching):
+    # grid points, their float neighbours, the ends and random times; the
+    # horizons include ones whose grid times k*T/steps are not exact
+    rng = np.random.default_rng(branching)
+    for horizon in (1.0, 1.5, 0.1, 3.7):
+        for level in range(1, 6):
+            steps = branching**level
+            grid = np.arange(steps + 1) * horizon / steps
+            times = np.concatenate([
+                [0.0, horizon],
+                grid,
+                np.nextafter(grid, -np.inf),
+                np.nextafter(grid, np.inf),
+                rng.uniform(0.0, horizon, 2000),
+            ])
+            times = times[(times >= 0.0) & (times <= horizon)]
+            want = [loop_snap_index(t, level, branching, horizon) for t in times]
+            assert [snap(t, level, branching, horizon).index for t in times] == want
+            path = generate(IndexKey(SEED, (30, level)), level, branching, horizon, 2)
+            got = path.value_at(times, level)
+            assert got.shape == (len(times), 2)
+            assert got.tobytes() == path.values[want].tobytes(), (horizon, level)
+
+
+def test_value_at_time_array():
+    path = generate(IndexKey(SEED, (31,)), 3, 2, 1.0, 3)
+    times = np.array([0.0, 0.3, 0.5, 0.99, 1.0])
+    for level in (1, 2, 3):
+        batched = path.value_at(times, level)
+        single = np.array([path.value_at(t, level) for t in times])
+        assert batched.tobytes() == single.tobytes()
+    assert path.value_at(np.array([]), 2).shape == (0, 3)
+    for bad in ([0.5, 1.5], [-0.1], [0.2, np.nan]):
+        with pytest.raises(ValueError):
+            path.value_at(np.array(bad), 2)
 
 
 def test_generate_counts_and_start():

@@ -220,10 +220,37 @@ def test_statistical_failure_exit_code(tmp_path, monkeypatch):
     assert "FAIL" in text  # machine-readable failure rows
 
 
-def test_certificate_default_config_is_a_resource_refusal(tmp_path, capsys):
-    # the default accuracy list selects levels whose cost bound leaves the
-    # 64-bit tally range: a refusal (exit 3), not a traceback
-    code = main(["certificate", "--out", str(tmp_path / "cert.csv")])
+def test_certificate_default_config_reports_rows(tmp_path):
+    # the default accuracies select n_eps = 75, 77, 78, whose cost bounds
+    # leave the 64-bit range; the check runs in log space and the table is
+    # written with exact integer bounds.  At the default delta = 0.5 the
+    # supremand still rises at cert_kmax = 200, so the run is an honest
+    # non-attainment (exit 1), not a refusal (exit 3)
+    out = tmp_path / "cert.csv"
+    assert main(["certificate", "--out", str(out)]) == 1
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if not line.startswith("#")]
+    header, body = rows[0], rows[1:]
+    col = {name: i for i, name in enumerate(header)}
+    assert [r[col["n_eps"]] for r in body] == ["75", "77", "78"]
+    assert [r[col["status"]] for r in body] == ["ok"] * 3
+    for row in body:
+        n = int(row[col["n_eps"]])
+        assert int(row[col["cost_bound"]]) == 2 * (4 * n) ** n
+        assert float(row[col["log_lhs"]]) < float(row[col["log_rhs"]])
+    assert [round(float(r[col["log_lhs"]]), 1) for r in body] == [426.7, 437.9, 442.9]
+    assert round(float(body[0][col["log_rhs"]]), 1) == 1083.2
+    assert "# sup_attained=0" in out.read_text()
+
+
+def test_certificate_refuses_unprintable_cost_bound(tmp_path, capsys):
+    # L*T = 25 pushes n_eps past 7000, where (4n)**n has more digits than a
+    # CSV cell may hold: a refusal (exit 3), not a traceback
+    code = main([
+        "certificate", "--set", "problem=sine_meanfield", "--set", "L=5.0",
+        "--set", "T=5.0", "--set", "cert_kmax=20000", "--set", "eps_list=0.5",
+        "--out", str(tmp_path / "cert.csv"),
+    ])
     assert code == 3
     assert capsys.readouterr().err.startswith("resource refusal:")
 

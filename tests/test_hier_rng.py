@@ -1,9 +1,16 @@
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import kstest, kstwobign
 
+from mlpicard import brownian, hier_rng
 from mlpicard.hier_rng import (
     IndexKey,
     child,
@@ -154,3 +161,75 @@ def test_step_normals_validation():
     with pytest.raises(ValueError):
         step_normals(key, 4, -1)
     assert np.all(step_normals(key, 3, 2, 0.0) == 0.0)
+
+
+def leb128(n):
+    out = bytearray()
+    while True:
+        byte, n = n & 0x7F, n >> 7
+        out.append(byte | (0x80 if n else 0))
+        if not n:
+            return bytes(out)
+
+
+def test_cached_path_encoding():
+    # the cached encoding is the length-prefixed LEB128 one, single- and
+    # multi-byte coordinates (>= 128, >= 16384) and long paths alike
+    for path in ((), (0,), (0, 4, 2, 1), (127, 128), (300, 16383, 16384, 2**40),
+                 tuple(range(130))):
+        key = IndexKey(SEED, path)
+        want = b"W" + leb128(len(path)) + b"".join(leb128(c) for c in path)
+        assert hier_rng._path_bytes(path) == want
+        assert key.path_bytes == want
+        assert key.path_bytes is key.path_bytes  # encoded once
+    # the cache is no part of the key's identity
+    key = IndexKey(SEED, (300, 1))
+    _ = key.path_bytes
+    assert key == IndexKey(SEED, (300, 1))
+    assert hash(key) == hash(IndexKey(SEED, (300, 1)))
+
+
+def uncached_digests(key, tag, blocks):
+    message = hier_rng._path_bytes(key.path) + hier_rng._tag_bytes(tag)
+    seed = key.seed.to_bytes(8, "little")
+    return b"".join(
+        hashlib.blake2b(message + leb128(blk), key=seed, digest_size=64).digest()
+        for blk in range(blocks)
+    )
+
+
+@pytest.mark.parametrize("path", [(0, 4, 2, 1), (300, 16384), ()])
+def test_cached_tables_match_uncached_hashing(path):
+    key = IndexKey(SEED, path)
+    word = int.from_bytes(uncached_digests(key, "u", 1)[:8], "little")
+    assert uniform(key, "u") == (word >> 11) * 2.0**-53
+    for count in (1, 8, 9, 17):
+        words = np.frombuffer(uncached_digests(key, "g", -(-count // 8)), dtype="<u8")[:count]
+        u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        assert normals(key, "g", count, 2.0).tobytes() == (ndtri(u) * np.sqrt(2.0)).tobytes()
+    for steps, dim in ((5, 1), (130, 9)):
+        rows = []
+        for k in range(steps):
+            words = np.frombuffer(uncached_digests(key, k, -(-dim // 8)), dtype="<u8")[:dim]
+            u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+            rows.append(ndtri(u) * np.sqrt(0.5))
+        assert step_normals(key, steps, dim, 0.5).tobytes() == np.array(rows).tobytes()
+
+
+def test_suffix_caches_bounded_and_empty_after_import():
+    for table in (hier_rng._block_suffixes, hier_rng._step_suffixes, brownian._grid):
+        assert table.cache_info().maxsize is not None
+    for steps in range(1, 200):
+        step_normals(IndexKey(SEED, (1,)), steps, 1)
+    info = hier_rng._step_suffixes.cache_info()
+    assert info.currsize <= info.maxsize
+    probe = (
+        "import mlpicard; from mlpicard import brownian, hier_rng; "
+        "print(hier_rng._block_suffixes.cache_info().currsize, "
+        "hier_rng._step_suffixes.cache_info().currsize, "
+        "brownian._grid.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.split() == ["0", "0", "0"]

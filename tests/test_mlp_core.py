@@ -186,22 +186,70 @@ def test_matches_independent_reimplementation():
         assert got.tobytes() == want.tobytes(), (d, n, m)
 
 
+def test_time_vector_matches_per_time_reference():
+    # one evaluation over many query times (0, every grid point, T, random
+    # times) equals the scalar reference at each time, byte for byte, which
+    # also checks that vector and length-1 drift calls give the same bits;
+    # the ledger is charged per query time, as by one call per time
+    cases = [("sine_meanfield", d, {"L": 1.0}) for d in (1, 3, 9)]
+    cases.append(("full_linear", 2, {"a": 0.5, "b": -1.0}))
+    rng = np.random.default_rng(SEED)
+    for name, d, params in cases:
+        prob = builtin_problem(name, d=d, T=1.5, xi=0.75, **params)
+        for n, m in ((1, 3), (2, 2), (3, 2), (3, 3)):
+            key = IndexKey(SEED + 100 * d + 10 * n + m, (0,))
+            path = generate(key, n, m, prob.horizon, d)
+            grid = np.arange(m**n + 1) * prob.horizon / m**n
+            times = np.concatenate([[0.0, prob.horizon], grid, rng.uniform(0.0, 1.5, 8)])
+            ledger = CostLedger()
+            (got,) = mlp_mod._evaluate(prob, key, path, m, (n,), times, ledger)
+            assert got.shape == (len(times), d)
+            want = np.array([reference_estimator(prob, key, n, m, t, path) for t in times])
+            assert got.tobytes() == want.tobytes(), (name, d, n, m)
+            scalar = CostLedger()
+            for t in times:
+                mlp_evaluate(MlpCall(prob, key, n, m, float(t), path), scalar)
+            assert ledger.snapshot() == scalar.snapshot(), (name, d, n, m)
+
+
+@pytest.mark.parametrize(
+    "name, d, n, params, want, tallies",
+    [
+        ("law_only_linear", 1, 4, {"b": -1.0}, ["0x1.4757aa873a95fp-1"], (4372, 2745)),
+        ("law_only_linear", 4, 4, {"b": -1.0},
+         ["0x1.4757aa873a95fp-1", "-0x1.b4866341dcc32p-4",
+          "0x1.34792cef477cap+0", "-0x1.22c9cbd323ed5p+0"], (15508, 2745)),
+        ("sine_meanfield", 1, 3, {"L": 1.0}, ["0x1.30f6aa6838255p+1"], (165, 127)),
+    ],
+)
+def test_realize_values_pinned(name, d, n, params, want, tallies):
+    # bit patterns of the scalar-time recursion that preceded level-synchronous
+    # evaluation, at n = m and master seed SEED
+    prob = builtin_problem(name, d=d, T=1.0, xi=1.0, **params)
+    res = realize_estimate(prob, n, n, SEED)
+    assert [float(v).hex() for v in res.value] == want
+    assert res.ledger.snapshot() == tallies
+
+
 def test_term_memo_call_counts_and_scope():
-    # the (sub key, u, fresh path) memo cuts physical draws from 661 paths
-    # and 660 uniforms to 397 and 396 at n = m = 4, while the ledger keeps
-    # charging the logical draws; a second realization repeats the counts,
-    # so no memo outlives its call
+    # each distinct key draws its uniform and its path exactly once: 348
+    # uniforms and 349 paths (the root's included) at n = m = 4, while the
+    # ledger keeps charging the logical draws per query time; a second
+    # realization repeats the counts, so nothing outlives its call
     prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
     real_uniform = mlp_mod.uniform
     real_generate = mlp_mod.generate
     calls = {"uniform": 0, "generate": 0}
+    keys = {"uniform": set(), "generate": set()}
 
     def counted_uniform(*args):
         calls["uniform"] += 1
+        keys["uniform"].add(args[0])
         return real_uniform(*args)
 
     def counted_generate(*args):
         calls["generate"] += 1
+        keys["generate"].add(args[0])
         return real_generate(*args)
 
     mlp_mod.uniform = counted_uniform
@@ -210,8 +258,10 @@ def test_term_memo_call_counts_and_scope():
         results = []
         for _ in range(2):
             calls.update(uniform=0, generate=0)
+            keys.update(uniform=set(), generate=set())
             results.append(realize_estimate(prob, 4, 4, SEED))
-            assert calls == {"uniform": 396, "generate": 397}
+            assert calls == {"uniform": 348, "generate": 349}
+            assert {name: len(seen) for name, seen in keys.items()} == calls
             assert results[-1].ledger.snapshot() == (4372, 2745)
     finally:
         mlp_mod.uniform = real_uniform

@@ -10,9 +10,11 @@ from mlpicard.recursions import (
     cost_bound,
     cost_budget,
     error_bound,
+    exact_cost_bound,
     gronwall_beta,
     gronwall_bound,
     gronwall_closed_form,
+    log_cost_bound,
     log_error_bound,
     log_moment_bound,
     moment_bound,
@@ -182,6 +184,21 @@ def test_cost_validation_and_overflow():
         cost_bound(40, 5, 10, 1, 1)
     with pytest.raises(OverflowError):
         cost_budget(40, 5, 10, 1, 1)
+
+
+def test_exact_and_log_cost_bound():
+    # the unguarded bound is the exact integer past the 64-bit range, and its
+    # log matches the log of that integer
+    assert exact_cost_bound(2, 2, 1, 1, 1) == cost_bound(2, 2, 1, 1, 1) == 128
+    assert exact_cost_bound(40, 5, 10, 1, 1) == 11 * 20**40
+    for n, m, d, v, f in ((0, 2, 3, 1, 1), (2, 2, 1, 1, 1), (40, 5, 10, 1, 1), (7, 3, 1, 0, 1)):
+        want = math.log(exact_cost_bound(n, m, d, v, f))
+        assert math.isclose(log_cost_bound(n, m, d, v, f), want, rel_tol=1e-14)
+    assert log_cost_bound(3, 2, 1, 0, 0) == -math.inf
+    with pytest.raises(ValueError):
+        exact_cost_bound(2, 0, 1, 1, 1)
+    with pytest.raises(ValueError):
+        log_cost_bound(-1, 2, 1, 1, 1)
 
 
 @settings(max_examples=200)
