@@ -6,20 +6,25 @@ level j <= n, whose grid points are a subset of the creation grid, so lookups
 are exact index arithmetic and introduce no new randomness.  This matches the
 draw-count convention charged to the ledger: m**n * d scalar draws per path,
 once, at creation.
+
+A :class:`PathBatch` stacks the paths of many keys created at one level, so
+that the estimator generates and queries all sibling paths with one bulk
+hash loop, one cumulative sum and one snapping pass per batch.  A
+:class:`GridPath` is one such path; both snap through the same rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .hier_rng import IndexKey, step_normals
+from .hier_rng import IndexKey, batch_step_normals
 from .ledger import CostLedger
 
-__all__ = ["GridPath", "GridTime", "generate", "snap"]
+__all__ = ["GridPath", "GridTime", "PathBatch", "generate", "generate_batch", "snap"]
 
 _MAX_GRID = 1 << 31  # refuse grids that cannot be indexed sanely
 
@@ -64,6 +69,13 @@ def snap(t: float, level: int, branching: int, horizon: float) -> GridTime:
     return GridTime(k, k * horizon / branching**level)
 
 
+def _check_query_level(query_level: int, level: int) -> None:
+    # The recursion never queries finer than a path's creation level, so such
+    # a call signals an indexing bug.
+    if query_level > level:
+        raise ValueError(f"query level {query_level} exceeds creation level {level}")
+
+
 @dataclass(frozen=True)
 class GridPath:
     """One Brownian path on the creation-level grid; immutable after generation."""
@@ -80,32 +92,52 @@ class GridPath:
 
         ``t`` is a time or an array of times; the result has shape (dim,) or
         t's shape followed by (dim,).  Queries finer than the creation level
-        are rejected: the recursion never needs them, so such a call signals
-        an indexing bug.
+        are rejected.
         """
-        if query_level > self.level:
-            raise ValueError(
-                f"query level {query_level} exceeds creation level {self.level}"
-            )
+        _check_query_level(query_level, self.level)
         idx = _snap_indices(t, query_level, self.branching, self.horizon)
         return self.values[:: self.branching ** (self.level - query_level)][idx]
 
 
-def generate(
-    key: IndexKey,
+class PathBatch(NamedTuple):
+    """The paths of ``keys``, all created at one level, stacked; immutable."""
+
+    keys: tuple[IndexKey, ...]
+    level: int
+    branching: int
+    horizon: float
+    dim: int
+    values: np.ndarray  # shape (len(keys), branching**level + 1, dim), values[:, 0] == 0
+
+    def value_at(self, t: np.ndarray, owner: np.ndarray, query_level: int) -> np.ndarray:
+        """Values of the paths ``owner[i]`` at the level-``query_level`` grid
+        points snapped from the times ``t[i]``, shape (len(t), dim).
+
+        All times are range-checked and snapped in one pass.
+        """
+        _check_query_level(query_level, self.level)
+        idx = _snap_indices(t, query_level, self.branching, self.horizon)
+        if query_level < self.level:
+            idx *= self.branching ** (self.level - query_level)
+        return self.values[owner, idx]
+
+
+def generate_batch(
+    keys: Sequence[IndexKey],
     level: int,
     branching: int,
     horizon: float,
     dim: int,
     ledger: Optional[CostLedger] = None,
-) -> GridPath:
-    """Materialize the full path for ``key`` at the given level.
+) -> PathBatch:
+    """Materialize the full paths of ``keys`` at the given level.
 
-    The increment of grid step k is the keyed Gaussian vector of ``key`` with
-    purpose tag k.  All steps are drawn in one bulk call that hashes a shared
-    message prefix once and maps every digest in a single vector pass, so
-    regenerating from the same key is bit-identical and the ledger charge is
-    exactly branching**level * dim scalar draws.
+    The increment of grid step k of a key's path is the key's keyed Gaussian
+    vector with purpose tag k.  The steps of all keys are drawn in one bulk
+    call (each key's message prefix is hashed once, every digest is mapped in
+    a single vector pass) and summed along the step axis, so every path is
+    bit-identical to generating its key alone, and the ledger charge is
+    exactly branching**level * dim scalar draws per key.
     """
     if level < 1:
         raise ValueError(f"grid level must be at least 1, got {level}")
@@ -118,10 +150,24 @@ def generate(
     steps = branching**level
     if steps > _MAX_GRID:
         raise OverflowError(f"grid with {steps} steps exceeds the index range")
-    values = np.empty((steps + 1, dim))
-    values[0] = 0.0
-    np.cumsum(step_normals(key, steps, dim, horizon / steps), axis=0, out=values[1:])
+    keys = tuple(keys)
+    values = np.zeros((len(keys), steps + 1, dim))
+    np.cumsum(batch_step_normals(keys, steps, dim, horizon / steps), axis=1, out=values[:, 1:])
     values.setflags(write=False)
     if ledger is not None:
-        ledger.add_draws(steps * dim)
-    return GridPath(key, level, branching, horizon, dim, values)
+        ledger.add_draws(len(keys) * steps * dim)
+    return PathBatch(keys, level, branching, horizon, dim, values)
+
+
+def generate(
+    key: IndexKey,
+    level: int,
+    branching: int,
+    horizon: float,
+    dim: int,
+    ledger: Optional[CostLedger] = None,
+) -> GridPath:
+    """Materialize the full path for ``key`` at the given level: the batch of
+    one key, so regenerating from the same key is bit-identical."""
+    batch = generate_batch((key,), level, branching, horizon, dim, ledger)
+    return GridPath(key, level, branching, horizon, dim, batch.values[0])

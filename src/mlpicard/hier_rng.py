@@ -15,17 +15,26 @@ bit-reproducible and safe to compute concurrently.
 Uniform draws take values in [0, 1); the closed right endpoint would be a
 measure-zero distinction with no observable effect at 53-bit resolution.
 
-Two caches save re-encoding and change no output: a key encodes its path on
-first use and keeps the bytes (``IndexKey.path_bytes``), and the block and
-(step, block) counter suffixes live in small bounded LRU tables keyed by
-their sizes.  Both start empty; nothing is built at import time.
+Two caches save re-encoding and change no output: a key encodes its path
+once, when it is made, and keeps the bytes (``IndexKey.path_bytes``), and
+the block and (step, block) counter suffixes live in small bounded LRU
+tables keyed by their sizes.  The tables start empty; nothing is built at
+import time.
+
+Batched forms serve the estimator, which addresses thousands of sibling
+keys per realization: :func:`children` extends many keys by many
+extensions, validating and encoding each extension once and reusing the
+parent's encoded coordinates, and :func:`batch_uniform` and
+:func:`batch_step_normals` hash each key with one keyed hasher primed with
+its path and map the digests of all keys in one vector pass.  Every output
+equals the one-key function's, bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -33,7 +42,10 @@ from scipy.special import ndtri
 
 __all__ = [
     "IndexKey",
+    "batch_step_normals",
+    "batch_uniform",
     "child",
+    "children",
     "derive_seed",
     "normals",
     "step_normals",
@@ -55,14 +67,11 @@ def _varint(n: int) -> bytes:
     if n < 0:
         raise ValueError(f"varint requires a non-negative integer, got {n}")
     out = bytearray()
-    while True:
-        byte = n & 0x7F
+    while n > 0x7F:
+        out.append(n & 0x7F | 0x80)
         n >>= 7
-        if n:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    out.append(n)
+    return bytes(out)
 
 
 def _tag_bytes(tag: Tag) -> bytes:
@@ -77,44 +86,82 @@ def _tag_bytes(tag: Tag) -> bytes:
     raise TypeError(f"purpose tag must be int or str, got {type(tag).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexKey:
     """Address of one independent random object: master seed plus integer path.
 
     Keys with equal (seed, path) produce bit-identical output for the same
     purpose tag; distinct keys address statistically independent streams.
     The path plays the role of a hierarchical index: extending it with
-    :func:`child` never perturbs the streams of the parent.
+    :func:`child` never perturbs the streams of the parent.  ``path_bytes``
+    is ``_path_bytes(path)``, encoded once when the key is made.
     """
 
     seed: int
     path: tuple[int, ...] = ()
+    path_bytes: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", int(self.seed) & _SEED_MASK)
-        path = tuple(int(c) for c in self.path)
-        if any(c < 0 for c in path):
+        path = tuple(map(int, self.path))
+        if min(path, default=0) < 0:
             raise ValueError(f"index path must be non-negative, got {path}")
         object.__setattr__(self, "path", path)
-
-    @cached_property
-    def path_bytes(self) -> bytes:
-        """``_path_bytes(self.path)``, encoded on first use and kept with the key."""
-        return _path_bytes(self.path)
+        object.__setattr__(self, "path_bytes", _path_bytes(path))
 
 
 def child(key: IndexKey, extension: Sequence[int]) -> IndexKey:
     """Return ``key`` with its path extended; the input is never mutated."""
-    return IndexKey(key.seed, key.path + tuple(extension))
+    (sub,) = children((key,), (extension,))
+    return sub
 
 
-def _path_bytes(path: tuple[int, ...]) -> bytes:
+def children(keys: Sequence[IndexKey], extensions: Sequence[Sequence[int]]) -> list[IndexKey]:
+    """``[child(key, ext) for key in keys for ext in extensions]``, key-major.
+
+    Each extension is validated and encoded once; a child's encoded path is
+    a new length prefix, its parent's encoded coordinates and the
+    extension's, so the work per child does not grow with the parent's path.
+    """
+    encoded = []
+    for extension in extensions:
+        ext = tuple(map(int, extension))
+        if min(ext, default=0) < 0:
+            raise ValueError(f"index path must be non-negative, got extension {ext}")
+        encoded.append((ext, _coord_bytes(ext)))
+    headers: dict[int, bytes] = {}  # length prefix per path length
+    setattr_ = object.__setattr__
+    out = []
+    for key in keys:
+        seed, path = key.seed, key.path
+        coords = key.path_bytes[len(_frame(len(path), b"")) :]
+        for ext, ext_coords in encoded:
+            length = len(path) + len(ext)
+            header = headers.get(length)
+            if header is None:
+                header = headers[length] = _frame(length, b"")
+            # the fields are final and validated, so __init__ is bypassed
+            sub = object.__new__(IndexKey)
+            setattr_(sub, "seed", seed)
+            setattr_(sub, "path", path + ext)
+            setattr_(sub, "path_bytes", header + coords + ext_coords)
+            out.append(sub)
+    return out
+
+
+def _coord_bytes(path: tuple[int, ...]) -> bytes:
+    return b"".join(map(_varint, path))
+
+
+def _frame(length: int, coords: bytes) -> bytes:
     # Length-prefixed varints make the encoding prefix-free: paths like
     # (1, 23) and (12, 3) can never collide.  The leading domain byte keeps
     # draw messages disjoint from seed-derivation messages.
-    parts = [b"W", _varint(len(path))]
-    parts.extend(_varint(c) for c in path)
-    return b"".join(parts)
+    return b"W" + _varint(length) + coords
+
+
+def _path_bytes(path: tuple[int, ...]) -> bytes:
+    return _frame(len(path), _coord_bytes(path))
 
 
 @lru_cache(maxsize=_SUFFIX_TABLES)
@@ -130,23 +177,30 @@ def _step_suffixes(steps: int, blocks: int) -> tuple[bytes, ...]:
     return tuple(_varint(k) + blk for k in range(steps) for blk in per_step)
 
 
-def _hash_suffixes(key: IndexKey, prefix: bytes, suffixes: Sequence[bytes]) -> bytes:
-    """Joined 64-byte keyed digests of ``prefix + suffix`` for each suffix.
+def _hash_suffixes(
+    keys: Sequence[IndexKey], prefix: bytes, suffixes: Sequence[bytes]
+) -> bytearray:
+    """Joined 64-byte keyed digests of ``key.path_bytes + prefix + suffix``,
+    key-major, then in suffix order.
 
-    The hasher absorbs the shared prefix once and is copied per suffix.
+    Each key's hasher absorbs its path and the shared prefix once and is
+    copied per suffix.
     """
-    primed = hashlib.blake2b(prefix, key=key.seed.to_bytes(8, "little"), digest_size=64)
-    digests = []
-    for suffix in suffixes:
-        hasher = primed.copy()
-        hasher.update(suffix)
-        digests.append(hasher.digest())
-    return b"".join(digests)
+    digests = bytearray()
+    for key in keys:
+        primed = hashlib.blake2b(
+            key.path_bytes + prefix, key=key.seed.to_bytes(8, "little"), digest_size=64
+        )
+        for suffix in suffixes:
+            hasher = primed.copy()
+            hasher.update(suffix)
+            digests += hasher.digest()
+    return digests
 
 
-def _digests(key: IndexKey, tag: Tag, blocks: int) -> bytes:
+def _digests(key: IndexKey, tag: Tag, blocks: int) -> bytearray:
     """``blocks`` joined 64-byte digests for (key, tag), counter-based."""
-    return _hash_suffixes(key, key.path_bytes + _tag_bytes(tag), _block_suffixes(blocks))
+    return _hash_suffixes((key,), _tag_bytes(tag), _block_suffixes(blocks))
 
 
 def _words(key: IndexKey, tag: Tag, count: int) -> np.ndarray:
@@ -171,6 +225,12 @@ def uniform(key: IndexKey, tag: Tag) -> float:
     return (word >> 11) * _INV_2_53
 
 
+def batch_uniform(keys: Sequence[IndexKey], tag: Tag) -> np.ndarray:
+    """``uniform(key, tag)`` for each key, as one array, bit for bit."""
+    words = np.frombuffer(_hash_suffixes(keys, _tag_bytes(tag), _block_suffixes(1)), dtype="<u8")
+    return (words[::_WORDS_PER_BLOCK] >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
 def uniforms(key: IndexKey, tag: Tag, count: int) -> np.ndarray:
     """``count`` i.i.d. uniform draws in [0, 1) for one (key, tag) stream."""
     words = _words(key, tag, count)
@@ -187,20 +247,28 @@ def normals(key: IndexKey, tag: Tag, count: int, variance: float = 1.0) -> np.nd
 
 
 def step_normals(key: IndexKey, steps: int, dim: int, variance: float = 1.0) -> np.ndarray:
-    """Row k is ``normals(key, k, dim, variance)`` for k = 0..steps-1, bit for bit.
+    """Row k is ``normals(key, k, dim, variance)`` for k = 0..steps-1, bit for bit."""
+    return batch_step_normals((key,), steps, dim, variance)[0]
 
-    The rows share the message prefix (path and integer-tag marker), so a
-    keyed hasher is primed with it once and copied for each (step, block)
-    suffix; all digests are then mapped to Gaussians in one vector pass.
+
+def batch_step_normals(
+    keys: Sequence[IndexKey], steps: int, dim: int, variance: float = 1.0
+) -> np.ndarray:
+    """``step_normals(key, steps, dim, variance)`` for each key, stacked.
+
+    The result has shape (len(keys), steps, dim).  A key's rows share the
+    message prefix (path and integer-tag marker), so its keyed hasher is
+    primed with it once and copied for each (step, block) suffix; the
+    digests of all keys are then mapped to Gaussians in one vector pass.
     """
     if steps < 0 or dim < 0:
         raise ValueError(f"steps and dim must be non-negative, got {steps}, {dim}")
     blocks = -(-dim // _WORDS_PER_BLOCK)
-    # the message of integer tag k is this prefix followed by _varint(k)
-    prefix = key.path_bytes + _INT_TAG
-    digests = _hash_suffixes(key, prefix, _step_suffixes(steps, blocks))
+    # the message of integer tag k is the path, _INT_TAG and _varint(k)
+    digests = _hash_suffixes(keys, _INT_TAG, _step_suffixes(steps, blocks))
     words = np.frombuffer(digests, dtype="<u8")
-    return _gaussians(words.reshape(steps, blocks * _WORDS_PER_BLOCK)[:, :dim], variance)
+    shape = (len(keys), steps, blocks * _WORDS_PER_BLOCK)
+    return _gaussians(words.reshape(shape)[..., :dim], variance)
 
 
 def derive_seed(seed: int, *components: Tag) -> int:

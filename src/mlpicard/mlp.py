@@ -21,18 +21,30 @@ process at a different time re-draws the identical underlying uniforms and
 increments through :mod:`mlpicard.hier_rng`, which is what makes the
 recursion a well-defined random function.
 
-Level-synchronous evaluation: the random inputs of a term, its sub-index
-eta, uniform u and fresh path, depend on (theta, n, k, l) but not on the
-query time t; only s = u*t does.  The nodes (theta, j) of one index theta
-form a key group.  Its query times are gathered top-down, j = n..1: each
-node's times are the concatenation of those asked of it, and every term of
-the node draws its uniform once and appends s = u*t, over all the node's
-times, to the same-index nodes (theta, l) and (theta, l-1).  The group is
-then evaluated bottom-up, j = 1..n, each node once with numpy over all its
-times; a term's fresh path is generated once, right before the key group of
-eta evaluates the two X_eta nodes at s, and dropped with it.  Per query time
-the arithmetic is that of the scalar recursion, term by term in (l, k)
-order, so every value is bit-identical to evaluating one time at a time.
+Batched evaluation: the random inputs of a term, its sub-index eta,
+uniform u and fresh path, depend on (theta, n, k, l) but not on the query
+time t; only s = u*t does.  The nodes (theta, j) of one index theta form a
+key group, and one evaluator call serves a batch of key groups whose tops
+share a level: their keys, their paths stacked along a leading batch axis,
+and one flat vector of query times, each with the index of the key it
+belongs to.  The times are gathered top-down, j = top..1: term (j, l) draws
+the uniforms of its sub keys, for all keys of the batch, in one bulk hash,
+and appends s = u*t to the same-key nodes (theta, l) and (theta, l-1).  The
+sub keys of the level-l terms of every node and key form one sub-batch:
+their fresh paths are generated together at level l right before one
+recursive call evaluates the X_eta nodes l and l-1 at all their times, and
+are dropped when it returns.  A call whose top is L thus makes L-1
+sub-calls, and a realization 2**(n-1) calls, whatever m is.  Each node is
+then evaluated once, bottom-up, with numpy over the rows of all keys.
+
+Per (key, time) the arithmetic is that of the scalar recursion:
+xi + W(snap) + t*mu(0, 0), then (t / fan) * (mu(x_hi, y_hi) - mu(x_lo,
+y_lo)) added term by term in (l, k) order, by a cumulative sum along the
+term axis, which adds sequentially.  A drift acts on each row alone, so
+every value is bit-identical to evaluating one key at one time; a drift
+whose result does not have the broadcast shape of its inputs would mix the
+rows of sibling keys and is refused with ValueError.  The lower half of
+every level-1 term, mu(0, 0), is evaluated once per call.
 
 Instrumentation: the top-level path generation charges m**n * d draws, each
 node with n >= 1 charges, per query time, one drift evaluation for its
@@ -53,11 +65,11 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import GridPath, generate
+from .brownian import GridPath, PathBatch, generate_batch
 from .errors import ResourceLimitError
-from .hier_rng import IndexKey, child, derive_seed, uniform
+from .hier_rng import IndexKey, batch_uniform, children, derive_seed
 from .ledger import CostLedger
-from .models import Problem, pathwise_value
+from .models import DriftModel, Problem, pathwise_value
 from .recursions import cost_budget
 
 __all__ = [
@@ -111,94 +123,157 @@ class MlpCall:
                 raise ValueError("path grid does not match the problem/branching")
 
 
+def _joined(chunks: list) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated (times, owners) of a node's or a sub-batch's chunks."""
+    if len(chunks) == 1:
+        return chunks[0]
+    times, owners = zip(*chunks)
+    return np.concatenate(times), np.concatenate(owners)
+
+
+def _drift(drift: DriftModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """mu(x, y), refused unless it has the broadcast shape of its inputs.
+
+    A drift that reduces or indexes over a leading axis would mix the rows of
+    sibling keys evaluated together; changing the shape is how most do it.
+    """
+    out = drift.evaluate(x, y)
+    want = x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape)
+    if np.shape(out) != want:
+        raise ValueError(
+            f"drift {drift.name!r} returned shape {np.shape(out)} for inputs of "
+            f"broadcast shape {want}; a drift must act on each (..., d) row alone"
+        )
+    return out
+
+
 def _evaluate(
     problem: Problem,
-    key: IndexKey,
-    path: GridPath,
+    paths: PathBatch,
     m: int,
     levels: tuple[int, ...],
     times: np.ndarray,
+    owner: np.ndarray,
     ledger: CostLedger,
 ) -> list[np.ndarray]:
-    """Values of the nodes (key, j) for j in ``levels``, each at ``times``.
+    """Values of the nodes (key, j) for j in ``levels``, over a batch of keys.
 
-    ``levels`` lists distinct levels >= 1, highest first; the highest is the
-    top of the key group and must not exceed the creation level of ``path``.
-    Each returned array has shape (len(times), d).
+    The keys are ``paths.keys``; query i asks for key ``paths.keys[owner[i]]``
+    at time ``times[i]``.  ``levels`` lists distinct levels >= 1, highest
+    first; the highest is the top of every key group and must not exceed the
+    creation level of ``paths``.  Each returned array has shape
+    (len(times), d), row i answering query i.
     """
     d = problem.dim
+    keys = paths.keys
     top = levels[0]
-    asked: list[list[np.ndarray]] = [[] for _ in range(top + 1)]
-    rows = [0] * (top + 1)  # times asked of node j so far
+    # Chunks of (times, owners) asked of each node, and its rows so far.
+    asked: list[list] = [[] for _ in range(top + 1)]
+    rows = [0] * (top + 1)
     for j in levels:
-        asked[j].append(times)
+        asked[j].append((times, owner))
         rows[j] = len(times)
+    # Per term level l: the sub keys of every node's level-l terms, and the
+    # chunks of (times, owners) they are asked at.
+    sub_keys: list = [None] * top
+    sub_asked: list = [None] * top
+    sub_rows = [0] * top
 
-    # Top-down: gather every node's times; each term's uniform is drawn once.
-    # A node's terms are kept per level l as (l, fan, [(eta, s, row of s in
-    # node l, row of s in node l-1) for k = 1..fan]).
-    node_times: list = [None] * (top + 1)
-    node_terms: list = [None] * (top + 1)
+    # Top-down: gather every node's times; each sub key's uniform is drawn
+    # once.  A node keeps its terms as (l, fan, row of its s in node l, in
+    # node l-1, in sub-batch l); the s of a term are laid out k-major, so
+    # row k*size + i holds s = u_k * t_i.
+    nodes: list = [None] * (top + 1)
     for j in range(top, 0, -1):
-        t = asked[j][0] if len(asked[j]) == 1 else np.concatenate(asked[j])
+        t, o = _joined(asked[j])
+        asked[j] = None
+        size = len(t)
         terms = []
         for level in range(1, j):
             fan = m ** (j - level)
-            samples = []
-            for k in range(1, fan + 1):
-                sub = child(key, (j, k, level))
-                s = uniform(sub, "u") * t
-                samples.append((sub, s, rows[level], rows[level - 1]))
-                asked[level].append(s)
-                rows[level] += len(t)
-                if level >= 2:
-                    asked[level - 1].append(s)
-                    rows[level - 1] += len(t)
-            terms.append((level, fan, samples))
+            subs = children(keys, [(j, k, level) for k in range(1, fan + 1)])
+            u = batch_uniform(subs, "u").reshape(len(keys), fan)
+            s = (u[o].T * t).ravel()
+            same = np.broadcast_to(o, (fan, size)).ravel()  # owners in nodes l, l-1
+            if sub_keys[level] is None:
+                sub_keys[level], sub_asked[level] = [], []
+            base = len(sub_keys[level])  # sub key (g, k) sits at base + g*fan + k
+            sub_owner = (np.arange(fan)[:, None] + (o * fan + base)).ravel()
+            terms.append((level, fan, rows[level], rows[level - 1], sub_rows[level]))
+            sub_keys[level].extend(subs)
+            sub_asked[level].append((s, sub_owner))
+            sub_rows[level] += len(s)
+            asked[level].append((s, same))
+            rows[level] += len(s)
+            if level >= 2:
+                asked[level - 1].append((s, same))
+                rows[level - 1] += len(s)
             # Per query time and term: one uniform, the fresh path and two
             # drift evaluations.
-            ledger.add_draws(len(t) * fan * (1 + m**level * d))
-            ledger.add_evals(len(t) * fan * 2)
-        ledger.add_evals(len(t))  # per query time: the cached mu(0,0) read
-        node_times[j] = t
-        node_terms[j] = terms
+            ledger.add_draws(size * fan * (1 + m**level * d))
+            ledger.add_evals(size * fan * 2)
+        ledger.add_evals(size)  # per query time: the cached mu(0,0) read
+        nodes[j] = (t, o, terms)
 
-    # Bottom-up: each node once over all its times.
+    # Bottom-up: each node once over all its times.  Sub-batch l is evaluated
+    # when node l+1 first needs it; its fresh paths, one per sub key,
+    # generated at the finer level l and shared by the level-l and
+    # level-(l-1) copies, live only during that call.
     drift = problem.drift
     values: list = [None] * (top + 1)
+    sub_values: list = [None] * top
+    origin = None  # mu(0, 0) on one row: the lower half of every level-1 term
     for j in range(1, top + 1):
-        t = node_times[j]
-        size = len(t)  # every term queries its sub-nodes at this many times
-        value = problem.initial + path.value_at(t, j) + t[:, None] * drift.value_at_origin
-        for level, fan, samples in node_terms[j]:
-            weight = t[:, None] / fan
-            if level == 1:
-                zeros = np.zeros((size, d))
-            for sub, s, at_hi, at_lo in samples:
-                x_hi = values[level][at_hi : at_hi + size]
-                # One fresh path per k, generated at the finer level l and
-                # shared by the level-l and level-(l-1) independent copies.
-                fresh = generate(sub, level, m, problem.horizon, d)
+        if j >= 2:
+            level = j - 1
+            s, o = _joined(sub_asked[level])
+            fresh = generate_batch(sub_keys[level], level, m, problem.horizon, d)
+            sub_keys[level] = sub_asked[level] = None
+            sub_levels = (level, level - 1) if level >= 2 else (level,)
+            sub_values[level] = _evaluate(problem, fresh, m, sub_levels, s, o, ledger)
+            del fresh, s
+        t, o, terms = nodes[j]
+        nodes[j] = None
+        size = len(t)
+        value = problem.initial + paths.value_at(t, o, j) + t[:, None] * drift.value_at_origin
+        if terms:
+            parts = [value[None]]
+            for level, fan, at_hi, at_lo, at_sub in terms:
+                end = fan * size
+                y = sub_values[level]
+                hi = _drift(drift, values[level][at_hi : at_hi + end], y[0][at_sub : at_sub + end])
                 if level >= 2:
-                    y_hi, y_lo = _evaluate(problem, sub, fresh, m, (level, level - 1), s, ledger)
-                    x_lo = values[level - 1][at_lo : at_lo + size]
+                    lo = _drift(drift, values[level - 1][at_lo : at_lo + end],
+                                y[1][at_sub : at_sub + end])
                 else:
                     # Level-0 estimator is identically zero: no query, no charge.
-                    (y_hi,) = _evaluate(problem, sub, fresh, m, (level,), s, ledger)
-                    x_lo = y_lo = zeros
-                value += weight * (drift.evaluate(x_hi, y_hi) - drift.evaluate(x_lo, y_lo))
+                    if origin is None:
+                        zero = np.zeros((1, d))
+                        origin = _drift(drift, zero, zero)
+                    lo = origin
+                parts.append((t[:, None] / fan) * (hi - lo).reshape(fan, size, d))
+            # Sequential sums along the term axis: value + term (1, 1) + ...,
+            # in (l, k) order, as with one += per term.
+            sums = np.concatenate(parts)
+            np.add.accumulate(sums, axis=0, out=sums)
+            value = sums[-1].copy()
         values[j] = value
-    # The requested times come first in each node's rows.
-    return [values[j][: len(times)] for j in levels]
+    # The requested times come first in each node's rows; a copy releases
+    # the rest.
+    size = len(times)
+    return [values[j] if len(values[j]) == size else values[j][:size].copy() for j in levels]
 
 
 def mlp_evaluate(call: MlpCall, ledger: CostLedger) -> np.ndarray:
     """Evaluate the estimator for a validated call, charging the ledger."""
     if call.picard_n == 0:
         return np.zeros(call.problem.dim)
+    path = call.path
+    batch = PathBatch((call.key,), path.level, path.branching, path.horizon, path.dim,
+                      path.values[None])
     (value,) = _evaluate(
-        call.problem, call.key, call.path, call.branching_m, (call.picard_n,),
-        np.array([call.t]), ledger,
+        call.problem, batch, call.branching_m, (call.picard_n,), np.array([call.t]),
+        np.zeros(1, dtype=np.intp), ledger,
     )
     return value[0]
 
@@ -236,9 +311,11 @@ def realize_estimate(
     if ledger is None:
         ledger = CostLedger()
     root = IndexKey(master_seed, (0,))
-    path = generate(root, n, m, problem.horizon, problem.dim, ledger)
-    (value,) = _evaluate(problem, root, path, m, (n,), np.array([problem.horizon]), ledger)
-    return RealizeResult(value=value[0], ledger=ledger, w0_terminal=np.array(path.values[-1]))
+    path = generate_batch((root,), n, m, problem.horizon, problem.dim, ledger)
+    (value,) = _evaluate(
+        problem, path, m, (n,), np.array([problem.horizon]), np.zeros(1, dtype=np.intp), ledger
+    )
+    return RealizeResult(value=value[0], ledger=ledger, w0_terminal=np.array(path.values[0, -1]))
 
 
 def rep_seed(master_seed: int, rep: int) -> int:

@@ -45,8 +45,11 @@ class DriftModel:
     """Drift function with its declared Lipschitz constant.
 
     ``evaluate`` must be a pure function accepting broadcastable arrays of
-    shape (..., d) in both arguments and returning their broadcast result;
-    purity is required for cost accounting and parallel use.
+    shape (..., d) in both arguments and returning their broadcast result,
+    each (..., d) row computed from the same rows of the arguments alone:
+    the estimator evaluates the rows of many keys in one call and refuses a
+    result of another shape.  Purity is required for cost accounting and
+    parallel use.
     ``value_at_origin`` caches mu(0, 0) so the estimator's constant term does
     not re-evaluate the drift.
     """

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlpicard.brownian import generate, snap
-from mlpicard.hier_rng import IndexKey, normals
+from mlpicard.brownian import generate, generate_batch, snap
+from mlpicard.hier_rng import IndexKey, children, normals
 from mlpicard.ledger import CostLedger
 
 SEED = 1234
@@ -200,3 +200,41 @@ def test_terminal_distribution():
     )
     assert abs(finals.mean()) < 3.0 / np.sqrt(reps)
     assert abs(finals.var(ddof=1) - 1.0) < 0.1
+
+
+def test_generate_batch_matches_generate():
+    # every path of a batch equals its key's path generated alone, and the
+    # ledger is charged steps*dim draws per key
+    parents = [IndexKey(SEED, (30,)), IndexKey(SEED, (300, 16384))]
+    keys = children(parents, [(k,) for k in range(3)])
+    for level, m, dim in ((1, 5, 1), (2, 3, 4), (3, 2, 9)):
+        ledger = CostLedger()
+        batch = generate_batch(keys, level, m, 1.5, dim, ledger)
+        assert batch.values.shape == (len(keys), m**level + 1, dim)
+        assert batch.keys == tuple(keys)
+        assert ledger.scalar_draws == len(keys) * m**level * dim
+        for key, values in zip(keys, batch.values):
+            assert values.tobytes() == generate(key, level, m, 1.5, dim).values.tobytes()
+        with pytest.raises(ValueError):
+            batch.values[0, 0, 0] = 1.0
+
+
+def test_path_batch_value_at_matches_each_path():
+    keys = children([IndexKey(SEED, (31,))], [(k,) for k in range(4)])
+    batch = generate_batch(keys, 3, 2, 1.0, 2)
+    paths = [generate(key, 3, 2, 1.0, 2) for key in keys]
+    rng = np.random.default_rng(SEED)
+    grid = np.arange(9) / 8.0
+    times = np.concatenate([grid, rng.uniform(0.0, 1.0, 40), [0.0, 1.0]])
+    owner = rng.integers(0, len(keys), len(times))
+    for level in (1, 2, 3):
+        got = batch.value_at(times, owner, level)
+        want = np.array([paths[o].value_at(t, level) for t, o in zip(times, owner)])
+        assert got.shape == (len(times), 2)
+        assert got.tobytes() == want.tobytes(), level
+    assert batch.value_at(np.array([]), np.array([], dtype=np.intp), 2).shape == (0, 2)
+    for bad in ([0.5, -0.1], [1.0 + 1e-12], [np.nan, 0.2]):
+        with pytest.raises(ValueError):
+            batch.value_at(np.array(bad), np.zeros(len(bad), dtype=np.intp), 2)
+    with pytest.raises(ValueError):
+        batch.value_at(np.array([0.5]), np.zeros(1, dtype=np.intp), 4)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 
@@ -13,7 +14,10 @@ from scipy.stats import kstest, kstwobign
 from mlpicard import brownian, hier_rng
 from mlpicard.hier_rng import (
     IndexKey,
+    batch_step_normals,
+    batch_uniform,
     child,
+    children,
     derive_seed,
     normals,
     step_normals,
@@ -233,3 +237,63 @@ def test_suffix_caches_bounded_and_empty_after_import():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.split() == ["0", "0", "0"]
+
+
+def leb128_path(path):
+    return b"W" + leb128(len(path)) + b"".join(leb128(c) for c in path)
+
+
+def test_children_extend_the_encoded_path():
+    # a child's encoding is built from its parent's, but must equal the
+    # length-prefixed LEB128 encoding of the whole path: single- and
+    # multi-byte coordinates, and length prefixes that cross 128
+    parents = [IndexKey(SEED, p) for p in ((), (0,), (127, 128), (300, 16383, 16384, 2**40),
+                                            tuple(range(126)), tuple(range(130)))]
+    extensions = [(), (0,), (2, 1, 1), (128, 16384), (2**40, 5, 127)]
+    subs = children(parents, extensions)
+    assert len(subs) == len(parents) * len(extensions)
+    for i, key in enumerate(parents):
+        for j, ext in enumerate(extensions):
+            sub = subs[i * len(extensions) + j]  # key-major
+            want = IndexKey(SEED, key.path + ext)
+            assert sub == want and hash(sub) == hash(want)
+            assert sub.seed == key.seed
+            assert sub.path_bytes == leb128_path(key.path + ext)
+            assert sub == child(key, ext)
+            # grandchildren are built from the child's own encoding
+            grand = child(sub, (3, 129))
+            assert grand.path_bytes == leb128_path(key.path + ext + (3, 129))
+
+
+def test_children_validate_the_extension():
+    key = IndexKey(SEED, (1, 2))
+    with pytest.raises(ValueError):
+        child(key, (3, -1))
+    with pytest.raises(ValueError):
+        children([key, key], [(0,), (-5,)])
+    # integer-valued coordinates are normalized like IndexKey's
+    assert child(key, (np.int64(4),)).path == (1, 2, 4)
+    assert type(child(key, (np.int64(4),)).path[-1]) is int
+
+
+def test_key_pickles_with_its_encoding():
+    for key in (IndexKey(SEED, (300, 1)), child(IndexKey(SEED, (0,)), (5, 2, 1))):
+        again = pickle.loads(pickle.dumps(key))
+        assert again == key and again.path_bytes == key.path_bytes
+
+
+@pytest.mark.parametrize("dim", [1, 4, 9])
+def test_batch_draws_equal_one_key_draws(dim):
+    # the batched forms hash each key with its own primed hasher; every row
+    # must equal the one-key function's output, bit for bit
+    keys = [IndexKey(SEED, p) for p in ((0, 4, 2, 1), (300, 1), (), (0, 4, 2, 2))]
+    keys += children([IndexKey(SEED + 1, (16384,))], [(k, 1) for k in range(3)])
+    u = batch_uniform(keys, "u")
+    assert u.tobytes() == np.array([uniform(k, "u") for k in keys]).tobytes()
+    for steps in (1, 5, 130):
+        got = batch_step_normals(keys, steps, dim, 0.25)
+        assert got.shape == (len(keys), steps, dim)
+        want = np.array([step_normals(k, steps, dim, 0.25) for k in keys])
+        assert got.tobytes() == want.tobytes(), (steps, dim)
+    assert batch_uniform([], "u").shape == (0,)
+    assert batch_step_normals([], 5, dim).shape == (0, 5, dim)

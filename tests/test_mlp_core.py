@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import mlpicard.mlp as mlp_mod
-from mlpicard.brownian import generate
+from mlpicard.brownian import generate, generate_batch
 from mlpicard.errors import ResourceLimitError
-from mlpicard.hier_rng import IndexKey
+from mlpicard.hier_rng import IndexKey, children, uniform
 from mlpicard.ledger import CostLedger
 from mlpicard.mlp import (
     MlpCall,
@@ -123,27 +123,27 @@ def test_process_consistency_addresses():
     key = IndexKey(SEED, (0,))
     path = generate(key, 3, 2, 1.0, 1)
 
-    real_uniform = mlp_mod.uniform
-    real_generate = mlp_mod.generate
+    real_uniform = mlp_mod.batch_uniform
+    real_generate = mlp_mod.generate_batch
 
     def trace(t):
         addresses = set()
 
-        def traced_uniform(k, tag):
-            addresses.add(("u", k, tag))
-            return real_uniform(k, tag)
+        def traced_uniform(keys, tag):
+            addresses.update(("u", k, tag) for k in keys)
+            return real_uniform(keys, tag)
 
-        def traced_generate(k, level, m, horizon, dim, ledger=None):
-            addresses.add(("w", k, level))
-            return real_generate(k, level, m, horizon, dim, ledger)
+        def traced_generate(keys, level, m, horizon, dim, ledger=None):
+            addresses.update(("w", k, level) for k in keys)
+            return real_generate(keys, level, m, horizon, dim, ledger)
 
-        mlp_mod.uniform = traced_uniform
-        mlp_mod.generate = traced_generate
+        mlp_mod.batch_uniform = traced_uniform
+        mlp_mod.generate_batch = traced_generate
         try:
             mlp_evaluate(MlpCall(prob, key, 3, 2, t, path), CostLedger())
         finally:
-            mlp_mod.uniform = real_uniform
-            mlp_mod.generate = real_generate
+            mlp_mod.batch_uniform = real_uniform
+            mlp_mod.generate_batch = real_generate
         return addresses
 
     assert trace(0.3) == trace(0.9)
@@ -160,7 +160,7 @@ def reference_estimator(problem, key, n, m, t, path):
         fan = m ** (n - level)
         for k in range(1, fan + 1):
             sub = IndexKey(key.seed, key.path + (n, k, level))
-            s = mlp_mod.uniform(sub, "u") * t
+            s = uniform(sub, "u") * t
             fresh = generate(sub, level, m, problem.horizon, problem.dim)
             hi = mu(
                 reference_estimator(problem, key, level, m, s, path),
@@ -187,29 +187,80 @@ def test_matches_independent_reimplementation():
 
 
 def test_time_vector_matches_per_time_reference():
-    # one evaluation over many query times (0, every grid point, T, random
-    # times) equals the scalar reference at each time, byte for byte, which
-    # also checks that vector and length-1 drift calls give the same bits;
-    # the ledger is charged per query time, as by one call per time
+    # one evaluator call over several keys, with the owners of the query
+    # times interleaved, a vector of times (0, every grid point, T, random)
+    # and both levels of an (n, n-1) group equals the scalar reference at
+    # each (key, time, level) byte for byte, which also checks that batched
+    # and length-1 drift calls give the same bits; the ledger is charged per
+    # query time, as by one call per (key, time, level); m = 1 makes every
+    # fan 1
     cases = [("sine_meanfield", d, {"L": 1.0}) for d in (1, 3, 9)]
     cases.append(("full_linear", 2, {"a": 0.5, "b": -1.0}))
     rng = np.random.default_rng(SEED)
     for name, d, params in cases:
         prob = builtin_problem(name, d=d, T=1.5, xi=0.75, **params)
-        for n, m in ((1, 3), (2, 2), (3, 2), (3, 3)):
-            key = IndexKey(SEED + 100 * d + 10 * n + m, (0,))
-            path = generate(key, n, m, prob.horizon, d)
+        for n, m in ((1, 3), (2, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)):
+            root = IndexKey(SEED + 100 * d + 10 * n + m, (0,))
+            keys = children([root], [(k,) for k in range(3)])
+            paths = generate_batch(keys, n, m, prob.horizon, d)
             grid = np.arange(m**n + 1) * prob.horizon / m**n
-            times = np.concatenate([[0.0, prob.horizon], grid, rng.uniform(0.0, 1.5, 8)])
+            times = np.concatenate([[0.0, prob.horizon], grid, rng.uniform(0.0, 1.5, 4)])
+            owner = rng.integers(0, len(keys), len(times))
+            levels = (n, n - 1) if n >= 2 else (n,)
             ledger = CostLedger()
-            (got,) = mlp_mod._evaluate(prob, key, path, m, (n,), times, ledger)
-            assert got.shape == (len(times), d)
-            want = np.array([reference_estimator(prob, key, n, m, t, path) for t in times])
-            assert got.tobytes() == want.tobytes(), (name, d, n, m)
+            got = mlp_mod._evaluate(prob, paths, m, levels, times, owner, ledger)
             scalar = CostLedger()
-            for t in times:
-                mlp_evaluate(MlpCall(prob, key, n, m, float(t), path), scalar)
+            for level, values in zip(levels, got):
+                assert values.shape == (len(times), d)
+                want = []
+                for t, o in zip(times, owner):
+                    path = generate(keys[o], n, m, prob.horizon, d)
+                    want.append(reference_estimator(prob, keys[o], level, m, t, path))
+                    mlp_evaluate(MlpCall(prob, keys[o], level, m, float(t), path), scalar)
+                assert values.tobytes() == np.array(want).tobytes(), (name, d, n, m, level)
             assert ledger.snapshot() == scalar.snapshot(), (name, d, n, m)
+
+
+def test_evaluator_calls_depend_on_n_only():
+    # a call makes one sub-call per term level, over the sub keys of all its
+    # nodes and keys, so a realization makes 2**(n-1) evaluator calls
+    # whatever m is: 8 at n = 4 and 16 (at most 21) at n = 5
+    prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
+    real = mlp_mod._evaluate
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    mlp_mod._evaluate = counted
+    try:
+        seen = {}
+        for n, m in ((4, 2), (4, 4), (5, 2), (5, 3)):
+            calls[0] = 0
+            realize_estimate(prob, n, m, SEED)
+            seen[n, m] = calls[0]
+    finally:
+        mlp_mod._evaluate = real
+    assert seen[4, 2] == seen[4, 4] == 8
+    assert seen[5, 2] == seen[5, 3] == 16 <= 21
+
+
+@pytest.mark.parametrize(
+    "name, mu",
+    [
+        # both pass make_drift's origin check at d = 1, where x and y have
+        # shape (1,), but reduce or index over the leading axis of a batch
+        ("row_sum", lambda x, y: np.atleast_1d(-(x + y).sum(axis=0))),
+        ("last_row", lambda x, y: -y[-1:]),
+    ],
+)
+def test_drift_breaking_broadcast_contract_fails_closed(name, mu):
+    drift = make_drift(name, mu, 2.0, 1)
+    prob = Problem(1, 1.0, np.ones(1), drift)
+    shapes = r"returned shape \(1,? ?1?\) .*\(\d+, 1\)"
+    with pytest.raises(ValueError, match=rf"drift '{name}' {shapes}"):
+        realize_estimate(prob, 3, 2, SEED)
 
 
 @pytest.mark.parametrize(
@@ -237,23 +288,24 @@ def test_term_memo_call_counts_and_scope():
     # ledger keeps charging the logical draws per query time; a second
     # realization repeats the counts, so nothing outlives its call
     prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
-    real_uniform = mlp_mod.uniform
-    real_generate = mlp_mod.generate
+    real_uniform = mlp_mod.batch_uniform
+    real_generate = mlp_mod.generate_batch
     calls = {"uniform": 0, "generate": 0}
     keys = {"uniform": set(), "generate": set()}
 
-    def counted_uniform(*args):
-        calls["uniform"] += 1
-        keys["uniform"].add(args[0])
-        return real_uniform(*args)
+    # the batched evaluator draws through these two, many keys per call
+    def counted_uniform(batch, *args):
+        calls["uniform"] += len(batch)
+        keys["uniform"].update(batch)
+        return real_uniform(batch, *args)
 
-    def counted_generate(*args):
-        calls["generate"] += 1
-        keys["generate"].add(args[0])
-        return real_generate(*args)
+    def counted_generate(batch, *args):
+        calls["generate"] += len(batch)
+        keys["generate"].update(batch)
+        return real_generate(batch, *args)
 
-    mlp_mod.uniform = counted_uniform
-    mlp_mod.generate = counted_generate
+    mlp_mod.batch_uniform = counted_uniform
+    mlp_mod.generate_batch = counted_generate
     try:
         results = []
         for _ in range(2):
@@ -264,8 +316,8 @@ def test_term_memo_call_counts_and_scope():
             assert {name: len(seen) for name, seen in keys.items()} == calls
             assert results[-1].ledger.snapshot() == (4372, 2745)
     finally:
-        mlp_mod.uniform = real_uniform
-        mlp_mod.generate = real_generate
+        mlp_mod.batch_uniform = real_uniform
+        mlp_mod.generate_batch = real_generate
     assert results[0].value.tobytes() == results[1].value.tobytes()
     # the logical charge scales the path draws with d; evaluations do not
     prob4 = builtin_problem("law_only_linear", d=4, T=1.0, xi=1.0, b=-1.0)
@@ -283,7 +335,7 @@ def test_level_two_hand_expansion():
     value = prob.initial + path.value_at(1.0, 2) + 1.0 * prob.drift.value_at_origin
     for k in (1, 2):
         sub = IndexKey(SEED, (0, 2, k, 1))
-        s = mlp_mod.uniform(sub, "u") * 1.0
+        s = uniform(sub, "u") * 1.0
         fresh = generate(sub, 1, 2, 1.0, 1)
         own = prob.initial + path.value_at(s, 1) + s * prob.drift.value_at_origin
         other = prob.initial + fresh.value_at(s, 1) + s * prob.drift.value_at_origin
