@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,45 @@ QUICK_PARTICLES = ["particles_n=80", "particles_m=8"]
 def _cfg(mode, tmp_path, extra=(), name="out.csv", jobs=1):
     sets = list(QUICK_CONVERGENCE) + list(extra)
     return build_config(None, sets, mode=mode, out=str(tmp_path / name), jobs=jobs)
+
+
+# Masked SHA-256 of each mode's CSV at a small config.  Any change to these
+# bytes (rows, footers, config echo, number formatting) must be deliberate.
+GOLDEN_BASE = [
+    "problem=law_only_linear", "b=-1.0", "d=2", "k_min=1", "k_max=4", "reps=20", "seed=11",
+]
+GOLDEN_SINE = ["problem=sine_meanfield", "L=1.0"]
+GOLDEN_PARTICLES = ["particles_n=60", "particles_m=6"]
+GOLDEN_CSV = {
+    "convergence": ([], "bb0156a283e7a189bbf9cd3319b2fbab2d1fdf27fdbdeb40366e78dc84d15bbf"),
+    "cost-table": (GOLDEN_SINE, "777afb57af3688da51ee56e5a56db2dd9757ea9dd5e611d4e359f26089ce8768"),
+    "verify-bounds": (
+        GOLDEN_SINE + GOLDEN_PARTICLES + ["rec_draws=40", "bound_draws=40"],
+        "6d1861b768befefba7200fddd3e970ca2674152f4beee545ac20980d76c7918f",
+    ),
+    "oracle-compare": (
+        GOLDEN_SINE + GOLDEN_PARTICLES + ["mlp_n=3", "mlp_m=2"],
+        "1018169029cd7a07210099ede8cf934cf12faea1912c37b85cb1f97eb7c4bf11",
+    ),
+    "recursion-selftest": (
+        ["rec_draws=40"], "23b1e52c538e32119c1fe59d0475fc358aff0b733e397dbed111d7cc8668eee1",
+    ),
+    "certificate": (
+        ["problem=zero_drift", "xi=0.0", "delta=0.95", "cert_kmax=200"],
+        "6b709aafbbbc8779d6ad3efa072ad5b64e11ff7263cc18792276416474a1c0bb",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "mode, jobs",
+    [(mode, 1) for mode in GOLDEN_CSV] + [("convergence", 2), ("oracle-compare", 2)],
+)
+def test_mode_csv_golden(tmp_path, mode, jobs):
+    extra, want = GOLDEN_CSV[mode]
+    out = tmp_path / f"{mode}.csv"
+    run(build_config(None, GOLDEN_BASE + extra, mode=mode, out=str(out), jobs=jobs))
+    assert hashlib.sha256(csv_without_wall(out).encode()).hexdigest() == want
 
 
 def test_config_file_and_sets(tmp_path):
