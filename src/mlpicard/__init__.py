@@ -13,14 +13,7 @@ from .brownian import GridPath, generate, snap
 from .errors import ConfigError, ResourceLimitError
 from .hier_rng import IndexKey, child, derive_seed, normals, uniform, uniforms
 from .ledger import CostLedger
-from .mlp import (
-    L2ErrorResult,
-    MlpCall,
-    RealizeResult,
-    l2_error_estimate,
-    mlp_evaluate,
-    realize_estimate,
-)
+from .mlp import RealizeResult, realize_estimate
 from .models import (
     DriftModel,
     Oracle,
@@ -29,7 +22,6 @@ from .models import (
     lipschitz_selfcheck,
     make_drift,
     oracle_mean,
-    oracle_pathwise,
     pathwise_value,
 )
 from .particles import EnsembleStats, ensemble_stats, simulate_particles
@@ -59,8 +51,6 @@ __all__ = [
     "EnsembleStats",
     "GridPath",
     "IndexKey",
-    "L2ErrorResult",
-    "MlpCall",
     "Oracle",
     "Problem",
     "RealizeResult",
@@ -78,17 +68,14 @@ __all__ = [
     "gronwall_beta",
     "gronwall_bound",
     "gronwall_closed_form",
-    "l2_error_estimate",
     "lipschitz_selfcheck",
     "log_cost_bound",
     "log_error_bound",
     "log_moment_bound",
     "make_drift",
-    "mlp_evaluate",
     "moment_bound",
     "normals",
     "oracle_mean",
-    "oracle_pathwise",
     "pathwise_value",
     "realize_estimate",
     "simulate_particles",

@@ -138,6 +138,11 @@ class ExperimentConfig:
             raise ConfigError(f"mode {self.mode} needs reps >= 2, got {self.reps}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
+        if self.rec_draws < 1 or self.bound_draws < 1:
+            raise ConfigError(
+                f"need rec_draws >= 1 and bound_draws >= 1, got {self.rec_draws}, "
+                f"{self.bound_draws}"
+            )
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         if self.cert_kmax < 1:
@@ -271,22 +276,12 @@ def _cached_problem(spec: ProblemSpec) -> Problem:
     return spec.build()
 
 
-def _worker_sq_error(task: tuple[ProblemSpec, int, int, int]) -> tuple[float, int, int]:
+def _worker(task: tuple[ProblemSpec, int, int, int]) -> tuple[list, list, int, int]:
+    """One realization: its value at T, W0(T), draws and evaluations, as plain
+    Python numbers, which cross a process boundary cheaply."""
     spec, n, m, seed = task
-    problem = _cached_problem(spec)
-    result = realize_estimate(problem, n, m, seed)
-    exact = pathwise_value(problem, problem.horizon, result.w0_terminal)
-    diff = result.value - exact
-    draws, evals = result.ledger.snapshot()
-    return float(diff @ diff), draws, evals
-
-
-def _worker_value(task: tuple[ProblemSpec, int, int, int]) -> tuple[tuple[float, ...], int, int]:
-    spec, n, m, seed = task
-    problem = _cached_problem(spec)
-    result = realize_estimate(problem, n, m, seed)
-    draws, evals = result.ledger.snapshot()
-    return tuple(float(v) for v in result.value), draws, evals
+    result = realize_estimate(_cached_problem(spec), n, m, seed)
+    return (result.value.tolist(), result.w0_terminal.tolist(), *result.ledger.snapshot())
 
 
 def _map_ordered(jobs: int, fn: Callable, tasks: list) -> list:
@@ -297,6 +292,13 @@ def _map_ordered(jobs: int, fn: Callable, tasks: list) -> list:
     chunk = max(1, len(tasks) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
+
+
+def _repetitions(cfg: ExperimentConfig, spec: ProblemSpec, n: int, m: int) -> list[tuple]:
+    """``cfg.reps`` realizations of (n, m) under the repetition seeds, in
+    order, as returned by ``_worker``."""
+    tasks = [(spec, n, m, rep_seed(cfg.seed, r)) for r in range(cfg.reps)]
+    return _map_ordered(cfg.jobs, _worker, tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +336,17 @@ def direct_gronwall(kappa: complex, lam: complex, forcing: Sequence) -> np.ndarr
     return a
 
 
+# (closed form, direct recursion, complex parameters): the suites shared by
+# verify-bounds and recursion-selftest, each mode naming its rows.
+_CLOSED_FORMS = (
+    (two_step_closed_form, direct_two_step, False),
+    (two_step_closed_form, direct_two_step, True),
+    (gronwall_closed_form, direct_gronwall, False),
+    (gronwall_closed_form, direct_gronwall, True),
+)
+_CLOSED_FORM_TOL = 1e-9
+
+
 def _brute_force_budget(n: int, m: int, d: int, v: int, f: int) -> int:
     # Literal recursive transcription of the budget relation; used as the
     # independent cross-check for the iterative solver.
@@ -353,6 +366,16 @@ def _brute_force_budget(n: int, m: int, d: int, v: int, f: int) -> int:
 def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
     scale = np.maximum(np.abs(want), 1.0)
     return float(np.max(np.abs(got - want) / scale))
+
+
+def _closed_form_suites(cfg: ExperimentConfig):
+    """Per suite of ``_CLOSED_FORMS``, in order: (cases, worst relative gap of
+    the closed form against its direct recursion, start time)."""
+    for solver, direct, complex_params in _CLOSED_FORMS:
+        started = time.perf_counter()
+        draws = _recursion_parameter_draws(cfg.seed, cfg.rec_draws, 30, complex_params)
+        worst = max(0.0, *(_relative_error(solver(*draw), direct(*draw)) for draw in draws))
+        yield len(draws), worst, started
 
 
 def _recursion_parameter_draws(
@@ -460,11 +483,12 @@ def _mode_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     for k in cfg.levels():
         budget = _require_budget(cfg, k, k)
         started = time.perf_counter()
-        tasks = [(spec, k, k, rep_seed(cfg.seed, r)) for r in range(cfg.reps)]
-        results = _map_ordered(cfg.jobs, _worker_sq_error, tasks)
-        squared = np.array([r[0] for r in results])
-        draws, evals = results[0][1], results[0][2]
-        rmse, half, _, se_sq = summarize_squared_errors(squared)
+        results = _repetitions(cfg, spec, k, k)
+        w0 = np.array([r[1] for r in results])
+        diffs = np.array([r[0] for r in results]) - pathwise_value(problem, problem.horizon, w0)
+        squared = np.array([float(diff @ diff) for diff in diffs])
+        draws, evals = results[0][2:]
+        rmse, half, se_sq = summarize_squared_errors(squared)
         bound = error_bound(k, k, cfg.T, cfg.T, cfg.d, L, norm_xi, norm_mu)
         ok = rmse + half <= bound
         all_ok &= ok
@@ -575,20 +599,10 @@ def _mode_verify_bounds(cfg: ExperimentConfig) -> ExperimentResult:
     record("particle_second_moment_root", stats.second_moment_root, limit, started,
            stats.second_moment_root <= limit)
 
-    for name, solver, direct, complex_params in (
-        ("two_step_agreement", two_step_closed_form, direct_two_step, False),
-        ("two_step_agreement_complex", two_step_closed_form, direct_two_step, True),
-        ("gronwall_agreement", gronwall_closed_form, direct_gronwall, False),
-        ("gronwall_agreement_complex", gronwall_closed_form, direct_gronwall, True),
-    ):
-        started = time.perf_counter()
-        worst = 0.0
-        for kappa, lam, forcing in _recursion_parameter_draws(
-            cfg.seed, cfg.rec_draws, 30, complex_params
-        ):
-            worst = max(worst, _relative_error(solver(kappa, lam, forcing),
-                                               direct(kappa, lam, forcing)))
-        record(name, worst, 1e-9, started, worst < 1e-9)
+    names = ("two_step_agreement", "two_step_agreement_complex", "gronwall_agreement",
+             "gronwall_agreement_complex")
+    for name, (_, worst, started) in zip(names, _closed_form_suites(cfg)):
+        record(name, worst, _CLOSED_FORM_TOL, started, worst < _CLOSED_FORM_TOL)
 
     started = time.perf_counter()
     worst_gap = -math.inf
@@ -655,9 +669,7 @@ def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
     problem = _cached_problem(spec)
     _require_budget(cfg, cfg.mlp_n, cfg.mlp_m)
     started = time.perf_counter()
-    tasks = [(spec, cfg.mlp_n, cfg.mlp_m, rep_seed(cfg.seed, r)) for r in range(cfg.reps)]
-    results = _map_ordered(cfg.jobs, _worker_value, tasks)
-    values = np.array([r[0] for r in results])
+    values = np.array([r[0] for r in _repetitions(cfg, spec, cfg.mlp_n, cfg.mlp_m)])
     mlp_mean = values.mean(axis=0)
     mlp_se = np.sqrt(values.var(axis=0, ddof=1) / cfg.reps)
 
@@ -689,24 +701,12 @@ def _mode_recursion_selftest(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     all_ok = True
 
-    for name, solver, direct, complex_params in (
-        ("two_step_real", two_step_closed_form, direct_two_step, False),
-        ("two_step_complex", two_step_closed_form, direct_two_step, True),
-        ("gronwall_real", gronwall_closed_form, direct_gronwall, False),
-        ("gronwall_complex", gronwall_closed_form, direct_gronwall, True),
-    ):
-        started = time.perf_counter()
-        worst = 0.0
-        cases = 0
-        for kappa, lam, forcing in _recursion_parameter_draws(
-            cfg.seed, cfg.rec_draws, 30, complex_params
-        ):
-            worst = max(worst, _relative_error(solver(kappa, lam, forcing),
-                                               direct(kappa, lam, forcing)))
-            cases += 1
-        ok = worst < 1e-9
+    names = ("two_step_real", "two_step_complex", "gronwall_real", "gronwall_complex")
+    for name, (cases, worst, started) in zip(names, _closed_form_suites(cfg)):
+        ok = worst < _CLOSED_FORM_TOL
         all_ok &= ok
-        rows.append((name, cases, worst, 1e-9, _status(ok), time.perf_counter() - started))
+        rows.append((name, cases, worst, _CLOSED_FORM_TOL, _status(ok),
+                     time.perf_counter() - started))
 
     started = time.perf_counter()
     worst_int = 0

@@ -65,62 +65,19 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import GridPath, PathBatch, generate_batch
-from .errors import ResourceLimitError
+from .brownian import PathBatch, generate_batch
 from .hier_rng import IndexKey, batch_uniform, children, derive_seed
 from .ledger import CostLedger
-from .models import DriftModel, Problem, pathwise_value
-from .recursions import cost_budget
+from .models import DriftModel, Problem
 
 __all__ = [
-    "L2ErrorResult",
-    "MlpCall",
     "RealizeResult",
-    "l2_error_estimate",
-    "mlp_evaluate",
     "realize_estimate",
     "rep_seed",
     "summarize_squared_errors",
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-
-@dataclass(frozen=True)
-class MlpCall:
-    """One estimator evaluation request.
-
-    ``path`` is the Brownian path of ``key`` at its creation level and may be
-    omitted only for picard_n = 0 (where the estimator is identically zero).
-    """
-
-    problem: Problem
-    key: IndexKey
-    picard_n: int
-    branching_m: int
-    t: float
-    path: Optional[GridPath] = None
-
-    def __post_init__(self) -> None:
-        if self.picard_n < 0:
-            raise ValueError(f"picard level must be non-negative, got {self.picard_n}")
-        if self.branching_m < 1:
-            raise ValueError(f"branching base must be at least 1, got {self.branching_m}")
-        if not 0.0 <= self.t <= self.problem.horizon:
-            raise ValueError(f"time {self.t} outside [0, {self.problem.horizon}]")
-        if self.picard_n >= 1:
-            if self.path is None:
-                raise ValueError("picard level >= 1 requires the Brownian path of the key")
-            if self.path.level < self.picard_n:
-                raise ValueError(
-                    f"path created at level {self.path.level} cannot serve level {self.picard_n}"
-                )
-            if (
-                self.path.branching != self.branching_m
-                or self.path.dim != self.problem.dim
-                or self.path.horizon != self.problem.horizon
-            ):
-                raise ValueError("path grid does not match the problem/branching")
 
 
 def _joined(chunks: list) -> tuple[np.ndarray, np.ndarray]:
@@ -264,20 +221,6 @@ def _evaluate(
     return [values[j] if len(values[j]) == size else values[j][:size].copy() for j in levels]
 
 
-def mlp_evaluate(call: MlpCall, ledger: CostLedger) -> np.ndarray:
-    """Evaluate the estimator for a validated call, charging the ledger."""
-    if call.picard_n == 0:
-        return np.zeros(call.problem.dim)
-    path = call.path
-    batch = PathBatch((call.key,), path.level, path.branching, path.horizon, path.dim,
-                      path.values[None])
-    (value,) = _evaluate(
-        call.problem, batch, call.branching_m, (call.picard_n,), np.array([call.t]),
-        np.zeros(1, dtype=np.intp), ledger,
-    )
-    return value[0]
-
-
 @dataclass(frozen=True)
 class RealizeResult:
     value: np.ndarray  # estimator value at the horizon
@@ -292,22 +235,13 @@ def realize_estimate(
     master_seed: int,
     *,
     ledger: Optional[CostLedger] = None,
-    cost_ceiling: Optional[int] = None,
 ) -> RealizeResult:
     """Compute one realization of the root estimator at t = T.
 
-    Deterministic in (problem, n, m, master_seed).  Refuses to start when the
-    cost budget for (n, m) exceeds the configured ceiling.
+    Deterministic in (problem, n, m, master_seed).
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    if cost_ceiling is not None:
-        budget = cost_budget(n, m, problem.dim, 1, 1)
-        if budget > cost_ceiling:
-            raise ResourceLimitError(
-                f"cost budget {budget} for (n={n}, m={m}, d={problem.dim}) "
-                f"exceeds the ceiling {cost_ceiling}"
-            )
     if ledger is None:
         ledger = CostLedger()
     root = IndexKey(master_seed, (0,))
@@ -323,8 +257,8 @@ def rep_seed(master_seed: int, rep: int) -> int:
     return derive_seed(master_seed, "rep", rep)
 
 
-def summarize_squared_errors(squared: np.ndarray) -> tuple[float, float, float, float]:
-    """(rmse, 95% CI half-width, mean square, se of mean square).
+def summarize_squared_errors(squared: np.ndarray) -> tuple[float, float, float]:
+    """(rmse, 95% CI half-width, se of the mean square).
 
     The RMSE interval comes from the delta method applied to the sample mean
     of the squared errors; a zero mean square yields a degenerate interval.
@@ -337,46 +271,5 @@ def summarize_squared_errors(squared: np.ndarray) -> tuple[float, float, float, 
     se_sq = float(math.sqrt(np.var(squared, ddof=1) / reps))
     rmse = math.sqrt(mean_sq)
     half = _Z95 * se_sq / (2.0 * rmse) if rmse > 0.0 else 0.0
-    return rmse, half, mean_sq, se_sq
+    return rmse, half, se_sq
 
-
-@dataclass(frozen=True)
-class L2ErrorResult:
-    rmse: float
-    ci_half_width: float
-    reps: int
-    mean_sq: float
-    se_sq: float
-    draws_per_realization: int
-    evals_per_realization: int
-
-    @property
-    def ci_upper(self) -> float:
-        return self.rmse + self.ci_half_width
-
-
-def l2_error_estimate(
-    problem: Problem, n: int, m: int, repetitions: int, master_seed: int
-) -> L2ErrorResult:
-    """Root-mean-square error against the coupled pathwise oracle at t = T.
-
-    Each repetition runs one realization under its own derived master seed
-    and measures the squared distance to the exact solution driven by the
-    same W0.  The per-realization operation counts do not depend on the seed,
-    so the first repetition's tallies are reported for all.
-    """
-    if problem.oracle is None or problem.oracle.kind != "pathwise":
-        raise ValueError(f"problem has no pathwise oracle (kind {problem.oracle_kind!r})")
-    if repetitions < 2:
-        raise ValueError(f"need at least 2 repetitions, got {repetitions}")
-    squared = np.empty(repetitions)
-    draws = evals = 0
-    for rep in range(repetitions):
-        result = realize_estimate(problem, n, m, rep_seed(master_seed, rep))
-        exact = pathwise_value(problem, problem.horizon, result.w0_terminal)
-        diff = result.value - exact
-        squared[rep] = float(diff @ diff)
-        if rep == 0:
-            draws, evals = result.ledger.snapshot()
-    rmse, half, mean_sq, se_sq = summarize_squared_errors(squared)
-    return L2ErrorResult(rmse, half, repetitions, mean_sq, se_sq, draws, evals)

@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .brownian import GridPath
 from .hier_rng import IndexKey, normals, uniforms
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "lipschitz_selfcheck",
     "make_drift",
     "oracle_mean",
-    "oracle_pathwise",
     "pathwise_value",
 ]
 
@@ -84,7 +82,8 @@ class Oracle:
     """Exact-solution descriptor attached to a Problem.
 
     kind 'pathwise': ``pathwise(t, w)`` returns X(t) driven by the Brownian
-    value w = W0(t), coupled to the estimator's own path.  kind 'mean-only':
+    value w = W0(t), coupled to the estimator's own path; ``w`` may stack
+    several such values as (..., d) rows, each answered alone.  kind 'mean-only':
     only ``mean`` and ``coord_variance`` are available.
     """
 
@@ -247,15 +246,11 @@ def lipschitz_selfcheck(
 
 
 def pathwise_value(problem: Problem, t: float, w_value: np.ndarray) -> np.ndarray:
-    """Exact solution at time t driven by the Brownian value w_value = W0(t)."""
+    """Exact solution at time t driven by the Brownian value w_value = W0(t),
+    row by row for a stack of (..., d) values."""
     if problem.oracle is None or problem.oracle.kind != "pathwise":
         raise ValueError(f"problem has no pathwise oracle (kind {problem.oracle_kind!r})")
     return problem.oracle.pathwise(t, w_value)
-
-
-def oracle_pathwise(problem: Problem, path: GridPath, t: float) -> np.ndarray:
-    """Exact coupled solution at a grid time of the supplied W0 path."""
-    return pathwise_value(problem, t, path.value_at(t, path.level))
 
 
 def oracle_mean(problem: Problem, t: float) -> np.ndarray:

@@ -1,9 +1,26 @@
-"""Shared test utilities: CSV normalization and acceptance reporting."""
+"""Shared test utilities: one-key estimator calls, CSV normalization and
+acceptance reporting."""
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from mlpicard.brownian import PathBatch
+from mlpicard.ledger import CostLedger
+from mlpicard.mlp import _evaluate
+
+
+def evaluate_one(problem, key, n, m, t, path, ledger=None) -> np.ndarray:
+    """X[n, m](t) of one key, n >= 1, through the batched evaluator; ``path``
+    is the key's GridPath, created at a level >= n."""
+    batch = PathBatch((key,), path.level, path.branching, path.horizon, path.dim,
+                      path.values[None])
+    (value,) = _evaluate(problem, batch, m, (n,), np.array([t]), np.zeros(1, dtype=np.intp),
+                         CostLedger() if ledger is None else ledger)
+    return value[0]
 
 
 def csv_without_wall(path: str | Path) -> str:

@@ -10,12 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from helpers import csv_without_wall, report_criterion
+from helpers import csv_without_wall, evaluate_one, report_criterion
 from mlpicard.brownian import generate
 from mlpicard.harness import build_config, run
-from mlpicard.hier_rng import IndexKey
-from mlpicard.ledger import CostLedger
-from mlpicard.mlp import MlpCall, l2_error_estimate, mlp_evaluate, realize_estimate, rep_seed
+from mlpicard.hier_rng import IndexKey, uniform
+from mlpicard.mlp import realize_estimate, rep_seed
 from mlpicard.models import Problem, builtin_problem, make_drift
 from mlpicard.particles import ensemble_stats, simulate_particles
 from mlpicard.recursions import (
@@ -32,6 +31,7 @@ from mlpicard.recursions import (
 
 SEED = 7
 Z_ONE_SIDED_95 = 1.6448536269514722
+Z_TWO_SIDED_95 = 1.959963984540054
 
 
 # ---------------------------------------------------------------------------
@@ -161,24 +161,28 @@ def test_criterion_3_cost_model(sine_problem):
 
 def test_criterion_4_error_bound_desk_scale():
     started = time.perf_counter()
-    problem = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
-    results = {}
-    bounds_ok = True
-    for k in (1, 2, 3, 4):
-        res = l2_error_estimate(problem, k, k, 200, SEED)
-        bound = error_bound(k, k, 1.0, 1.0, 1, 1.0, 1.0, 0.0)
-        bounds_ok &= res.ci_upper <= bound
-        results[k] = res
-    se = {k: (res.se_sq / (2.0 * res.rmse) if res.rmse > 0 else 0.0)
-          for k, res in results.items()}
-    gap = results[1].rmse - results[4].rmse
+    # the RMSE rows of the convergence mode; the bound (with L = 1, tighter
+    # than the harness's L = 2|b|) and the monotonicity are recomputed here
+    sets = ["problem=law_only_linear", "b=-1.0", "d=1", "T=1.0", "xi=1.0", "k_min=1",
+            "k_max=4", "reps=200", f"seed={SEED}"]
+    res = run(build_config(None, sets, mode="convergence", jobs=2))
+    rows = {row["k"]: row for row in (dict(zip(res.columns, r)) for r in res.rows)}
+    rmse = {k: row["rmse"] for k, row in rows.items()}
+    half = {k: row["rmse_ci_half"] for k, row in rows.items()}
+    levels_ok = sorted(rows) == [1, 2, 3, 4] and all(row["reps"] == 200 for row in rows.values())
+    bounds_ok = all(
+        rmse[k] + half[k] <= error_bound(k, k, 1.0, 1.0, 1, 1.0, 1.0, 0.0) for k in rows
+    )
+    se = {k: half[k] / Z_TWO_SIDED_95 for k in rows}  # delta-method se of the RMSE
+    gap = rmse[1] - rmse[4]
     gap_se = math.hypot(se[1], se[4])
     monotone = gap > Z_ONE_SIDED_95 * gap_se
     elapsed = time.perf_counter() - started
-    passed = bounds_ok and monotone and elapsed < 120.0
-    rmses = ", ".join(f"k={k}: {results[k].rmse:.3f}" for k in sorted(results))
+    passed = levels_ok and bounds_ok and monotone and elapsed < 120.0
+    rmses = ", ".join(f"k={k}: {rmse[k]:.3f}" for k in sorted(rmse))
     report_criterion(4, f"CI upper <= error bound and RMSE(4) < RMSE(1) [{rmses}]",
                      passed, elapsed)
+    assert levels_ok
     assert bounds_ok
     assert monotone
     assert elapsed < 120.0
@@ -267,14 +271,26 @@ def test_criterion_8_exactness_degeneracies():
             res = realize_estimate(zero, n, m, rep_seed(SEED, 10 * n + m))
             exact &= bool(np.array_equal(res.value, zero.initial + res.w0_terminal))
 
+    # level 0 enters the recursion as zero: at n = 2, m = 1 the lower half of
+    # the one correction term is mu(0, 0), which an affine drift tells apart
     key = IndexKey(SEED, (0,))
-    level_zero = mlp_evaluate(MlpCall(zero, key, 0, 2, 1.0), CostLedger())
-    zero_ok = bool(np.all(level_zero == 0.0))
+    affine = make_drift("affine", lambda x, y: 0.25 + 0.0 * x + 0.5 * y, 1.0, 1)
+    tilted = Problem(1, 1.0, np.ones(1), affine)
+    mu, origin = affine.evaluate, affine.value_at_origin
+    path = generate(key, 2, 1, 1.0, 1)
+    sub = IndexKey(SEED, (0, 2, 1, 1))
+    s = uniform(sub, "u") * 1.0
+    fresh = generate(sub, 1, 1, 1.0, 1)
+    own = tilted.initial + path.value_at(s, 1) + s * origin
+    other = tilted.initial + fresh.value_at(s, 1) + s * origin
+    want = tilted.initial + path.value_at(1.0, 2) + 1.0 * origin
+    want += (1.0 / 1.0) * (mu(own, other) - mu(np.zeros(1), np.zeros(1)))
+    zero_ok = bool(np.array_equal(evaluate_one(tilted, key, 2, 1, 1.0, path), want))
 
     drift = make_drift("constant", lambda x, y: np.full_like(x, 0.25), 0.0, 1)
     shifted = Problem(1, 1.0, np.ones(1), drift)
     path = generate(key, 1, 3, 1.0, 1)
-    got = mlp_evaluate(MlpCall(shifted, key, 1, 3, 1.0, path), CostLedger())
+    got = evaluate_one(shifted, key, 1, 3, 1.0, path)
     closed = shifted.initial + path.value_at(1.0, 1) + 1.0 * drift.value_at_origin
     level_one_ok = bool(np.array_equal(got, closed))
 

@@ -1,9 +1,12 @@
 import hashlib
+import importlib
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mlpicard
 import mlpicard.harness as harness_mod
 from helpers import csv_without_wall
 from mlpicard.cli import main
@@ -86,6 +89,10 @@ def test_config_errors():
         build_config(None, ["delta=1.5"], mode="certificate")
     with pytest.raises(ConfigError):
         build_config(None, ["eps_list=0.5,-1"], mode="certificate")
+    for count in ("rec_draws", "bound_draws"):
+        for bad in (0, -3):
+            with pytest.raises(ConfigError, match=count):
+                build_config(None, [f"{count}={bad}"], mode="verify-bounds")
     # mean-only problems cannot drive the coupled-error mode
     cfg = build_config(None, ["problem=full_linear"], mode="convergence")
     with pytest.raises(ConfigError):
@@ -293,6 +300,62 @@ def test_certificate_refuses_unprintable_cost_bound(tmp_path, capsys):
     ])
     assert code == 3
     assert capsys.readouterr().err.startswith("resource refusal:")
+
+
+@pytest.mark.parametrize(
+    "mode, count",
+    [("recursion-selftest", "rec_draws"), ("verify-bounds", "rec_draws"),
+     ("verify-bounds", "bound_draws")],
+)
+def test_empty_suites_fail_closed(tmp_path, capsys, mode, count):
+    # a suite of no cases would pass vacuously (cases=0, or a worst gap of
+    # -inf); the count is refused as a configuration error, before any CSV
+    out = tmp_path / "empty.csv"
+    code = main([mode, "--set", f"{count}=0", "--out", str(out)] + [
+        arg for item in QUICK_PARTICLES for arg in ("--set", item)
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: need rec_draws >= 1")
+    assert not out.exists()
+
+
+# The modes that run the estimator, each at one (n, m) = (2, 2) budget.
+BUDGETED_MODES = {
+    "convergence": ["k_min=2", "k_max=2", "reps=4"],
+    "cost-table": ["k_min=2", "k_max=2"],
+    "oracle-compare": ["mlp_n=2", "mlp_m=2", "reps=4"] + QUICK_PARTICLES,
+}
+
+
+@pytest.mark.parametrize("mode", list(BUDGETED_MODES))
+def test_budget_refusal_in_every_caller(tmp_path, capsys, mode):
+    # the cost budget at n = m = 2, d = 1 is 27: one below refuses (exit 3)
+    # before any output, the budget itself runs
+    out = tmp_path / "out.csv"
+    sets = [arg for item in BUDGETED_MODES[mode] for arg in ("--set", item)]
+    args = [mode, "--out", str(out)] + sets
+    assert main(args + ["--set", "cost_ceiling=26"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource refusal: cost budget 27 for (n=2, m=2, d=1)")
+    assert "ceiling 26" in err
+    assert not out.exists()
+    assert main(args + ["--set", "cost_ceiling=27"]) == 0
+    assert out.exists()
+
+
+def test_public_names_resolve():
+    # every name in the package's and each submodule's __all__ is an
+    # attribute of that module; a stale name would be skipped silently by
+    # whatever walks __all__ with getattr(module, name, None)
+    modules = [mlpicard] + [
+        importlib.import_module(f"mlpicard.{info.name}")
+        for info in pkgutil.iter_modules(mlpicard.__path__)
+        if not info.name.startswith("_")
+    ]
+    assert len(modules) >= 11
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
 
 
 def test_resource_refusal_from_run(tmp_path):

@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 import mlpicard.mlp as mlp_mod
+from helpers import evaluate_one
 from mlpicard.brownian import generate, generate_batch
-from mlpicard.errors import ResourceLimitError
+from mlpicard.errors import ConfigError
+from mlpicard.harness import build_config, run
 from mlpicard.hier_rng import IndexKey, children, uniform
 from mlpicard.ledger import CostLedger
-from mlpicard.mlp import (
-    MlpCall,
-    l2_error_estimate,
-    mlp_evaluate,
-    realize_estimate,
-    rep_seed,
-)
+from mlpicard.mlp import realize_estimate, rep_seed
 from mlpicard.models import Problem, builtin_problem, make_drift
 from mlpicard.recursions import cost_budget
 
@@ -41,21 +37,13 @@ def brute_force_budget(n, m, d, v, f):
     return total
 
 
-def test_level_zero_is_zero():
-    prob = builtin_problem("sine_meanfield", d=3, T=1.0, xi=1.0, L=1.0)
-    call = MlpCall(prob, IndexKey(SEED, (0,)), 0, 2, 0.5)
-    ledger = CostLedger()
-    assert np.all(mlp_evaluate(call, ledger) == 0.0)
-    assert ledger.snapshot() == (0, 0)
-
-
 def test_level_one_closed_form():
     # n = 1: xi + W(snap(t, m)) + t*mu(0,0), with the double sum empty
     prob = constant_drift_problem(0.375, d=2, T=1.0, xi=1.0)
     key = IndexKey(SEED, (0,))
     path = generate(key, 1, 3, 1.0, 2)
     for t in (0.0, 0.4, 1.0):
-        got = mlp_evaluate(MlpCall(prob, key, 1, 3, t, path), CostLedger())
+        got = evaluate_one(prob, key, 1, 3, t, path)
         want = prob.initial + path.value_at(t, 1) + t * 0.375
         assert np.array_equal(got, want)
 
@@ -67,7 +55,7 @@ def test_zero_drift_collapse_bit_exact():
             key = IndexKey(SEED + n * 10 + m, (0,))
             path = generate(key, n, m, 1.0, 1)
             for t in (0.0, 0.37, 1.0):
-                got = mlp_evaluate(MlpCall(prob, key, n, m, t, path), CostLedger())
+                got = evaluate_one(prob, key, n, m, t, path)
                 want = prob.initial + path.value_at(t, n)
                 assert np.array_equal(got, want), (n, m, t)
 
@@ -140,7 +128,7 @@ def test_process_consistency_addresses():
         mlp_mod.batch_uniform = traced_uniform
         mlp_mod.generate_batch = traced_generate
         try:
-            mlp_evaluate(MlpCall(prob, key, 3, 2, t, path), CostLedger())
+            evaluate_one(prob, key, 3, 2, t, path)
         finally:
             mlp_mod.batch_uniform = real_uniform
             mlp_mod.generate_batch = real_generate
@@ -181,7 +169,7 @@ def test_matches_independent_reimplementation():
         prob = builtin_problem("sine_meanfield", d=d, T=1.5, xi=0.75, L=1.0)
         key = IndexKey(SEED + n + 10 * m, (0,))
         path = generate(key, n, m, prob.horizon, prob.dim)
-        got = mlp_evaluate(MlpCall(prob, key, n, m, prob.horizon, path), CostLedger())
+        got = evaluate_one(prob, key, n, m, prob.horizon, path)
         want = reference_estimator(prob, key, n, m, prob.horizon, path)
         assert got.tobytes() == want.tobytes(), (d, n, m)
 
@@ -216,7 +204,7 @@ def test_time_vector_matches_per_time_reference():
                 for t, o in zip(times, owner):
                     path = generate(keys[o], n, m, prob.horizon, d)
                     want.append(reference_estimator(prob, keys[o], level, m, t, path))
-                    mlp_evaluate(MlpCall(prob, keys[o], level, m, float(t), path), scalar)
+                    evaluate_one(prob, keys[o], level, m, float(t), path, scalar)
                 assert values.tobytes() == np.array(want).tobytes(), (name, d, n, m, level)
             assert ledger.snapshot() == scalar.snapshot(), (name, d, n, m)
 
@@ -326,7 +314,8 @@ def test_term_memo_call_counts_and_scope():
 
 def test_level_two_hand_expansion():
     # n = 2, m = 2: two correction terms, each with its own uniform and its
-    # own fresh level-1 path shared by the two drift arguments
+    # own fresh level-1 path shared by the two drift arguments; the level-0
+    # estimator enters each lower half as zero, through mu(0, 0)
     prob = builtin_problem("sine_meanfield", d=1, T=1.0, xi=1.0, L=1.0)
     mu = prob.drift.evaluate
     key = IndexKey(SEED, (0,))
@@ -340,7 +329,7 @@ def test_level_two_hand_expansion():
         own = prob.initial + path.value_at(s, 1) + s * prob.drift.value_at_origin
         other = prob.initial + fresh.value_at(s, 1) + s * prob.drift.value_at_origin
         value += (1.0 / 2.0) * (mu(own, other) - mu(zero, zero))
-    got = mlp_evaluate(MlpCall(prob, key, 2, 2, 1.0, path), CostLedger())
+    got = evaluate_one(prob, key, 2, 2, 1.0, path)
     assert np.array_equal(got, value)
 
 
@@ -356,51 +345,47 @@ def test_unbiased_at_level_one():
     assert abs(values.mean() - target) < 4.0 * se
 
 
-def test_cost_ceiling_refusal():
-    prob = builtin_problem("sine_meanfield", d=1, T=1.0, xi=1.0, L=1.0)
-    with pytest.raises(ResourceLimitError):
-        realize_estimate(prob, 3, 3, SEED, cost_ceiling=100)
-    # generous ceiling passes
-    realize_estimate(prob, 2, 2, SEED, cost_ceiling=10**6)
-
-
 def test_call_validation():
     prob = builtin_problem("zero_drift", d=1, T=1.0, xi=1.0)
-    key = IndexKey(SEED, (0,))
-    path = generate(key, 1, 2, 1.0, 1)
-    with pytest.raises(ValueError):
-        MlpCall(prob, key, 2, 2, 0.5, path)  # path coarser than the level
-    with pytest.raises(ValueError):
-        MlpCall(prob, key, 1, 2, 1.5, path)  # t beyond the horizon
-    with pytest.raises(ValueError):
-        MlpCall(prob, key, 1, 2, 0.5, None)  # missing path
-    with pytest.raises(ValueError):
-        MlpCall(prob, key, 1, 3, 0.5, path)  # branching mismatch
     with pytest.raises(ValueError):
         realize_estimate(prob, 0, 2, SEED)
+    with pytest.raises(ValueError):
+        realize_estimate(prob, 2, 0, SEED)
+
+
+# The L2 error against the coupled pathwise oracle is measured by the
+# convergence mode: one row per k = n = m over the configured levels.
+
+
+def l2_error_rows(problem, k_max, reps, *extra):
+    cfg = build_config(
+        None,
+        [f"problem={problem}", "d=1", "T=1.0", "xi=1.0", "k_min=1", f"k_max={k_max}",
+         f"reps={reps}", f"seed={SEED}", *extra],
+        mode="convergence",
+    )
+    res = run(cfg)
+    return [dict(zip(res.columns, row)) for row in res.rows]
 
 
 def test_l2_error_zero_drift_is_exact():
-    prob = builtin_problem("zero_drift", d=1, T=1.0, xi=1.0)
-    res = l2_error_estimate(prob, 2, 2, 20, SEED)
-    assert res.rmse == 0.0
-    assert res.ci_half_width == 0.0
+    row = l2_error_rows("zero_drift", 2, 20)[1]
+    assert (row["n"], row["m"], row["reps"]) == (2, 2, 20)
+    assert row["rmse"] == 0.0
+    assert row["rmse_ci_half"] == 0.0
 
 
 def test_l2_error_requires_pathwise_oracle_and_reps():
-    sine = builtin_problem("sine_meanfield", d=1, T=1.0, xi=1.0, L=1.0)
-    with pytest.raises(ValueError):
-        l2_error_estimate(sine, 1, 1, 10, SEED)
-    lin = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
-    with pytest.raises(ValueError):
-        l2_error_estimate(lin, 1, 1, 1, SEED)
+    with pytest.raises(ConfigError):
+        l2_error_rows("sine_meanfield", 1, 10, "L=1.0")
+    with pytest.raises(ConfigError):
+        l2_error_rows("law_only_linear", 1, 1, "b=-1.0")
 
 
 def test_l2_error_level_one_deterministic_gap():
     # at n = 1 the coupled error is |1 - e^{-1}| for every seed
-    prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
-    res = l2_error_estimate(prob, 1, 1, 25, SEED)
-    assert res.rmse == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
-    assert res.ci_half_width == pytest.approx(0.0, abs=1e-12)
-    assert res.draws_per_realization == 1
-    assert res.evals_per_realization == 1
+    (row,) = l2_error_rows("law_only_linear", 1, 25, "b=-1.0")
+    assert row["rmse"] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+    assert row["rmse_ci_half"] == pytest.approx(0.0, abs=1e-12)
+    assert row["draws"] == 1
+    assert row["evals"] == 1

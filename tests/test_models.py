@@ -11,7 +11,6 @@ from mlpicard.models import (
     lipschitz_selfcheck,
     make_drift,
     oracle_mean,
-    oracle_pathwise,
     pathwise_value,
 )
 
@@ -77,7 +76,7 @@ def test_sine_meanfield_problem():
     assert prob.oracle_kind == "none"
     assert np.all(prob.drift.value_at_origin == 0.0)
     with pytest.raises(ValueError):
-        oracle_pathwise(prob, generate(IndexKey(SEED, (0,)), 1, 2, 1.0, 3), 1.0)
+        pathwise_value(prob, 1.0, generate(IndexKey(SEED, (0,)), 1, 2, 1.0, 3).values[-1])
 
 
 def test_value_at_origin_cached_exactly():
@@ -130,10 +129,18 @@ def test_selfcheck_catches_understated_constant():
 
 
 def test_oracle_pathwise_uses_coupled_path():
+    # driven by W0 at a grid time of the estimator's own path
     prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
     path = generate(IndexKey(SEED, (5,)), 2, 2, 1.0, 1)
-    got = oracle_pathwise(prob, path, 1.0)
-    assert got[0] == pytest.approx(math.exp(-1.0) + path.values[-1, 0], abs=1e-15)
+    for t, i in ((0.5, 2), (1.0, 4)):
+        got = pathwise_value(prob, t, path.value_at(t, 2))
+        assert got[0] == pytest.approx(math.exp(-t) + path.values[i, 0], abs=1e-15)
+    # a stack of W0 rows is answered row by row, bit for bit
+    rows = np.random.default_rng(SEED).normal(size=(5, 3))
+    for prob in (builtin_problem("zero_drift", d=3, xi=0.5),
+                 builtin_problem("law_only_linear", d=3, xi=0.5, b=-0.7)):
+        one_by_one = np.array([pathwise_value(prob, 0.8, w) for w in rows])
+        assert pathwise_value(prob, 0.8, rows).tobytes() == one_by_one.tobytes()
 
 
 def test_problem_validation():
