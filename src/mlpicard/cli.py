@@ -1,7 +1,8 @@
 """Command-line entry point: one subcommand per harness mode.
 
 Exit codes: 0 all assertions pass, 1 statistical assertion failure,
-2 configuration error, 3 resource refusal.
+2 configuration error (including a drift that turns non-finite
+mid-recursion), 3 resource refusal or a worker process that died.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, ResourceLimitError, WorkerCrashError
 from .harness import MODES, build_config, run
 
 _DEFAULT_OUT = "mlpicard_{mode}.csv"
@@ -63,6 +64,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except WorkerCrashError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return 3
     except ResourceLimitError as exc:
         print(f"resource refusal: {exc}", file=sys.stderr)
         return 3

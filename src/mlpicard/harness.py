@@ -23,8 +23,12 @@ recursion-selftest closed forms vs direct recursions, budget vs a brute-force
 certificate        cost-times-accuracy supremand evaluation and the
                    accuracy-to-level table.
 
+Repetitions run in chunks of seeds, one estimator batch per chunk, across
+one pool of ``jobs`` worker processes per run.
+
 The exit-code contract lives in :mod:`mlpicard.cli`: 0 all assertions pass,
-1 statistical assertion failure, 2 configuration error, 3 resource refusal.
+1 statistical assertion failure, 2 configuration error, 3 resource refusal or
+a dead worker process.
 """
 
 from __future__ import annotations
@@ -32,17 +36,20 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, ResourceLimitError, WorkerCrashError
 from .hier_rng import IndexKey, child, derive_seed, uniforms
-from .mlp import realize_estimate, rep_seed, summarize_squared_errors
+from .ledger import CostLedger
+from .mlp import _realize_batch, realize_estimate, rep_seed, summarize_squared_errors
 from .models import Problem, builtin_problem, pathwise_value
 from .particles import ensemble_stats, simulate_particles
 from .recursions import (
@@ -71,6 +78,12 @@ __all__ = [
 ]
 
 _Z95_ONE_SIDED = 1.6448536269514722
+# A batch of realizations peaks at a few bytes of memory per unit of its
+# roots' total cost budget (measured 1.2 to 3.4 at n = m = 4 or 5, d = 1 to
+# 64), so a chunk of repetition seeds stays under this many units, about ten
+# megabytes; batching saves per-call overhead, which matters only at small
+# budgets.
+_CHUNK_BUDGET = 1 << 22
 _HARNESS_BRANCH = 2  # root path coordinate reserved for harness parameter draws
 # Longest exact integer a CSV cell holds: CPython's default int-to-str limit,
 # fixed here so the output does not depend on interpreter settings.
@@ -276,29 +289,56 @@ def _cached_problem(spec: ProblemSpec) -> Problem:
     return spec.build()
 
 
-def _worker(task: tuple[ProblemSpec, int, int, int]) -> tuple[list, list, int, int]:
-    """One realization: its value at T, W0(T), draws and evaluations, as plain
-    Python numbers, which cross a process boundary cheaply."""
-    spec, n, m, seed = task
-    result = realize_estimate(_cached_problem(spec), n, m, seed)
-    return (result.value.tolist(), result.w0_terminal.tolist(), *result.ledger.snapshot())
+def _worker(task: tuple[ProblemSpec, int, int, tuple[int, ...]]) -> list[tuple]:
+    """Realizations of (n, m) under each seed, evaluated as one batch: per
+    seed its value at T, W0(T), draws and evaluations, as plain Python
+    numbers, which cross a process boundary cheaply."""
+    spec, n, m, seeds = task
+    ledger = CostLedger()
+    values, w0 = _realize_batch(_cached_problem(spec), n, m, seeds, ledger)
+    draws, evals = ledger.snapshot()
+    # Charges are per query time and every root's tree has the same shape,
+    # so the batch tally is exactly len(seeds) single tallies.
+    count = len(seeds)
+    assert draws % count == 0 and evals % count == 0, (draws, evals, count)
+    tally = (draws // count, evals // count)
+    return [(value, w, *tally) for value, w in zip(values.tolist(), w0.tolist())]
 
 
-def _map_ordered(jobs: int, fn: Callable, tasks: list) -> list:
-    """Run tasks, preserving input order so aggregation bytes never depend
-    on the worker count."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    chunk = max(1, len(tasks) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+@contextmanager
+def _worker_pool(jobs: int) -> Iterator[Optional[ProcessPoolExecutor]]:
+    """One pool of ``jobs`` worker processes for a whole run, or None to run
+    in process; a worker that dies fails the run with WorkerCrashError."""
+    if jobs <= 1:
+        yield None
+        return
+    try:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield pool
+    except BrokenProcessPool as exc:
+        raise WorkerCrashError(
+            f"a worker process died before returning its results: {exc}"
+        ) from exc
 
 
-def _repetitions(cfg: ExperimentConfig, spec: ProblemSpec, n: int, m: int) -> list[tuple]:
+def _repetitions(
+    cfg: ExperimentConfig, spec: ProblemSpec, n: int, m: int, pool: Optional[ProcessPoolExecutor]
+) -> list[tuple]:
     """``cfg.reps`` realizations of (n, m) under the repetition seeds, in
-    order, as returned by ``_worker``."""
-    tasks = [(spec, n, m, rep_seed(cfg.seed, r)) for r in range(cfg.reps)]
-    return _map_ordered(cfg.jobs, _worker, tasks)
+    order, as returned by ``_worker``.
+
+    The seeds go to the worker in chunks of ``reps // (4 * jobs)``, in process
+    too, and fewer where the chunk's total cost budget would pass
+    ``_CHUNK_BUDGET``; the results, bit-identical to one realization per
+    call, do not depend on the chunking, and their order is kept so that
+    aggregation bytes never depend on the worker count.
+    """
+    seeds = [rep_seed(cfg.seed, r) for r in range(cfg.reps)]
+    per_chunk = (cfg.reps // (4 * cfg.jobs), _CHUNK_BUDGET // cost_budget(n, m, cfg.d, 1, 1))
+    size = max(1, min(per_chunk))
+    tasks = [(spec, n, m, tuple(seeds[i : i + size])) for i in range(0, cfg.reps, size)]
+    chunks = map(_worker, tasks) if pool is None else pool.map(_worker, tasks)
+    return [result for chunk in chunks for result in chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -480,25 +520,26 @@ def _mode_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     rmses, rmse_ses = [], []
     all_ok = True
-    for k in cfg.levels():
-        budget = _require_budget(cfg, k, k)
-        started = time.perf_counter()
-        results = _repetitions(cfg, spec, k, k)
-        w0 = np.array([r[1] for r in results])
-        diffs = np.array([r[0] for r in results]) - pathwise_value(problem, problem.horizon, w0)
-        squared = np.array([float(diff @ diff) for diff in diffs])
-        draws, evals = results[0][2:]
-        rmse, half, se_sq = summarize_squared_errors(squared)
-        bound = error_bound(k, k, cfg.T, cfg.T, cfg.d, L, norm_xi, norm_mu)
-        ok = rmse + half <= bound
-        all_ok &= ok
-        rmses.append(rmse)
-        rmse_ses.append(se_sq / (2.0 * rmse) if rmse > 0 else 0.0)
-        rows.append((
-            k, k, k, cfg.reps, rmse, half, rmse + half, bound, ok, draws, evals,
-            budget, cost_bound(k, k, cfg.d, 1, 1), _status(ok),
-            time.perf_counter() - started,
-        ))
+    budgets = [_require_budget(cfg, k, k) for k in cfg.levels()]
+    with _worker_pool(cfg.jobs) as pool:
+        for k, budget in zip(cfg.levels(), budgets):
+            started = time.perf_counter()
+            results = _repetitions(cfg, spec, k, k, pool)
+            w0 = np.array([r[1] for r in results])
+            diffs = np.array([r[0] for r in results]) - pathwise_value(problem, problem.horizon, w0)
+            squared = np.array([float(diff @ diff) for diff in diffs])
+            draws, evals = results[0][2:]
+            rmse, half, se_sq = summarize_squared_errors(squared)
+            bound = error_bound(k, k, cfg.T, cfg.T, cfg.d, L, norm_xi, norm_mu)
+            ok = rmse + half <= bound
+            all_ok &= ok
+            rmses.append(rmse)
+            rmse_ses.append(se_sq / (2.0 * rmse) if rmse > 0 else 0.0)
+            rows.append((
+                k, k, k, cfg.reps, rmse, half, rmse + half, bound, ok, draws, evals,
+                budget, cost_bound(k, k, cfg.d, 1, 1), _status(ok),
+                time.perf_counter() - started,
+            ))
 
     footer = _slope_footer(list(cfg.levels()), rmses, rmse_ses)
     return ExperimentResult("convergence", columns, rows, footer, all_ok, cfg.echo())
@@ -669,7 +710,8 @@ def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
     problem = _cached_problem(spec)
     _require_budget(cfg, cfg.mlp_n, cfg.mlp_m)
     started = time.perf_counter()
-    values = np.array([r[0] for r in _repetitions(cfg, spec, cfg.mlp_n, cfg.mlp_m)])
+    with _worker_pool(cfg.jobs) as pool:
+        values = np.array([r[0] for r in _repetitions(cfg, spec, cfg.mlp_n, cfg.mlp_m, pool)])
     mlp_mean = values.mean(axis=0)
     mlp_se = np.sqrt(values.var(axis=0, ddof=1) / cfg.reps)
 

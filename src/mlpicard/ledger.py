@@ -3,8 +3,7 @@
 The two flags mirror the binary cost switches of the budget recursion in
 :mod:`mlpicard.recursions`: draws are counted only when ``count_draws`` is
 set, drift evaluations only when ``count_evals`` is set.  Tallies are plain
-non-decreasing integers, so merging ledgers from parallel work is
-order-insensitive.
+non-decreasing integers.
 """
 
 from __future__ import annotations
@@ -32,14 +31,3 @@ class CostLedger:
     def snapshot(self) -> tuple[int, int]:
         """(scalar draws, drift evaluations) at this point."""
         return self.scalar_draws, self.drift_evals
-
-    def merged(self, other: "CostLedger") -> "CostLedger":
-        """Combine tallies from independent work; flags must agree."""
-        if (self.count_draws, self.count_evals) != (other.count_draws, other.count_evals):
-            raise ValueError("cannot merge ledgers with different counting flags")
-        return CostLedger(
-            self.count_draws,
-            self.count_evals,
-            self.scalar_draws + other.scalar_draws,
-            self.drift_evals + other.drift_evals,
-        )

@@ -37,6 +37,13 @@ are dropped when it returns.  A call whose top is L thus makes L-1
 sub-calls, and a realization 2**(n-1) calls, whatever m is.  Each node is
 then evaluated once, bottom-up, with numpy over the rows of all keys.
 
+A batch may hold many roots: ``_realize_batch`` evaluates the root keys
+(seed, (0,)) of many master seeds in one call, each at t = T, and
+``realize_estimate`` is its batch of one.  Rows never mix and every key is
+hashed under its own seed, so each root's value is bit-identical to its
+realization alone, and the roots' trees share one shape, so the ledger
+charge is the number of roots times that of one realization.
+
 Per (key, time) the arithmetic is that of the scalar recursion:
 xi + W(snap) + t*mu(0, 0), then (t / fan) * (mu(x_hi, y_hi) - mu(x_lo,
 y_lo)) added term by term in (l, k) order, by a cumulative sum along the
@@ -61,11 +68,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .brownian import PathBatch, generate_batch
+from .errors import NonFiniteDriftError
 from .hier_rng import IndexKey, batch_uniform, children, derive_seed
 from .ledger import CostLedger
 from .models import DriftModel, Problem
@@ -89,10 +97,12 @@ def _joined(chunks: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _drift(drift: DriftModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """mu(x, y), refused unless it has the broadcast shape of its inputs.
+    """mu(x, y), refused unless it is finite and has the broadcast shape of
+    its inputs.
 
     A drift that reduces or indexes over a leading axis would mix the rows of
     sibling keys evaluated together; changing the shape is how most do it.
+    A non-finite value would turn the estimate into inf or nan.
     """
     out = drift.evaluate(x, y)
     want = x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape)
@@ -100,6 +110,10 @@ def _drift(drift: DriftModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"drift {drift.name!r} returned shape {np.shape(out)} for inputs of "
             f"broadcast shape {want}; a drift must act on each (..., d) row alone"
+        )
+    if not np.isfinite(out).all():
+        raise NonFiniteDriftError(
+            f"drift {drift.name!r} returned a non-finite value mid-recursion"
         )
     return out
 
@@ -228,6 +242,28 @@ class RealizeResult:
     w0_terminal: np.ndarray  # W0(T), for coupled-oracle error computation
 
 
+def _realize_batch(
+    problem: Problem, n: int, m: int, master_seeds: Sequence[int], ledger: CostLedger
+) -> tuple[np.ndarray, np.ndarray]:
+    """Realizations of the root estimator at t = T, one per master seed,
+    evaluated as one batch of root keys.
+
+    Returns (values, W0(T)), each of shape (len(master_seeds), d), row r
+    bit-identical to the realization under ``master_seeds[r]`` alone.  The
+    ledger is charged for all of them: every root's tree has the same shape,
+    so the charge is len(master_seeds) times that of one realization.
+    """
+    if n < 1 or m < 1:
+        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    roots = tuple(IndexKey(seed, (0,)) for seed in master_seeds)
+    paths = generate_batch(roots, n, m, problem.horizon, problem.dim, ledger)
+    count = len(roots)
+    (values,) = _evaluate(
+        problem, paths, m, (n,), np.full(count, problem.horizon), np.arange(count), ledger
+    )
+    return values, paths.values[:, -1]
+
+
 def realize_estimate(
     problem: Problem,
     n: int,
@@ -236,20 +272,15 @@ def realize_estimate(
     *,
     ledger: Optional[CostLedger] = None,
 ) -> RealizeResult:
-    """Compute one realization of the root estimator at t = T.
+    """Compute one realization of the root estimator at t = T: the batch of
+    one seed.
 
     Deterministic in (problem, n, m, master_seed).
     """
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     if ledger is None:
         ledger = CostLedger()
-    root = IndexKey(master_seed, (0,))
-    path = generate_batch((root,), n, m, problem.horizon, problem.dim, ledger)
-    (value,) = _evaluate(
-        problem, path, m, (n,), np.array([problem.horizon]), np.zeros(1, dtype=np.intp), ledger
-    )
-    return RealizeResult(value=value[0], ledger=ledger, w0_terminal=np.array(path.values[0, -1]))
+    values, w0 = _realize_batch(problem, n, m, (master_seed,), ledger)
+    return RealizeResult(value=values[0], ledger=ledger, w0_terminal=w0[0].copy())
 
 
 def rep_seed(master_seed: int, rep: int) -> int:

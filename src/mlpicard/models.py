@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import NonFiniteDriftError
 from .hier_rng import IndexKey, normals, uniforms
 
 __all__ = [
@@ -68,11 +69,14 @@ def make_drift(
     lipschitz_L: float,
     dim: int,
 ) -> DriftModel:
-    """Build a DriftModel, caching mu(0,0) from one evaluation at the origin."""
+    """Build a DriftModel, caching mu(0,0) from one evaluation at the origin,
+    which must be finite."""
     zero = np.zeros(dim)
     origin = np.asarray(evaluate(zero, zero), dtype=float)
     if origin.shape != (dim,):
         raise ValueError(f"drift returned shape {origin.shape}, expected ({dim},)")
+    if not np.isfinite(origin).all():
+        raise NonFiniteDriftError(f"drift {name!r} is not finite at the origin")
     origin.setflags(write=False)
     return DriftModel(name, evaluate, float(lipschitz_L), origin)
 

@@ -1,6 +1,10 @@
 import hashlib
 import importlib
+import multiprocessing
+import os
 import pkgutil
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +14,9 @@ import mlpicard
 import mlpicard.harness as harness_mod
 from helpers import csv_without_wall
 from mlpicard.cli import main
-from mlpicard.errors import ConfigError, ResourceLimitError
+from mlpicard.errors import ConfigError, ResourceLimitError, WorkerCrashError
 from mlpicard.harness import build_config, direct_gronwall, direct_two_step, run
+from mlpicard.mlp import realize_estimate, rep_seed
 
 QUICK_CONVERGENCE = [
     "problem=law_only_linear", "b=-1.0", "d=1", "T=1.0", "xi=1.0",
@@ -214,6 +219,89 @@ def test_certificate_mode_reports_non_attainment(tmp_path):
     res = run(cfg)
     assert not res.ok
     assert "sup_attained=0" in res.footer
+
+
+@pytest.mark.parametrize("reps", [7, 64])
+def test_repetitions_do_not_depend_on_jobs_or_chunks(monkeypatch, reps):
+    # chunks of 1 (reps = 7) and of 16, 8 and 5 with a short last one
+    # (reps = 64) give each seed's realization, in seed order
+    cfg = build_config(None, ["d=2", f"reps={reps}", "seed=5"], mode="convergence")
+    spec = harness_mod.problem_spec(cfg)
+    problem = spec.build()
+    want = []
+    for r in range(reps):
+        single = realize_estimate(problem, 2, 2, rep_seed(cfg.seed, r))
+        want.append((single.value.tolist(), single.w0_terminal.tolist(),
+                     *single.ledger.snapshot()))
+    runs = {}
+    for jobs in (1, 2, 3):
+        cfg = replace(cfg, jobs=jobs)
+        with harness_mod._worker_pool(jobs) as pool:
+            runs[jobs] = harness_mod._repetitions(cfg, spec, 2, 2, pool)
+    monkeypatch.setattr(harness_mod, "_CHUNK_BUDGET", 1)  # every chunk one seed
+    runs["cap"] = harness_mod._repetitions(cfg, spec, 2, 2, None)
+    for jobs, got in runs.items():
+        assert repr(got) == repr(want), jobs
+
+
+class CountedPool(ProcessPoolExecutor):
+    made = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).made += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("convergence", ["k_max=4", "reps=8"]),
+    ("oracle-compare", QUICK_PARTICLES + ["mlp_n=2", "mlp_m=2", "reps=8"]),
+])
+def test_one_worker_pool_per_run(tmp_path, monkeypatch, mode, extra):
+    # every level of a run shares one pool; in process there is none
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", CountedPool)
+    for jobs, want in ((2, 1), (1, 0)):
+        CountedPool.made = 0
+        res = run(_cfg(mode, tmp_path, extra=extra, name=f"{jobs}.csv", jobs=jobs))
+        assert res.ok
+        assert CountedPool.made == want, jobs
+    if mode == "convergence":
+        assert len(res.rows) == 4
+
+
+def _dying_worker(task):
+    os._exit(1)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched worker reaches the pool through fork")
+def test_dead_worker_fails_closed(tmp_path, monkeypatch, capfd):
+    # a worker killed mid-run is a worker failure (exit 3) with one line on
+    # stderr, not a BrokenProcessPool traceback, and no CSV
+    monkeypatch.setattr(harness_mod, "_worker", _dying_worker)
+    out = tmp_path / "dead.csv"
+    code = main(["convergence", "--jobs", "2", "--reps", "8", "--set", "k_max=2",
+                 "--out", str(out)])
+    err = capfd.readouterr().err
+    assert code == 3
+    assert err.startswith("worker failure: a worker process died")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert issubclass(WorkerCrashError, ResourceLimitError)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_drift_exit_code(tmp_path, capsys):
+    # b * y overflows for y near xi = 10: refused mid-recursion (exit 2)
+    # instead of a nan RMSE row, in process and from a worker
+    out = tmp_path / "inf.csv"
+    for jobs in ("1", "2"):
+        code = main(["convergence", "--set", "b=1e308", "--set", "xi=10",
+                     "--set", "k_min=2", "--set", "k_max=2", "--reps", "4",
+                     "--jobs", jobs, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: drift 'law_only_linear' returned a non-finite")
+        assert not out.exists()
 
 
 def test_direct_recursion_helpers_match_naive_loops():

@@ -6,7 +6,7 @@ import pytest
 import mlpicard.mlp as mlp_mod
 from helpers import evaluate_one
 from mlpicard.brownian import generate, generate_batch
-from mlpicard.errors import ConfigError
+from mlpicard.errors import ConfigError, NonFiniteDriftError
 from mlpicard.harness import build_config, run
 from mlpicard.hier_rng import IndexKey, children, uniform
 from mlpicard.ledger import CostLedger
@@ -343,6 +343,60 @@ def test_unbiased_at_level_one():
     target = 1.0 + 1.0 * 0.3
     se = math.sqrt(1.0 / reps)  # sd of W(1) over sqrt(reps)
     assert abs(values.mean() - target) < 4.0 * se
+
+
+# Master seeds of a batch: unrelated, unordered and not all derived alike.
+BATCH_SEEDS = (SEED, rep_seed(SEED, 3), 17, rep_seed(99, 0), 2**63 + 5, 1, rep_seed(SEED, 0), 404)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 2), (4, 4)])
+@pytest.mark.parametrize("name, d, params", [
+    ("sine_meanfield", 1, {"L": 1.0}), ("law_only_linear", 4, {"b": -1.0}),
+    ("sine_meanfield", 4, {"L": 1.0}), ("law_only_linear", 1, {"b": -1.0}),
+])
+@pytest.mark.parametrize("size", [1, 3, 8])
+def test_realize_batch_matches_single_realizations(n, m, name, d, params, size):
+    # one batch of roots gives each seed's realization bit for bit, whatever
+    # else shares the batch
+    prob = builtin_problem(name, d=d, T=1.0, xi=1.0, **params)
+    seeds = BATCH_SEEDS[-size:]
+    ledger = CostLedger()
+    values, w0 = mlp_mod._realize_batch(prob, n, m, seeds, ledger)
+    assert values.shape == w0.shape == (size, d)
+    singles = [realize_estimate(prob, n, m, seed) for seed in seeds]
+    for row, single in enumerate(singles):
+        assert values[row].tobytes() == single.value.tobytes(), (seeds[row], row)
+        assert w0[row].tobytes() == single.w0_terminal.tobytes(), (seeds[row], row)
+    draws, evals = singles[0].ledger.snapshot()
+    assert ledger.snapshot() == (size * draws, size * evals)
+
+
+@pytest.mark.parametrize("n, d, tally", [(5, 1, (156505, 81031)), (4, 1, (4372, 2745)),
+                                         (4, 4, (15508, 2745))])
+def test_batch_tally_is_batch_size_times_single_tally(n, d, tally):
+    # the pinned one-realization tallies at n = m, times the number of roots
+    prob = builtin_problem("law_only_linear", d=d, T=1.0, xi=1.0, b=-1.0)
+    sizes = (1, 3) if n == 5 else (1, 5)
+    for size in sizes:
+        ledger = CostLedger()
+        mlp_mod._realize_batch(prob, n, n, BATCH_SEEDS[:size], ledger)
+        assert ledger.snapshot() == (size * tally[0], size * tally[1]), size
+
+
+def test_non_finite_drift_fails_closed():
+    # mu is finite at the origin and inf elsewhere: the first drift call of
+    # the recursion off the origin is refused, instead of a nan estimate
+    def blowup(x, y):
+        return np.where((x == 0.0) & (y == 0.0), 0.0, np.inf)
+
+    prob = Problem(2, 1.0, np.ones(2), make_drift("blowup", blowup, 1.0, 2))
+    assert np.isfinite(realize_estimate(prob, 1, 2, SEED).value).all()  # no drift call
+    with pytest.raises(NonFiniteDriftError, match="drift 'blowup' returned a non-finite"):
+        realize_estimate(prob, 2, 2, SEED)
+    assert issubclass(NonFiniteDriftError, ConfigError)  # exit code 2 at the command line
+    # mu(0, 0) is read from the cache at n = 1, so it is refused when cached
+    with pytest.raises(NonFiniteDriftError, match="not finite at the origin"):
+        make_drift("infinite", lambda x, y: np.full_like(x, np.inf), 1.0, 1)
 
 
 def test_call_validation():
