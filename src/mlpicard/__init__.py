@@ -9,7 +9,6 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .brownian import GridPath, generate, snap
 from .errors import ConfigError, ResourceLimitError
 from .hier_rng import IndexKey, child, derive_seed, normals, uniform, uniforms
 from .ledger import CostLedger
@@ -49,7 +48,6 @@ __all__ = [
     "CostLedger",
     "DriftModel",
     "EnsembleStats",
-    "GridPath",
     "IndexKey",
     "Oracle",
     "Problem",
@@ -64,7 +62,6 @@ __all__ = [
     "ensemble_stats",
     "error_bound",
     "exact_cost_bound",
-    "generate",
     "gronwall_beta",
     "gronwall_bound",
     "gronwall_closed_form",
@@ -79,7 +76,6 @@ __all__ = [
     "pathwise_value",
     "realize_estimate",
     "simulate_particles",
-    "snap",
     "two_step_closed_form",
     "two_step_roots",
     "uniform",

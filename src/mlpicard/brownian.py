@@ -1,21 +1,23 @@
-"""Brownian paths materialized on nested time grids.
+"""Brownian paths materialized on nested time grids, up to their last read.
 
-A path for key theta is generated eagerly on the grid {k*T/m**n : 0 <= k <= m**n}
-at the level n where theta is created.  Every later query happens at some
-level j <= n, whose grid points are a subset of the creation grid, so lookups
-are exact index arithmetic and introduce no new randomness.  This matches the
-draw-count convention charged to the ledger: m**n * d scalar draws per path,
-once, at creation.
+A path for key theta lives on the grid {k*T/m**n : 0 <= k <= m**n} of the
+level n where theta is created.  Every later query happens at some level
+j <= n, whose grid points are a subset of the creation grid, so lookups are
+exact index arithmetic and introduce no new randomness.  A path is not
+generated whole: the caller names each key's largest query time, and only
+the steps up to the last grid index any query at or before that time can
+read are hashed (its *reach*).  The increments are summed sequentially along
+the step axis, so every value of that prefix is bit-identical to the one of
+the whole path, and a read past it is refused.  The ledger is charged the
+logical m**n * d scalar draws per path all the same, once, at creation.
 
 A :class:`PathBatch` stacks the paths of many keys created at one level, so
 that the estimator generates and queries all sibling paths with one bulk
-hash loop, one cumulative sum and one snapping pass per batch.  A
-:class:`GridPath` is one such path; both snap through the same rule.
+hash loop, one cumulative sum and one snapping pass per batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -24,16 +26,9 @@ import numpy as np
 from .hier_rng import IndexKey, batch_step_normals
 from .ledger import CostLedger
 
-__all__ = ["GridPath", "GridTime", "PathBatch", "generate", "generate_batch", "snap"]
+__all__ = ["PathBatch", "generate_batch"]
 
 _MAX_GRID = 1 << 31  # refuse grids that cannot be indexed sanely
-
-
-class GridTime(NamedTuple):
-    index: int
-    time: float
-
-
 _GRIDS = 64  # float grids kept; a run queries a handful of (steps, horizon) pairs
 
 
@@ -63,10 +58,21 @@ def _snap_indices(t, level: int, branching: int, horizon: float):
     return _grid(branching**level, horizon).searchsorted(times, side="right")
 
 
-def snap(t: float, level: int, branching: int, horizon: float) -> GridTime:
-    """Largest grid point of {k*horizon/branching**level} not exceeding t."""
-    k = int(_snap_indices(t, level, branching, horizon))
-    return GridTime(k, k * horizon / branching**level)
+def _reach(until: np.ndarray, level: int, branching: int, horizon: float) -> np.ndarray:
+    """Largest level-``level`` grid index read by a query at any level q <=
+    ``level`` at a time up to each ``until``.
+
+    A level-q read at t takes index snap_q(t) * branching**(level - q).  The
+    float grids of two levels can disagree by one ulp when the horizon is not
+    1 (at T = 0.05, m = 3 the level-1 point 0.016666666666666666 lies below
+    the level-2 point 0.01666666666666667), so a coarser level may reach one
+    step further than the creation level, and every level is taken.
+    """
+    reach = _snap_indices(until, level, branching, horizon)
+    for q in range(1, level):
+        np.maximum(reach, _snap_indices(until, q, branching, horizon) * branching ** (level - q),
+                   out=reach)
+    return reach
 
 
 def _check_query_level(query_level: int, level: int) -> None:
@@ -74,29 +80,6 @@ def _check_query_level(query_level: int, level: int) -> None:
     # a call signals an indexing bug.
     if query_level > level:
         raise ValueError(f"query level {query_level} exceeds creation level {level}")
-
-
-@dataclass(frozen=True)
-class GridPath:
-    """One Brownian path on the creation-level grid; immutable after generation."""
-
-    key: IndexKey
-    level: int
-    branching: int
-    horizon: float
-    dim: int
-    values: np.ndarray  # shape (branching**level + 1, dim), values[0] == 0
-
-    def value_at(self, t, query_level: int) -> np.ndarray:
-        """Path value at the level-``query_level`` grid point snapped from t.
-
-        ``t`` is a time or an array of times; the result has shape (dim,) or
-        t's shape followed by (dim,).  Queries finer than the creation level
-        are rejected.
-        """
-        _check_query_level(query_level, self.level)
-        idx = _snap_indices(t, query_level, self.branching, self.horizon)
-        return self.values[:: self.branching ** (self.level - query_level)][idx]
 
 
 class PathBatch(NamedTuple):
@@ -107,37 +90,48 @@ class PathBatch(NamedTuple):
     branching: int
     horizon: float
     dim: int
-    values: np.ndarray  # shape (len(keys), branching**level + 1, dim), values[:, 0] == 0
+    filled: np.ndarray  # steps generated per key: values[i, :filled[i] + 1] are its path
+    values: np.ndarray  # shape (len(keys), filled.max() + 1, dim), values[:, 0] == 0
 
     def value_at(self, t: np.ndarray, owner: np.ndarray, query_level: int) -> np.ndarray:
         """Values of the paths ``owner[i]`` at the level-``query_level`` grid
         points snapped from the times ``t[i]``, shape (len(t), dim).
 
-        All times are range-checked and snapped in one pass.
+        All times are range-checked and snapped in one pass; a read past the
+        generated prefix of its path is refused.
         """
         _check_query_level(query_level, self.level)
         idx = _snap_indices(t, query_level, self.branching, self.horizon)
         if query_level < self.level:
             idx *= self.branching ** (self.level - query_level)
+        if np.any(idx > self.filled[owner]):
+            raise ValueError(
+                f"level-{query_level} read past the generated prefix of a level-"
+                f"{self.level} path"
+            )
         return self.values[owner, idx]
 
 
 def generate_batch(
     keys: Sequence[IndexKey],
+    until: Sequence[float],
     level: int,
     branching: int,
     horizon: float,
     dim: int,
     ledger: Optional[CostLedger] = None,
 ) -> PathBatch:
-    """Materialize the full paths of ``keys`` at the given level.
+    """Materialize the paths of ``keys`` at the given level, each up to the
+    last grid step a query at a time up to its ``until`` can read.
 
-    The increment of grid step k of a key's path is the key's keyed Gaussian
-    vector with purpose tag k.  The steps of all keys are drawn in one bulk
-    call (each key's message prefix is hashed once, every digest is mapped in
-    a single vector pass) and summed along the step axis, so every path is
-    bit-identical to generating its key alone, and the ledger charge is
-    exactly branching**level * dim scalar draws per key.
+    ``until`` holds each key's largest query time (the horizon for a whole
+    path).  The increment of grid step k of a key's path is the key's keyed
+    Gaussian vector with purpose tag k.  The steps of all keys are drawn in
+    one bulk call (each key's message prefix is hashed once, every digest is
+    mapped in a single vector pass) and summed along the step axis, so every
+    generated value is bit-identical to the whole path of its key generated
+    alone, and the ledger charge is exactly branching**level * dim scalar
+    draws per key, however few steps are hashed.
     """
     if level < 1:
         raise ValueError(f"grid level must be at least 1, got {level}")
@@ -151,23 +145,16 @@ def generate_batch(
     if steps > _MAX_GRID:
         raise OverflowError(f"grid with {steps} steps exceeds the index range")
     keys = tuple(keys)
-    values = np.zeros((len(keys), steps + 1, dim))
-    np.cumsum(batch_step_normals(keys, steps, dim, horizon / steps), axis=1, out=values[:, 1:])
+    until = np.asarray(until, dtype=float)
+    if until.shape != (len(keys),):
+        raise ValueError(f"need one query time per key, got shape {until.shape}")
+    filled = _reach(until, level, branching, horizon)
+    width = int(filled.max(initial=0))
+    values = np.zeros((len(keys), width + 1, dim))
+    increments = batch_step_normals(keys, width, dim, horizon / steps, filled)
+    np.cumsum(increments, axis=1, out=values[:, 1:])
     values.setflags(write=False)
+    filled.setflags(write=False)
     if ledger is not None:
         ledger.add_draws(len(keys) * steps * dim)
-    return PathBatch(keys, level, branching, horizon, dim, values)
-
-
-def generate(
-    key: IndexKey,
-    level: int,
-    branching: int,
-    horizon: float,
-    dim: int,
-    ledger: Optional[CostLedger] = None,
-) -> GridPath:
-    """Materialize the full path for ``key`` at the given level: the batch of
-    one key, so regenerating from the same key is bit-identical."""
-    batch = generate_batch((key,), level, branching, horizon, dim, ledger)
-    return GridPath(key, level, branching, horizon, dim, batch.values[0])
+    return PathBatch(keys, level, branching, horizon, dim, filled, values)

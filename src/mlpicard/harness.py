@@ -306,14 +306,16 @@ def _worker(task: tuple[ProblemSpec, int, int, tuple[int, ...]]) -> list[tuple]:
 
 
 @contextmanager
-def _worker_pool(jobs: int) -> Iterator[Optional[ProcessPoolExecutor]]:
-    """One pool of ``jobs`` worker processes for a whole run, or None to run
-    in process; a worker that dies fails the run with WorkerCrashError."""
-    if jobs <= 1:
+def _worker_pool(jobs: int, reps: int) -> Iterator[Optional[ProcessPoolExecutor]]:
+    """One pool of ``min(jobs, reps)`` worker processes for a whole run, as a
+    level never has more tasks than repetitions, or None to run in process;
+    a worker that dies fails the run with WorkerCrashError."""
+    workers = min(jobs, reps)
+    if workers <= 1:
         yield None
         return
     try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield pool
     except BrokenProcessPool as exc:
         raise WorkerCrashError(
@@ -521,7 +523,7 @@ def _mode_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     rmses, rmse_ses = [], []
     all_ok = True
     budgets = [_require_budget(cfg, k, k) for k in cfg.levels()]
-    with _worker_pool(cfg.jobs) as pool:
+    with _worker_pool(cfg.jobs, cfg.reps) as pool:
         for k, budget in zip(cfg.levels(), budgets):
             started = time.perf_counter()
             results = _repetitions(cfg, spec, k, k, pool)
@@ -563,10 +565,12 @@ def _slope_footer(ks: list[int], rmses: list[float], ses: list[float]) -> list[s
         footer.append(f"slope_se={_fmt(slope_se)}")
         footer.append(f"slope_negative_95={'1' if negative else '0'}")
     else:
-        # errors vanished identically (e.g. zero drift): trivially converged
+        # errors vanished identically over two or more levels (e.g. zero
+        # drift): trivially converged; one level shows no trend at all
+        vanished = len(ks) >= 2 and not any(rmses)
         footer.append("slope=nan")
         footer.append("slope_se=nan")
-        footer.append("slope_negative_95=1")
+        footer.append(f"slope_negative_95={'1' if vanished else '0'}")
     gap = rmses[0] - rmses[-1]
     gap_se = math.sqrt(ses[0] ** 2 + ses[-1] ** 2)
     footer.append(
@@ -710,7 +714,7 @@ def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
     problem = _cached_problem(spec)
     _require_budget(cfg, cfg.mlp_n, cfg.mlp_m)
     started = time.perf_counter()
-    with _worker_pool(cfg.jobs) as pool:
+    with _worker_pool(cfg.jobs, cfg.reps) as pool:
         values = np.array([r[0] for r in _repetitions(cfg, spec, cfg.mlp_n, cfg.mlp_m, pool)])
     mlp_mean = values.mean(axis=0)
     mlp_se = np.sqrt(values.var(axis=0, ddof=1) / cfg.reps)

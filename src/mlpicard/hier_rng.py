@@ -25,9 +25,11 @@ Batched forms serve the estimator, which addresses thousands of sibling
 keys per realization: :func:`children` extends many keys by many
 extensions, validating and encoding each extension once and reusing the
 parent's encoded coordinates, and :func:`batch_uniform` and
-:func:`batch_step_normals` hash each key with one keyed hasher primed with
-its path and map the digests of all keys in one vector pass.  Every output
-equals the one-key function's, bit for bit.
+:func:`batch_step_normals` hash each key with one hasher primed with its
+path, copied from one keyed hasher per seed, and map the digests of all
+keys in one vector pass; :func:`batch_step_normals` hashes only as many
+steps of each key as its caller asks for.  Every output equals the one-key
+function's, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence, Union
+from itertools import islice, repeat
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtri
@@ -178,20 +181,31 @@ def _step_suffixes(steps: int, blocks: int) -> tuple[bytes, ...]:
 
 
 def _hash_suffixes(
-    keys: Sequence[IndexKey], prefix: bytes, suffixes: Sequence[bytes]
+    keys: Sequence[IndexKey],
+    prefix: bytes,
+    suffixes: Sequence[bytes],
+    counts: Optional[Sequence[int]] = None,
 ) -> bytearray:
     """Joined 64-byte keyed digests of ``key.path_bytes + prefix + suffix``,
-    key-major, then in suffix order.
+    key-major, then in suffix order; key i takes the first ``counts[i]``
+    suffixes, all of them when ``counts`` is None.
 
-    Each key's hasher absorbs its path and the shared prefix once and is
-    copied per suffix.
+    Each key's hasher is copied from its seed's keyed hasher, absorbs its
+    path and the shared prefix once and is copied per suffix.
     """
+    if counts is None:
+        counts = repeat(len(suffixes))
+    seeded = {}  # per seed: its keyed hasher, nothing absorbed yet
     digests = bytearray()
-    for key in keys:
-        primed = hashlib.blake2b(
-            key.path_bytes + prefix, key=key.seed.to_bytes(8, "little"), digest_size=64
-        )
-        for suffix in suffixes:
+    for key, count in zip(keys, counts):
+        base = seeded.get(key.seed)
+        if base is None:
+            base = seeded[key.seed] = hashlib.blake2b(
+                key=key.seed.to_bytes(8, "little"), digest_size=64
+            )
+        primed = base.copy()
+        primed.update(key.path_bytes + prefix)
+        for suffix in islice(suffixes, count):
             hasher = primed.copy()
             hasher.update(suffix)
             digests += hasher.digest()
@@ -252,9 +266,15 @@ def step_normals(key: IndexKey, steps: int, dim: int, variance: float = 1.0) -> 
 
 
 def batch_step_normals(
-    keys: Sequence[IndexKey], steps: int, dim: int, variance: float = 1.0
+    keys: Sequence[IndexKey],
+    steps: int,
+    dim: int,
+    variance: float = 1.0,
+    counts: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """``step_normals(key, steps, dim, variance)`` for each key, stacked.
+    """``step_normals(key, steps, dim, variance)`` for each key, stacked; key
+    i's rows from ``counts[i]`` on are zero and not hashed (no row is when
+    ``counts`` is None).
 
     The result has shape (len(keys), steps, dim).  A key's rows share the
     message prefix (path and integer-tag marker), so its keyed hasher is
@@ -264,11 +284,18 @@ def batch_step_normals(
     if steps < 0 or dim < 0:
         raise ValueError(f"steps and dim must be non-negative, got {steps}, {dim}")
     blocks = -(-dim // _WORDS_PER_BLOCK)
+    filled = np.full(len(keys), steps) if counts is None else np.asarray(counts, dtype=np.intp)
+    if len(filled) != len(keys) or not np.all((filled >= 0) & (filled <= steps)):
+        raise ValueError(f"need one step count in [0, {steps}] per key, got {counts}")
     # the message of integer tag k is the path, _INT_TAG and _varint(k)
-    digests = _hash_suffixes(keys, _INT_TAG, _step_suffixes(steps, blocks))
+    # one table serves every step count up to the next power of two
+    table = _step_suffixes(1 << max(steps - 1, 0).bit_length(), blocks)
+    digests = _hash_suffixes(keys, _INT_TAG, table, (filled * blocks).tolist())
     words = np.frombuffer(digests, dtype="<u8")
-    shape = (len(keys), steps, blocks * _WORDS_PER_BLOCK)
-    return _gaussians(words.reshape(shape)[..., :dim], variance)
+    words = words.reshape(int(filled.sum()), blocks * _WORDS_PER_BLOCK)
+    out = np.zeros((len(keys), steps, dim))
+    out[np.arange(steps) < filled[:, None]] = _gaussians(words[:, :dim], variance)
+    return out
 
 
 def derive_seed(seed: int, *components: Tag) -> int:

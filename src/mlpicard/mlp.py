@@ -33,7 +33,9 @@ and appends s = u*t to the same-key nodes (theta, l) and (theta, l-1).  The
 sub keys of the level-l terms of every node and key form one sub-batch:
 their fresh paths are generated together at level l right before one
 recursive call evaluates the X_eta nodes l and l-1 at all their times, and
-are dropped when it returns.  A call whose top is L thus makes L-1
+are dropped when it returns.  A sub key's path, and those of its same-key
+nodes below, is read only at times up to its largest s, so it is generated
+only up to the last grid step such a read can touch.  A call whose top is L thus makes L-1
 sub-calls, and a realization 2**(n-1) calls, whatever m is.  Each node is
 then evaluated once, bottom-up, with numpy over the rows of all keys.
 
@@ -61,7 +63,11 @@ These are logical charges: they count what the scalar recursion would draw
 and evaluate, not the hashes actually computed, so the tallies do not depend
 on how the evaluation is batched.  They are dominated by the budget
 recursion (which re-charges path generation for same-index sub-calls) and
-are bounded below by the m**n * d draws of the top path alone.
+are bounded below by the m**n * d draws of the top path alone.  The digests
+actually hashed are far fewer: each distinct key draws its uniform once and
+its path once, and only up to the last step read, so one k = n = m = 5,
+d = 1 realization charges 156505 draws but hashes about 6745 uniform and
+14.9k path-step digests (58150 for whole paths).
 """
 
 from __future__ import annotations
@@ -198,7 +204,10 @@ def _evaluate(
         if j >= 2:
             level = j - 1
             s, o = _joined(sub_asked[level])
-            fresh = generate_batch(sub_keys[level], level, m, problem.horizon, d)
+            # each sub key's path is read at its s and at the u*s below them
+            until = np.zeros(len(sub_keys[level]))
+            np.maximum.at(until, o, s)
+            fresh = generate_batch(sub_keys[level], until, level, m, problem.horizon, d)
             sub_keys[level] = sub_asked[level] = None
             sub_levels = (level, level - 1) if level >= 2 else (level,)
             sub_values[level] = _evaluate(problem, fresh, m, sub_levels, s, o, ledger)
@@ -256,8 +265,10 @@ def _realize_batch(
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     roots = tuple(IndexKey(seed, (0,)) for seed in master_seeds)
-    paths = generate_batch(roots, n, m, problem.horizon, problem.dim, ledger)
     count = len(roots)
+    paths = generate_batch(
+        roots, np.full(count, problem.horizon), n, m, problem.horizon, problem.dim, ledger
+    )
     (values,) = _evaluate(
         problem, paths, m, (n,), np.full(count, problem.horizon), np.arange(count), ledger
     )

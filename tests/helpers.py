@@ -1,22 +1,58 @@
-"""Shared test utilities: one-key estimator calls, CSV normalization and
-acceptance reporting."""
+"""Shared test utilities: one-key path and estimator references, CSV
+normalization and acceptance reporting."""
 
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from mlpicard.brownian import PathBatch
+from mlpicard.brownian import PathBatch, _check_query_level, _snap_indices, generate_batch
+from mlpicard.hier_rng import IndexKey
 from mlpicard.ledger import CostLedger
 from mlpicard.mlp import _evaluate
+
+
+def snap(t: float, level: int, branching: int, horizon: float) -> tuple[int, float]:
+    """(index, time) of the largest grid point of {k*horizon/branching**level}
+    not exceeding t, by the snapping rule of the path batches."""
+    k = int(_snap_indices(t, level, branching, horizon))
+    return k, k * horizon / branching**level
+
+
+@dataclass(frozen=True)
+class GridPath:
+    """One whole Brownian path on the creation-level grid."""
+
+    key: IndexKey
+    level: int
+    branching: int
+    horizon: float
+    dim: int
+    values: np.ndarray  # shape (branching**level + 1, dim), values[0] == 0
+
+    def value_at(self, t, query_level: int) -> np.ndarray:
+        """Path value at the level-``query_level`` grid point snapped from t;
+        ``t`` is a time or an array of times."""
+        _check_query_level(query_level, self.level)
+        idx = _snap_indices(t, query_level, self.branching, self.horizon)
+        return self.values[:: self.branching ** (self.level - query_level)][idx]
+
+
+def generate(key, level, branching, horizon, dim, ledger=None) -> GridPath:
+    """The whole path of ``key``: the batch of one key, generated up to the
+    horizon."""
+    batch = generate_batch((key,), [horizon], level, branching, horizon, dim, ledger)
+    return GridPath(key, level, branching, horizon, dim, batch.values[0])
 
 
 def evaluate_one(problem, key, n, m, t, path, ledger=None) -> np.ndarray:
     """X[n, m](t) of one key, n >= 1, through the batched evaluator; ``path``
     is the key's GridPath, created at a level >= n."""
-    batch = PathBatch((key,), path.level, path.branching, path.horizon, path.dim,
+    steps = np.array([len(path.values) - 1])
+    batch = PathBatch((key,), path.level, path.branching, path.horizon, path.dim, steps,
                       path.values[None])
     (value,) = _evaluate(problem, batch, m, (n,), np.array([t]), np.zeros(1, dtype=np.intp),
                          CostLedger() if ledger is None else ledger)

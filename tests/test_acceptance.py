@@ -10,8 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import csv_without_wall, evaluate_one, report_criterion
-from mlpicard.brownian import generate
+from helpers import csv_without_wall, evaluate_one, generate, report_criterion
 from mlpicard.harness import build_config, run
 from mlpicard.hier_rng import IndexKey, uniform
 from mlpicard.mlp import realize_estimate, rep_seed

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlpicard.brownian import generate, generate_batch, snap
+from helpers import generate, snap
+from mlpicard.brownian import generate_batch
 from mlpicard.hier_rng import IndexKey, children, normals
 from mlpicard.ledger import CostLedger
 
@@ -75,7 +76,7 @@ def test_snap_rule_matches_loop_oracle(branching):
             ])
             times = times[(times >= 0.0) & (times <= horizon)]
             want = [loop_snap_index(t, level, branching, horizon) for t in times]
-            assert [snap(t, level, branching, horizon).index for t in times] == want
+            assert [snap(t, level, branching, horizon)[0] for t in times] == want
             path = generate(IndexKey(SEED, (30, level)), level, branching, horizon, 2)
             got = path.value_at(times, level)
             assert got.shape == (len(times), 2)
@@ -209,7 +210,7 @@ def test_generate_batch_matches_generate():
     keys = children(parents, [(k,) for k in range(3)])
     for level, m, dim in ((1, 5, 1), (2, 3, 4), (3, 2, 9)):
         ledger = CostLedger()
-        batch = generate_batch(keys, level, m, 1.5, dim, ledger)
+        batch = generate_batch(keys, np.full(len(keys), 1.5), level, m, 1.5, dim, ledger)
         assert batch.values.shape == (len(keys), m**level + 1, dim)
         assert batch.keys == tuple(keys)
         assert ledger.scalar_draws == len(keys) * m**level * dim
@@ -221,7 +222,7 @@ def test_generate_batch_matches_generate():
 
 def test_path_batch_value_at_matches_each_path():
     keys = children([IndexKey(SEED, (31,))], [(k,) for k in range(4)])
-    batch = generate_batch(keys, 3, 2, 1.0, 2)
+    batch = generate_batch(keys, np.ones(len(keys)), 3, 2, 1.0, 2)
     paths = [generate(key, 3, 2, 1.0, 2) for key in keys]
     rng = np.random.default_rng(SEED)
     grid = np.arange(9) / 8.0
@@ -238,3 +239,78 @@ def test_path_batch_value_at_matches_each_path():
             batch.value_at(np.array(bad), np.zeros(len(bad), dtype=np.intp), 2)
     with pytest.raises(ValueError):
         batch.value_at(np.array([0.5]), np.zeros(1, dtype=np.intp), 4)
+
+
+def reach_oracle(until, level, branching, horizon):
+    """Last creation-level index any level-q read (q <= level) up to ``until``
+    touches, by the loop snapping rule."""
+    return max(loop_snap_index(until, q, branching, horizon) * branching ** (level - q)
+               for q in range(1, level + 1))
+
+
+@pytest.mark.parametrize("dim", [1, 4, 9])
+@pytest.mark.parametrize("horizon", [0.05, 0.7, 1.0, 3.0])
+def test_truncated_generation_equals_full_on_every_filled_prefix(dim, horizon):
+    # a batch generated up to each key's largest query time holds exactly the
+    # prefix that its reads can touch, byte-equal to the whole path, and is
+    # charged the logical draws of whole paths; dim 9 is two digest blocks
+    rng = np.random.default_rng(dim)
+    keys = children([IndexKey(SEED, (40,)), IndexKey(SEED + 1, (400, 16384))],
+                    [(k,) for k in range(4)])
+    for m in (1, 2, 3, 5):
+        for level in (1, 2, 3):
+            steps = m**level
+            grid = np.arange(steps + 1) * horizon / steps
+            until = np.concatenate([[0.0, horizon], rng.choice(grid, 2),
+                                    np.nextafter(rng.choice(grid[1:], 2), 0.0),
+                                    rng.uniform(0.0, horizon, 2)])
+            ledger = CostLedger()
+            batch = generate_batch(keys, until, level, m, horizon, dim, ledger)
+            assert ledger.scalar_draws == len(keys) * steps * dim
+            want = [reach_oracle(t, level, m, horizon) for t in until]
+            assert batch.filled.tolist() == want, (m, level)
+            assert batch.values.shape == (len(keys), max(want) + 1, dim)
+            for key, t, filled, values in zip(keys, until, batch.filled, batch.values):
+                full = generate(key, level, m, horizon, dim).values
+                assert values[: filled + 1].tobytes() == full[: filled + 1].tobytes()
+                # every read at a time up to ``until`` is served from the prefix
+                times = np.append(rng.uniform(0.0, t, 3), t)
+                for q in range(1, level + 1):
+                    owner = np.full(len(times), keys.index(key))
+                    got = batch.value_at(times, owner, q)
+                    assert got.tobytes() == full[:: m ** (level - q)][
+                        [loop_snap_index(s, q, m, horizon) for s in times]].tobytes()
+
+
+def test_reach_covers_a_coarser_grid_one_ulp_ahead():
+    # at T = 0.05 and m = 3 the level-1 point 0.05/3 lies one ulp below the
+    # level-2 point 3*0.05/9, so a level-1 read at that time takes creation
+    # index 3 while the level-2 snap is only 2
+    t = 1 * 0.05 / 3
+    assert t == 0.016666666666666666 < 3 * 0.05 / 9 == 0.01666666666666667
+    assert snap(t, 2, 3, 0.05)[0] == 2 and snap(t, 1, 3, 0.05)[0] == 1
+    key = IndexKey(SEED, (41,))
+    batch = generate_batch([key], [t], 2, 3, 0.05, 1)
+    assert batch.filled.tolist() == [3]
+    full = generate(key, 2, 3, 0.05, 1).values
+    owner = np.zeros(1, dtype=np.intp)
+    assert batch.value_at(np.array([t]), owner, 1).tobytes() == full[3:4].tobytes()
+    assert batch.value_at(np.array([t]), owner, 2).tobytes() == full[2:3].tobytes()
+
+
+def test_read_past_the_filled_prefix_raises():
+    # generated up to 0.3 at level 3, m = 2: the prefix ends at index 2
+    # (t = 0.25); later reads at any level are refused, not served stale
+    keys = children([IndexKey(SEED, (42,))], [(0,), (1,)])
+    batch = generate_batch(keys, [0.3, 1.0], 3, 2, 1.0, 1)
+    assert batch.filled.tolist() == [2, 8]
+    first = np.zeros(1, dtype=np.intp)
+    batch.value_at(np.array([0.3]), first, 3)
+    batch.value_at(np.array([0.9]), first + 1, 3)
+    for t, level in ((0.4, 3), (0.5, 2), (0.5, 1), (1.0, 3)):
+        with pytest.raises(ValueError, match="past the generated prefix"):
+            batch.value_at(np.array([0.1, t]), np.array([1, 0]), level)
+    with pytest.raises(ValueError):
+        generate_batch(keys, [0.3], 3, 2, 1.0, 1)  # one time per key
+    with pytest.raises(ValueError):
+        generate_batch(keys, [0.3, 1.5], 3, 2, 1.0, 1)  # past the horizon

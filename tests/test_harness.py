@@ -134,6 +134,21 @@ def test_convergence_slope_negative_full_grid(tmp_path):
     assert "monotone_95=1" in res.footer
 
 
+@pytest.mark.parametrize("problem, levels, want", [
+    (["problem=law_only_linear", "b=-1.0"], ["k_min=2", "k_max=2"], "0"),
+    (["problem=zero_drift"], ["k_min=2", "k_max=2"], "0"),
+    (["problem=zero_drift"], ["k_min=1", "k_max=2"], "1"),
+])
+def test_convergence_slope_footer_without_two_positive_levels(tmp_path, problem, levels, want):
+    # a single level shows no trend, whatever its RMSE; errors that vanish on
+    # every one of two or more levels are trivially converged
+    cfg = build_config(None, problem + levels + ["reps=20", "seed=7"], mode="convergence",
+                       out=str(tmp_path / "one.csv"))
+    res = run(cfg)
+    assert "slope=nan" in res.footer
+    assert f"slope_negative_95={want}" in res.footer
+
+
 def test_convergence_jobs_do_not_change_bytes(tmp_path):
     serial = _cfg("convergence", tmp_path, name="serial.csv", jobs=1)
     pooled = _cfg("convergence", tmp_path, name="pooled.csv", jobs=2)
@@ -236,7 +251,7 @@ def test_repetitions_do_not_depend_on_jobs_or_chunks(monkeypatch, reps):
     runs = {}
     for jobs in (1, 2, 3):
         cfg = replace(cfg, jobs=jobs)
-        with harness_mod._worker_pool(jobs) as pool:
+        with harness_mod._worker_pool(jobs, reps) as pool:
             runs[jobs] = harness_mod._repetitions(cfg, spec, 2, 2, pool)
     monkeypatch.setattr(harness_mod, "_CHUNK_BUDGET", 1)  # every chunk one seed
     runs["cap"] = harness_mod._repetitions(cfg, spec, 2, 2, None)
@@ -246,24 +261,29 @@ def test_repetitions_do_not_depend_on_jobs_or_chunks(monkeypatch, reps):
 
 class CountedPool(ProcessPoolExecutor):
     made = 0
+    workers: list = []
 
     def __init__(self, *args, **kwargs):
         type(self).made += 1
+        type(self).workers.append(kwargs["max_workers"])
         super().__init__(*args, **kwargs)
 
 
 @pytest.mark.parametrize("mode, extra", [
-    ("convergence", ["k_max=4", "reps=8"]),
-    ("oracle-compare", QUICK_PARTICLES + ["mlp_n=2", "mlp_m=2", "reps=8"]),
+    ("convergence", ["k_max=4"]),
+    ("oracle-compare", QUICK_PARTICLES + ["mlp_n=2", "mlp_m=2"]),
 ])
 def test_one_worker_pool_per_run(tmp_path, monkeypatch, mode, extra):
-    # every level of a run shares one pool; in process there is none
+    # every level of a run shares one pool of min(jobs, reps) workers; in
+    # process there is none
     monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", CountedPool)
-    for jobs, want in ((2, 1), (1, 0)):
-        CountedPool.made = 0
-        res = run(_cfg(mode, tmp_path, extra=extra, name=f"{jobs}.csv", jobs=jobs))
+    for jobs, reps, want, workers in ((2, 8, 1, [2]), (3, 2, 1, [2]), (1, 8, 0, [])):
+        CountedPool.made, CountedPool.workers = 0, []
+        res = run(_cfg(mode, tmp_path, extra=extra + [f"reps={reps}"], name=f"{jobs}.csv",
+                       jobs=jobs))
         assert res.ok
         assert CountedPool.made == want, jobs
+        assert CountedPool.workers == workers, jobs
     if mode == "convergence":
         assert len(res.rows) == 4
 

@@ -297,3 +297,29 @@ def test_batch_draws_equal_one_key_draws(dim):
         assert got.tobytes() == want.tobytes(), (steps, dim)
     assert batch_uniform([], "u").shape == (0,)
     assert batch_step_normals([], 5, dim).shape == (0, 5, dim)
+
+
+@pytest.mark.parametrize("dim", [1, 9])
+def test_batch_step_normals_hash_only_the_counted_rows(dim, monkeypatch):
+    # key i's first counts[i] rows are its step normals, the rest are zero,
+    # and only the counted (step, block) digests are hashed
+    keys = [IndexKey(SEED, p) for p in ((0, 4, 2, 1), (300, 1), (), (7,))]
+    counts = [0, 3, 130, 1]
+    hashed = []
+    real = hier_rng._hash_suffixes
+
+    def counted(*args):
+        out = real(*args)
+        hashed.append(len(out) // 64)
+        return out
+
+    monkeypatch.setattr(hier_rng, "_hash_suffixes", counted)
+    got = batch_step_normals(keys, 130, dim, 0.25, counts)
+    assert hashed == [sum(counts) * -(-dim // 8)]
+    assert got.shape == (len(keys), 130, dim)
+    for key, count, rows in zip(keys, counts, got):
+        assert rows[:count].tobytes() == step_normals(key, count, dim, 0.25).tobytes()
+        assert not rows[count:].any()
+    for bad in ([0, 3, 131, 1], [0, -1, 2, 1], [1, 2]):
+        with pytest.raises(ValueError):
+            batch_step_normals(keys, 130, dim, 0.25, bad)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import mlpicard.mlp as mlp_mod
-from helpers import evaluate_one
-from mlpicard.brownian import generate, generate_batch
+from helpers import evaluate_one, generate
+import mlpicard.hier_rng as hier_rng
+from mlpicard.brownian import PathBatch, _snap_indices, generate_batch
 from mlpicard.errors import ConfigError, NonFiniteDriftError
 from mlpicard.harness import build_config, run
 from mlpicard.hier_rng import IndexKey, children, uniform
@@ -121,9 +122,9 @@ def test_process_consistency_addresses():
             addresses.update(("u", k, tag) for k in keys)
             return real_uniform(keys, tag)
 
-        def traced_generate(keys, level, m, horizon, dim, ledger=None):
+        def traced_generate(keys, until, level, m, horizon, dim, ledger=None):
             addresses.update(("w", k, level) for k in keys)
-            return real_generate(keys, level, m, horizon, dim, ledger)
+            return real_generate(keys, until, level, m, horizon, dim, ledger)
 
         mlp_mod.batch_uniform = traced_uniform
         mlp_mod.generate_batch = traced_generate
@@ -190,7 +191,7 @@ def test_time_vector_matches_per_time_reference():
         for n, m in ((1, 3), (2, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)):
             root = IndexKey(SEED + 100 * d + 10 * n + m, (0,))
             keys = children([root], [(k,) for k in range(3)])
-            paths = generate_batch(keys, n, m, prob.horizon, d)
+            paths = generate_batch(keys, np.full(len(keys), prob.horizon), n, m, prob.horizon, d)
             grid = np.arange(m**n + 1) * prob.horizon / m**n
             times = np.concatenate([[0.0, prob.horizon], grid, rng.uniform(0.0, 1.5, 4)])
             owner = rng.integers(0, len(keys), len(times))
@@ -310,6 +311,61 @@ def test_term_memo_call_counts_and_scope():
     # the logical charge scales the path draws with d; evaluations do not
     prob4 = builtin_problem("law_only_linear", d=4, T=1.0, xi=1.0, b=-1.0)
     assert realize_estimate(prob4, 4, 4, SEED).ledger.snapshot() == (15508, 2745)
+
+
+def test_each_path_is_generated_up_to_its_last_read(monkeypatch):
+    # instrumented: every key's filled step count equals the largest
+    # creation-level index actually read from its path (T = 1, where the
+    # float grids of all levels agree); at T = 0.7 it never falls short
+    real_generate = mlp_mod.generate_batch
+    real_value_at = PathBatch.value_at
+    filled, read = {}, {}
+
+    def recording_generate(*args):
+        batch = real_generate(*args)
+        filled.update(zip(batch.keys, batch.filled.tolist()))
+        return batch
+
+    def recording_value_at(self, t, owner, query_level):
+        out = real_value_at(self, t, owner, query_level)
+        idx = _snap_indices(t, query_level, self.branching, self.horizon)
+        most = np.full(len(self.keys), -1)
+        np.maximum.at(most, owner, idx * self.branching ** (self.level - query_level))
+        for key, index in zip(self.keys, most.tolist()):
+            read[key] = max(read.get(key, -1), index)
+        return out
+
+    monkeypatch.setattr(mlp_mod, "generate_batch", recording_generate)
+    monkeypatch.setattr(PathBatch, "value_at", recording_value_at)
+    for name, d, T, n, m, params in (("law_only_linear", 1, 1.0, 4, 4, {"b": -1.0}),
+                                     ("sine_meanfield", 3, 1.0, 3, 3, {"L": 1.0}),
+                                     ("sine_meanfield", 2, 0.7, 4, 3, {"L": 1.0})):
+        filled.clear()
+        read.clear()
+        realize_estimate(builtin_problem(name, d=d, T=T, xi=1.0, **params), n, m, SEED)
+        assert filled.keys() == read.keys() and len(filled) > 20
+        if T == 1.0:
+            assert filled == read, (name, n, m)
+        assert all(filled[key] >= read[key] for key in filled)
+
+
+def test_path_step_digests_pinned_at_k5(monkeypatch):
+    # one k = 5 realization hashes 14275 path-step digests (58150 whole
+    # paths) and 6745 uniform digests, and is still charged the logical
+    # draws of whole paths
+    real = hier_rng._hash_suffixes
+    digests = {"step": 0, "other": 0}
+
+    def counted(keys, prefix, *args):
+        out = real(keys, prefix, *args)
+        digests["step" if prefix == hier_rng._INT_TAG else "other"] += len(out) // 64
+        return out
+
+    monkeypatch.setattr(hier_rng, "_hash_suffixes", counted)
+    prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
+    res = realize_estimate(prob, 5, 5, SEED)
+    assert digests == {"step": 14275, "other": 6745}
+    assert res.ledger.snapshot() == (156505, 81031)
 
 
 def test_level_two_hand_expansion():

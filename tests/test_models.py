@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mlpicard.brownian import generate
+from helpers import generate
 from mlpicard.hier_rng import IndexKey
 from mlpicard.models import (
     builtin_problem,
