@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -269,6 +270,27 @@ def test_realize_values_pinned(name, d, n, params, want, tallies):
     res = realize_estimate(prob, n, n, SEED)
     assert [float(v).hex() for v in res.value] == want
     assert res.ledger.snapshot() == tallies
+
+
+def test_realizations_pinned_by_digest():
+    # one SHA-256 over the values, W0(T) and ledger tallies of 180
+    # realizations: three drifts, d = 1 and 4, a short and a unit horizon,
+    # (n, m) up to (5, 3), master seeds 1-3
+    digest = hashlib.sha256()
+    for name, params in (("law_only_linear", {"b": -1.0}), ("sine_meanfield", {"L": 1.0}),
+                         ("full_linear", {"a": 0.5, "b": -1.0})):
+        for d in (1, 4):
+            for T in (0.05, 1.0):
+                prob = builtin_problem(name, d=d, T=T, xi=1.0, **params)
+                for n, m in ((1, 1), (2, 2), (3, 3), (4, 4), (5, 3)):
+                    for seed in (1, 2, 3):
+                        res = realize_estimate(prob, n, m, seed)
+                        digest.update(res.value.tobytes())
+                        digest.update(res.w0_terminal.tobytes())
+                        digest.update(repr(res.ledger.snapshot()).encode())
+    assert digest.hexdigest() == (
+        "d1a97d72836a557bcd645fb158dd55495219d2fb4d93265f6d7a525925e3d70a"
+    )
 
 
 def test_term_memo_call_counts_and_scope():

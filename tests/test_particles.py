@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,19 @@ def test_key_indices_validation():
     prob = builtin_problem("zero_drift", d=1, T=1.0, xi=0.0)
     with pytest.raises(ValueError):
         simulate_particles(prob, 4, 2, SEED, key_indices=[0, 1])
+    with pytest.raises(ValueError):
+        simulate_particles(prob, 4, 2, SEED, key_indices=[0, 1, -1, 3])
+
+
+def test_particle_outputs_pinned_by_digest():
+    # one SHA-256 over the ensembles of sine_meanfield at d = 1 and 3, 50
+    # particles x 17 steps and 40 x 9 with the key indices reversed
+    digest = hashlib.sha256()
+    for d in (1, 3):
+        prob = builtin_problem("sine_meanfield", d=d, T=1.0, xi=1.0, L=1.0)
+        digest.update(simulate_particles(prob, 50, 17, SEED).tobytes())
+        reversed_keys = range(39, -1, -1)
+        digest.update(simulate_particles(prob, 40, 9, SEED, key_indices=reversed_keys).tobytes())
+    assert digest.hexdigest() == (
+        "65a964bcda9e8262f7b129418c54228fb9b48f27fd01d8d65ec28c6317f024e2"
+    )
