@@ -13,7 +13,8 @@ logical m**n * d scalar draws per path all the same, once, at creation.
 
 A :class:`PathBatch` stacks the paths of many keys created at one level, so
 that the estimator generates and queries all sibling paths with one bulk
-hash loop, one cumulative sum and one snapping pass per batch.
+hash loop, one cumulative sum and one snapping pass per batch; its keys
+are a packed key batch of :mod:`mlpicard.hier_rng`, not key objects.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .hier_rng import IndexKey, batch_step_normals
+from .hier_rng import KeyBatch, batch_step_normals
 from .ledger import CostLedger
 
 __all__ = ["PathBatch", "generate_batch"]
@@ -83,9 +84,9 @@ def _check_query_level(query_level: int, level: int) -> None:
 
 
 class PathBatch(NamedTuple):
-    """The paths of ``keys``, all created at one level, stacked; immutable."""
+    """The paths of key batch ``keys``, all created at one level, stacked."""
 
-    keys: tuple[IndexKey, ...]
+    keys: KeyBatch
     level: int
     branching: int
     horizon: float
@@ -113,7 +114,7 @@ class PathBatch(NamedTuple):
 
 
 def generate_batch(
-    keys: Sequence[IndexKey],
+    keys: KeyBatch,
     until: Sequence[float],
     level: int,
     branching: int,
@@ -121,8 +122,8 @@ def generate_batch(
     dim: int,
     ledger: Optional[CostLedger] = None,
 ) -> PathBatch:
-    """Materialize the paths of ``keys`` at the given level, each up to the
-    last grid step a query at a time up to its ``until`` can read.
+    """Materialize the paths of key batch ``keys`` at the given level, each
+    up to the last grid step a query at a time up to its ``until`` can read.
 
     ``until`` holds each key's largest query time (the horizon for a whole
     path).  The increment of grid step k of a key's path is the key's keyed
@@ -144,17 +145,17 @@ def generate_batch(
     steps = branching**level
     if steps > _MAX_GRID:
         raise OverflowError(f"grid with {steps} steps exceeds the index range")
-    keys = tuple(keys)
+    size = len(keys[1])
     until = np.asarray(until, dtype=float)
-    if until.shape != (len(keys),):
+    if until.shape != (size,):
         raise ValueError(f"need one query time per key, got shape {until.shape}")
     filled = _reach(until, level, branching, horizon)
     width = int(filled.max(initial=0))
-    values = np.zeros((len(keys), width + 1, dim))
+    values = np.zeros((size, width + 1, dim))
     increments = batch_step_normals(keys, width, dim, horizon / steps, filled)
     np.cumsum(increments, axis=1, out=values[:, 1:])
     values.setflags(write=False)
     filled.setflags(write=False)
     if ledger is not None:
-        ledger.add_draws(len(keys) * steps * dim)
+        ledger.add_draws(size * steps * dim)
     return PathBatch(keys, level, branching, horizon, dim, filled, values)

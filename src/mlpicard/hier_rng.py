@@ -15,21 +15,20 @@ bit-reproducible and safe to compute concurrently.
 Uniform draws take values in [0, 1); the closed right endpoint would be a
 measure-zero distinction with no observable effect at 53-bit resolution.
 
-Two caches save re-encoding and change no output: a key encodes its path
-once, when it is made, and keeps the bytes (``IndexKey.path_bytes``), and
-the block and (step, block) counter suffixes live in small bounded LRU
-tables keyed by their sizes.  The tables start empty; nothing is built at
-import time.
+Caches save re-encoding and change no output: a key encodes its path once
+(``IndexKey.path_bytes``); the encoded extension lists of :func:`children`
+and the counter suffixes live in small bounded LRU tables, which start empty.
 
 Batched forms serve the estimator, which addresses thousands of sibling
-keys per realization: :func:`children` extends many keys by many
-extensions, validating and encoding each extension once and reusing the
-parent's encoded coordinates, and :func:`batch_uniform` and
-:func:`batch_step_normals` hash each key with one hasher primed with its
-path, copied from one keyed hasher per seed, and map the digests of all
-keys in one vector pass; :func:`batch_step_normals` hashes only as many
-steps of each key as its caller asks for.  Every output equals the one-key
-function's, bit for bit.
+keys per realization, through *key batches*: two parallel plain lists of
+master seeds and encoded paths (:func:`pack` makes one), so no key object
+is built below the roots.  A child's encoding in :func:`children` is one
+concatenation: its own length header, its parent's encoded coordinates and
+the extension's.  The hashing forms copy each key's hasher from one keyed
+hasher per seed (a one-block uniform is one copy absorbing its message; a
+multi-block key primes a copy with its path and copies it per block), map
+all digests in one vector pass and equal the one-key forms bit for bit;
+:func:`batch_step_normals` hashes only the steps its caller asks for.
 """
 
 from __future__ import annotations
@@ -45,24 +44,27 @@ from scipy.special import ndtri
 
 __all__ = [
     "IndexKey",
+    "batch_normals",
     "batch_step_normals",
     "batch_uniform",
     "child",
     "children",
     "derive_seed",
     "normals",
+    "pack",
     "step_normals",
     "uniform",
     "uniforms",
 ]
 
 Tag = Union[int, str]
+KeyBatch = tuple[list[int], list[bytes]]  # master seeds and encoded paths, in parallel
 
 _SEED_MASK = (1 << 64) - 1
 _WORDS_PER_BLOCK = 8  # 64-byte digest -> eight little-endian u64 words
 _INV_2_53 = 1.0 / (1 << 53)
 _INT_TAG = b"I"
-_SUFFIX_TABLES = 64  # (steps, blocks) suffix tables kept; a grid run uses a handful
+_SUFFIX_TABLES = 64  # suffix and extension tables kept; a grid run uses a handful
 
 
 def _varint(n: int) -> bytes:
@@ -115,41 +117,44 @@ class IndexKey:
 
 def child(key: IndexKey, extension: Sequence[int]) -> IndexKey:
     """Return ``key`` with its path extended; the input is never mutated."""
-    (sub,) = children((key,), (extension,))
-    return sub
+    return IndexKey(key.seed, key.path + tuple(extension))
 
 
-def children(keys: Sequence[IndexKey], extensions: Sequence[Sequence[int]]) -> list[IndexKey]:
-    """``[child(key, ext) for key in keys for ext in extensions]``, key-major.
+def pack(keys: Sequence[IndexKey]) -> KeyBatch:
+    """The key batch of ``keys``: their master seeds and encoded paths."""
+    return [key.seed for key in keys], [key.path_bytes for key in keys]
 
-    Each extension is validated and encoded once; a child's encoded path is
-    a new length prefix, its parent's encoded coordinates and the
-    extension's, so the work per child does not grow with the parent's path.
+
+def children(keys: KeyBatch, extensions: Sequence[Sequence[int]]) -> KeyBatch:
+    """The key batch of ``[child(key, ext) for key in keys for ext in
+    extensions]``, key-major.
+
+    Parents may differ in depth: each child's length header comes from its
+    parent's own coordinate count, read off the parent's header.
     """
-    encoded = []
-    for extension in extensions:
-        ext = tuple(map(int, extension))
-        if min(ext, default=0) < 0:
-            raise ValueError(f"index path must be non-negative, got extension {ext}")
-        encoded.append((ext, _coord_bytes(ext)))
-    headers: dict[int, bytes] = {}  # length prefix per path length
-    setattr_ = object.__setattr__
+    encoded = _extension_coords(tuple(map(tuple, extensions)))
+    lengths = {length for length, _ in encoded}
     out = []
-    for key in keys:
-        seed, path = key.seed, key.path
-        coords = key.path_bytes[len(_frame(len(path), b"")) :]
-        for ext, ext_coords in encoded:
-            length = len(path) + len(ext)
-            header = headers.get(length)
-            if header is None:
-                header = headers[length] = _frame(length, b"")
-            # the fields are final and validated, so __init__ is bypassed
-            sub = object.__new__(IndexKey)
-            setattr_(sub, "seed", seed)
-            setattr_(sub, "path", path + ext)
-            setattr_(sub, "path_bytes", header + coords + ext_coords)
-            out.append(sub)
-    return out
+    for path in keys[1]:
+        depth, coords = _unframe(path)
+        heads = {length: _frame(depth + length, coords) for length in lengths}
+        out += [heads[length] + ext for length, ext in encoded]
+    return [seed for seed in keys[0] for _ in encoded], out
+
+
+@lru_cache(maxsize=_SUFFIX_TABLES)
+def _extension_coords(extensions: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, bytes], ...]:
+    """(coordinate count, encoded coordinates) of each extension; a negative
+    coordinate raises ValueError (in ``_varint``)."""
+    return tuple((len(ext), _coord_bytes(tuple(map(int, ext)))) for ext in extensions)
+
+
+def _unframe(path: bytes) -> tuple[int, bytes]:
+    """(coordinate count, encoded coordinates) of an encoded path."""
+    end = 1  # past the domain byte, the count's LEB128 bytes run to path[end]
+    while path[end] > 0x7F:
+        end += 1
+    return sum((byte & 0x7F) << 7 * i for i, byte in enumerate(path[1 : end + 1])), path[end + 1 :]
 
 
 def _coord_bytes(path: tuple[int, ...]) -> bytes:
@@ -180,31 +185,31 @@ def _step_suffixes(steps: int, blocks: int) -> tuple[bytes, ...]:
     return tuple(_varint(k) + blk for k in range(steps) for blk in per_step)
 
 
+def _seed_hashers(seeds: Sequence[int]) -> dict:
+    """One keyed hasher per distinct seed, nothing absorbed yet."""
+    return {s: hashlib.blake2b(key=s.to_bytes(8, "little"), digest_size=64) for s in set(seeds)}
+
+
 def _hash_suffixes(
-    keys: Sequence[IndexKey],
+    keys: KeyBatch,
     prefix: bytes,
     suffixes: Sequence[bytes],
     counts: Optional[Sequence[int]] = None,
 ) -> bytearray:
-    """Joined 64-byte keyed digests of ``key.path_bytes + prefix + suffix``,
-    key-major, then in suffix order; key i takes the first ``counts[i]``
-    suffixes, all of them when ``counts`` is None.
+    """Joined 64-byte keyed digests of ``path + prefix + suffix``, key-major,
+    then in suffix order; key i takes the first ``counts[i]`` suffixes, all
+    of them when ``counts`` is None.
 
     Each key's hasher is copied from its seed's keyed hasher, absorbs its
     path and the shared prefix once and is copied per suffix.
     """
     if counts is None:
         counts = repeat(len(suffixes))
-    seeded = {}  # per seed: its keyed hasher, nothing absorbed yet
+    hashers = _seed_hashers(keys[0])
     digests = bytearray()
-    for key, count in zip(keys, counts):
-        base = seeded.get(key.seed)
-        if base is None:
-            base = seeded[key.seed] = hashlib.blake2b(
-                key=key.seed.to_bytes(8, "little"), digest_size=64
-            )
-        primed = base.copy()
-        primed.update(key.path_bytes + prefix)
+    for seed, path, count in zip(*keys, counts):
+        primed = hashers[seed].copy()
+        primed.update(path + prefix)
         for suffix in islice(suffixes, count):
             hasher = primed.copy()
             hasher.update(suffix)
@@ -212,17 +217,14 @@ def _hash_suffixes(
     return digests
 
 
-def _digests(key: IndexKey, tag: Tag, blocks: int) -> bytearray:
-    """``blocks`` joined 64-byte digests for (key, tag), counter-based."""
-    return _hash_suffixes((key,), _tag_bytes(tag), _block_suffixes(blocks))
-
-
-def _words(key: IndexKey, tag: Tag, count: int) -> np.ndarray:
-    """``count`` pseudo-random u64 words for (key, tag)."""
+def _words(keys: KeyBatch, tag: Tag, count: int) -> np.ndarray:
+    """``count`` pseudo-random u64 words for (key, tag), one row per key."""
     if count < 0:
         raise ValueError(f"word count must be non-negative, got {count}")
     blocks = -(-count // _WORDS_PER_BLOCK)
-    return np.frombuffer(_digests(key, tag, blocks), dtype="<u8")[:count]
+    digests = _hash_suffixes(keys, _tag_bytes(tag), _block_suffixes(blocks))
+    words = np.frombuffer(digests, dtype="<u8").reshape(len(keys[1]), blocks * _WORDS_PER_BLOCK)
+    return words[:, :count]
 
 
 def _gaussians(words: np.ndarray, variance: float) -> np.ndarray:
@@ -235,19 +237,27 @@ def _gaussians(words: np.ndarray, variance: float) -> np.ndarray:
 
 def uniform(key: IndexKey, tag: Tag) -> float:
     """One uniform draw in [0, 1), deterministic in (key, tag)."""
-    word = int.from_bytes(_digests(key, tag, 1)[:8], "little")
-    return (word >> 11) * _INV_2_53
+    digest = _hash_suffixes(pack((key,)), _tag_bytes(tag), _block_suffixes(1))
+    return (int.from_bytes(digest[:8], "little") >> 11) * _INV_2_53
 
 
-def batch_uniform(keys: Sequence[IndexKey], tag: Tag) -> np.ndarray:
-    """``uniform(key, tag)`` for each key, as one array, bit for bit."""
-    words = np.frombuffer(_hash_suffixes(keys, _tag_bytes(tag), _block_suffixes(1)), dtype="<u8")
+def batch_uniform(keys: KeyBatch, tag: Tag) -> np.ndarray:
+    """``uniform(key, tag)`` for each key of the batch, as one array, bit for
+    bit; each key's one-block message is absorbed by one hasher copy."""
+    hashers = _seed_hashers(keys[0])
+    tail = _tag_bytes(tag) + _block_suffixes(1)[0]
+    digests = bytearray()
+    for seed, path in zip(*keys):
+        hasher = hashers[seed].copy()
+        hasher.update(path + tail)
+        digests += hasher.digest()
+    words = np.frombuffer(digests, dtype="<u8")
     return (words[::_WORDS_PER_BLOCK] >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 def uniforms(key: IndexKey, tag: Tag, count: int) -> np.ndarray:
     """``count`` i.i.d. uniform draws in [0, 1) for one (key, tag) stream."""
-    words = _words(key, tag, count)
+    words = _words(pack((key,)), tag, count)[0]
     return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
@@ -257,26 +267,32 @@ def normals(key: IndexKey, tag: Tag, count: int, variance: float = 1.0) -> np.nd
     Uses the inverse normal CDF on counter-based uniforms shifted into the
     open interval (0, 1), so generation is rejection-free and deterministic.
     """
-    return _gaussians(_words(key, tag, count), variance)
+    return batch_normals(pack((key,)), tag, count, variance)[0]
+
+
+def batch_normals(keys: KeyBatch, tag: Tag, count: int, variance: float = 1.0) -> np.ndarray:
+    """``normals(key, tag, count, variance)`` for each key of the batch,
+    stacked into shape (number of keys, count), bit for bit."""
+    return _gaussians(_words(keys, tag, count), variance)
 
 
 def step_normals(key: IndexKey, steps: int, dim: int, variance: float = 1.0) -> np.ndarray:
     """Row k is ``normals(key, k, dim, variance)`` for k = 0..steps-1, bit for bit."""
-    return batch_step_normals((key,), steps, dim, variance)[0]
+    return batch_step_normals(pack((key,)), steps, dim, variance)[0]
 
 
 def batch_step_normals(
-    keys: Sequence[IndexKey],
+    keys: KeyBatch,
     steps: int,
     dim: int,
     variance: float = 1.0,
     counts: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """``step_normals(key, steps, dim, variance)`` for each key, stacked; key
-    i's rows from ``counts[i]`` on are zero and not hashed (no row is when
-    ``counts`` is None).
+    """``step_normals(key, steps, dim, variance)`` for each key of the batch,
+    stacked; key i's rows from ``counts[i]`` on are zero and not hashed (no
+    row is when ``counts`` is None).
 
-    The result has shape (len(keys), steps, dim).  A key's rows share the
+    The result has shape (number of keys, steps, dim).  A key's rows share the
     message prefix (path and integer-tag marker), so its keyed hasher is
     primed with it once and copied for each (step, block) suffix; the
     digests of all keys are then mapped to Gaussians in one vector pass.
@@ -284,8 +300,9 @@ def batch_step_normals(
     if steps < 0 or dim < 0:
         raise ValueError(f"steps and dim must be non-negative, got {steps}, {dim}")
     blocks = -(-dim // _WORDS_PER_BLOCK)
-    filled = np.full(len(keys), steps) if counts is None else np.asarray(counts, dtype=np.intp)
-    if len(filled) != len(keys) or not np.all((filled >= 0) & (filled <= steps)):
+    size = len(keys[1])
+    filled = np.full(size, steps) if counts is None else np.asarray(counts, dtype=np.intp)
+    if len(filled) != size or not np.all((filled >= 0) & (filled <= steps)):
         raise ValueError(f"need one step count in [0, {steps}] per key, got {counts}")
     # the message of integer tag k is the path, _INT_TAG and _varint(k)
     # one table serves every step count up to the next power of two
@@ -293,7 +310,7 @@ def batch_step_normals(
     digests = _hash_suffixes(keys, _INT_TAG, table, (filled * blocks).tolist())
     words = np.frombuffer(digests, dtype="<u8")
     words = words.reshape(int(filled.sum()), blocks * _WORDS_PER_BLOCK)
-    out = np.zeros((len(keys), steps, dim))
+    out = np.zeros((size, steps, dim))
     out[np.arange(steps) < filled[:, None]] = _gaussians(words[:, :dim], variance)
     return out
 

@@ -25,19 +25,21 @@ Batched evaluation: the random inputs of a term, its sub-index eta,
 uniform u and fresh path, depend on (theta, n, k, l) but not on the query
 time t; only s = u*t does.  The nodes (theta, j) of one index theta form a
 key group, and one evaluator call serves a batch of key groups whose tops
-share a level: their keys, their paths stacked along a leading batch axis,
-and one flat vector of query times, each with the index of the key it
-belongs to.  The times are gathered top-down, j = top..1: term (j, l) draws
-the uniforms of its sub keys, for all keys of the batch, in one bulk hash,
-and appends s = u*t to the same-key nodes (theta, l) and (theta, l-1).  The
-sub keys of the level-l terms of every node and key form one sub-batch:
-their fresh paths are generated together at level l right before one
-recursive call evaluates the X_eta nodes l and l-1 at all their times, and
-are dropped when it returns.  A sub key's path, and those of its same-key
-nodes below, is read only at times up to its largest s, so it is generated
-only up to the last grid step such a read can touch.  A call whose top is L thus makes L-1
-sub-calls, and a realization 2**(n-1) calls, whatever m is.  Each node is
-then evaluated once, bottom-up, with numpy over the rows of all keys.
+share a level: their keys, as one packed key batch of master seeds and
+encoded paths (only the roots are ``IndexKey`` objects), their paths stacked
+along a leading batch axis, and one flat vector of query times, each with
+the index of the key it belongs to.  The times are gathered top-down,
+j = top..1: term (j, l) makes its sub keys, for all keys of the batch, from
+its extension list (built once per (j, fan, l)), draws their uniforms in one
+bulk hash and appends s = u*t to the same-key nodes (theta, l) and
+(theta, l-1).  The sub keys of the level-l terms of every node and key form
+one sub-batch: their fresh paths are generated together at level l right
+before one recursive call evaluates the X_eta nodes l and l-1 at all their
+times, and are dropped when it returns.  A sub key's path, and those of its
+same-key nodes below, is read only at times up to its largest s, so it is
+generated only up to the last grid step such a read can touch.  A call whose
+top is L makes L-1 sub-calls, and a realization 2**(n-1) calls, whatever m
+is.  Each node is then evaluated once, bottom-up, over the rows of all keys.
 
 A batch may hold many roots: ``_realize_batch`` evaluates the root keys
 (seed, (0,)) of many master seeds in one call, each at t = T, and
@@ -74,13 +76,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .brownian import PathBatch, generate_batch
 from .errors import NonFiniteDriftError
-from .hier_rng import IndexKey, batch_uniform, children, derive_seed
+from .hier_rng import IndexKey, batch_uniform, children, derive_seed, pack
 from .ledger import CostLedger
 from .models import DriftModel, Problem
 
@@ -92,6 +95,12 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+
+@lru_cache(maxsize=64)  # a realization uses n*(n-1)/2 extension lists
+def _term_extensions(j: int, fan: int, level: int) -> tuple[tuple[int, int, int], ...]:
+    """The extensions (j, k, level), k = 1..fan, of the sub keys of a term."""
+    return tuple((j, k, level) for k in range(1, fan + 1))
 
 
 def _joined(chunks: list) -> tuple[np.ndarray, np.ndarray]:
@@ -135,10 +144,10 @@ def _evaluate(
 ) -> list[np.ndarray]:
     """Values of the nodes (key, j) for j in ``levels``, over a batch of keys.
 
-    The keys are ``paths.keys``; query i asks for key ``paths.keys[owner[i]]``
-    at time ``times[i]``.  ``levels`` lists distinct levels >= 1, highest
-    first; the highest is the top of every key group and must not exceed the
-    creation level of ``paths``.  Each returned array has shape
+    The keys are the key batch ``paths.keys``; query i asks for its key
+    ``owner[i]`` at time ``times[i]``.  ``levels`` lists distinct levels >= 1,
+    highest first; the highest is the top of every key group and must not
+    exceed the creation level of ``paths``.  Each returned array has shape
     (len(times), d), row i answering query i.
     """
     d = problem.dim
@@ -168,16 +177,17 @@ def _evaluate(
         terms = []
         for level in range(1, j):
             fan = m ** (j - level)
-            subs = children(keys, [(j, k, level) for k in range(1, fan + 1)])
-            u = batch_uniform(subs, "u").reshape(len(keys), fan)
+            subs = children(keys, _term_extensions(j, fan, level))
+            u = batch_uniform(subs, "u").reshape(len(keys[1]), fan)
             s = (u[o].T * t).ravel()
             same = np.broadcast_to(o, (fan, size)).ravel()  # owners in nodes l, l-1
             if sub_keys[level] is None:
-                sub_keys[level], sub_asked[level] = [], []
-            base = len(sub_keys[level])  # sub key (g, k) sits at base + g*fan + k
+                sub_keys[level], sub_asked[level] = ([], []), []
+            base = len(sub_keys[level][1])  # sub key (g, k) sits at base + g*fan + k
             sub_owner = (np.arange(fan)[:, None] + (o * fan + base)).ravel()
             terms.append((level, fan, rows[level], rows[level - 1], sub_rows[level]))
-            sub_keys[level].extend(subs)
+            for into, part in zip(sub_keys[level], subs):
+                into.extend(part)
             sub_asked[level].append((s, sub_owner))
             sub_rows[level] += len(s)
             asked[level].append((s, same))
@@ -205,7 +215,7 @@ def _evaluate(
             level = j - 1
             s, o = _joined(sub_asked[level])
             # each sub key's path is read at its s and at the u*s below them
-            until = np.zeros(len(sub_keys[level]))
+            until = np.zeros(len(sub_keys[level][1]))
             np.maximum.at(until, o, s)
             fresh = generate_batch(sub_keys[level], until, level, m, problem.horizon, d)
             sub_keys[level] = sub_asked[level] = None
@@ -264,8 +274,8 @@ def _realize_batch(
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    roots = tuple(IndexKey(seed, (0,)) for seed in master_seeds)
-    count = len(roots)
+    roots = pack([IndexKey(seed, (0,)) for seed in master_seeds])
+    count = len(master_seeds)
     paths = generate_batch(
         roots, np.full(count, problem.horizon), n, m, problem.horizon, problem.dim, ledger
     )

@@ -8,7 +8,8 @@ with the empirical mean taken over all N particles including self.  The
 pairwise drift sum is O(N**2) per step by design (oracle clarity over speed)
 and is reduced in a fixed order so runs are bit-reproducible.  Particle noise
 keys live on a reserved root branch disjoint from the estimator's keys, so
-oracle and estimator stay independent under one master seed.
+oracle and estimator stay independent under one master seed; the noise of
+each block of particles is drawn as one packed key batch.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError
-from .hier_rng import IndexKey, child, normals
+from .hier_rng import IndexKey, batch_normals, child, pack
 from .models import Problem
 
 __all__ = ["EnsembleStats", "ensemble_stats", "simulate_particles"]
 
 _PARTICLE_BRANCH = 1  # root path coordinate reserved for particle noise
 _DEFAULT_CEILING = 4 * 10**9  # limit on N*N*M pairwise work
-_BLOCK = 128  # row block for the pairwise drift sum
+_BLOCK = 128  # row block for the pairwise drift sum and the noise draws
 
 
 def _interaction_mean(problem: Problem, state: np.ndarray) -> np.ndarray:
@@ -75,8 +76,9 @@ def simulate_particles(
     dt = problem.horizon / M
     root = IndexKey(master_seed, (_PARTICLE_BRANCH,))
     increments = np.empty((N, M, d))
-    for i, key_index in enumerate(key_indices):
-        increments[i] = normals(child(root, (key_index,)), "dw", M * d, dt).reshape(M, d)
+    for lo in range(0, N, _BLOCK):
+        keys = pack([child(root, (i,)) for i in key_indices[lo : lo + _BLOCK]])
+        increments[lo : lo + _BLOCK] = batch_normals(keys, "dw", M * d, dt).reshape(-1, M, d)
     state = np.tile(problem.initial, (N, 1))
     for step in range(M):
         state = state + dt * _interaction_mean(problem, state) + increments[:, step, :]

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from mlpicard.brownian import PathBatch, _check_query_level, _snap_indices, generate_batch
-from mlpicard.hier_rng import IndexKey
+from mlpicard.hier_rng import IndexKey, pack
 from mlpicard.ledger import CostLedger
 from mlpicard.mlp import _evaluate
 
@@ -44,7 +44,7 @@ class GridPath:
 def generate(key, level, branching, horizon, dim, ledger=None) -> GridPath:
     """The whole path of ``key``: the batch of one key, generated up to the
     horizon."""
-    batch = generate_batch((key,), [horizon], level, branching, horizon, dim, ledger)
+    batch = generate_batch(pack((key,)), [horizon], level, branching, horizon, dim, ledger)
     return GridPath(key, level, branching, horizon, dim, batch.values[0])
 
 
@@ -52,7 +52,7 @@ def evaluate_one(problem, key, n, m, t, path, ledger=None) -> np.ndarray:
     """X[n, m](t) of one key, n >= 1, through the batched evaluator; ``path``
     is the key's GridPath, created at a level >= n."""
     steps = np.array([len(path.values) - 1])
-    batch = PathBatch((key,), path.level, path.branching, path.horizon, path.dim, steps,
+    batch = PathBatch(pack((key,)), path.level, path.branching, path.horizon, path.dim, steps,
                       path.values[None])
     (value,) = _evaluate(problem, batch, m, (n,), np.array([t]), np.zeros(1, dtype=np.intp),
                          CostLedger() if ledger is None else ledger)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import generate, snap
 from mlpicard.brownian import generate_batch
-from mlpicard.hier_rng import IndexKey, children, normals
+from mlpicard.hier_rng import IndexKey, child, children, normals, pack
 from mlpicard.ledger import CostLedger
 
 SEED = 1234
@@ -207,12 +207,13 @@ def test_generate_batch_matches_generate():
     # every path of a batch equals its key's path generated alone, and the
     # ledger is charged steps*dim draws per key
     parents = [IndexKey(SEED, (30,)), IndexKey(SEED, (300, 16384))]
-    keys = children(parents, [(k,) for k in range(3)])
+    keys = [child(parent, (k,)) for parent in parents for k in range(3)]
+    packed = children(pack(parents), [(k,) for k in range(3)])
     for level, m, dim in ((1, 5, 1), (2, 3, 4), (3, 2, 9)):
         ledger = CostLedger()
-        batch = generate_batch(keys, np.full(len(keys), 1.5), level, m, 1.5, dim, ledger)
+        batch = generate_batch(packed, np.full(len(keys), 1.5), level, m, 1.5, dim, ledger)
         assert batch.values.shape == (len(keys), m**level + 1, dim)
-        assert batch.keys == tuple(keys)
+        assert batch.keys == pack(keys)
         assert ledger.scalar_draws == len(keys) * m**level * dim
         for key, values in zip(keys, batch.values):
             assert values.tobytes() == generate(key, level, m, 1.5, dim).values.tobytes()
@@ -221,8 +222,8 @@ def test_generate_batch_matches_generate():
 
 
 def test_path_batch_value_at_matches_each_path():
-    keys = children([IndexKey(SEED, (31,))], [(k,) for k in range(4)])
-    batch = generate_batch(keys, np.ones(len(keys)), 3, 2, 1.0, 2)
+    keys = [child(IndexKey(SEED, (31,)), (k,)) for k in range(4)]
+    batch = generate_batch(pack(keys), np.ones(len(keys)), 3, 2, 1.0, 2)
     paths = [generate(key, 3, 2, 1.0, 2) for key in keys]
     rng = np.random.default_rng(SEED)
     grid = np.arange(9) / 8.0
@@ -255,8 +256,9 @@ def test_truncated_generation_equals_full_on_every_filled_prefix(dim, horizon):
     # prefix that its reads can touch, byte-equal to the whole path, and is
     # charged the logical draws of whole paths; dim 9 is two digest blocks
     rng = np.random.default_rng(dim)
-    keys = children([IndexKey(SEED, (40,)), IndexKey(SEED + 1, (400, 16384))],
-                    [(k,) for k in range(4)])
+    keys = [child(parent, (k,)) for parent in (IndexKey(SEED, (40,)),
+                                               IndexKey(SEED + 1, (400, 16384)))
+            for k in range(4)]
     for m in (1, 2, 3, 5):
         for level in (1, 2, 3):
             steps = m**level
@@ -265,7 +267,7 @@ def test_truncated_generation_equals_full_on_every_filled_prefix(dim, horizon):
                                     np.nextafter(rng.choice(grid[1:], 2), 0.0),
                                     rng.uniform(0.0, horizon, 2)])
             ledger = CostLedger()
-            batch = generate_batch(keys, until, level, m, horizon, dim, ledger)
+            batch = generate_batch(pack(keys), until, level, m, horizon, dim, ledger)
             assert ledger.scalar_draws == len(keys) * steps * dim
             want = [reach_oracle(t, level, m, horizon) for t in until]
             assert batch.filled.tolist() == want, (m, level)
@@ -290,7 +292,7 @@ def test_reach_covers_a_coarser_grid_one_ulp_ahead():
     assert t == 0.016666666666666666 < 3 * 0.05 / 9 == 0.01666666666666667
     assert snap(t, 2, 3, 0.05)[0] == 2 and snap(t, 1, 3, 0.05)[0] == 1
     key = IndexKey(SEED, (41,))
-    batch = generate_batch([key], [t], 2, 3, 0.05, 1)
+    batch = generate_batch(pack([key]), [t], 2, 3, 0.05, 1)
     assert batch.filled.tolist() == [3]
     full = generate(key, 2, 3, 0.05, 1).values
     owner = np.zeros(1, dtype=np.intp)
@@ -301,7 +303,7 @@ def test_reach_covers_a_coarser_grid_one_ulp_ahead():
 def test_read_past_the_filled_prefix_raises():
     # generated up to 0.3 at level 3, m = 2: the prefix ends at index 2
     # (t = 0.25); later reads at any level are refused, not served stale
-    keys = children([IndexKey(SEED, (42,))], [(0,), (1,)])
+    keys = children(pack([IndexKey(SEED, (42,))]), [(0,), (1,)])
     batch = generate_batch(keys, [0.3, 1.0], 3, 2, 1.0, 1)
     assert batch.filled.tolist() == [2, 8]
     first = np.zeros(1, dtype=np.intp)

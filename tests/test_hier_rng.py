@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import kstest, kstwobign
 
-from mlpicard import brownian, hier_rng
+from mlpicard import brownian, hier_rng, mlp
 from mlpicard.hier_rng import (
     IndexKey,
+    batch_normals,
     batch_step_normals,
     batch_uniform,
     child,
     children,
     derive_seed,
     normals,
+    pack,
     step_normals,
     uniform,
     uniforms,
@@ -221,22 +223,26 @@ def test_cached_tables_match_uncached_hashing(path):
 
 
 def test_suffix_caches_bounded_and_empty_after_import():
-    for table in (hier_rng._block_suffixes, hier_rng._step_suffixes, brownian._grid):
+    tables = (hier_rng._block_suffixes, hier_rng._step_suffixes, hier_rng._extension_coords,
+              mlp._term_extensions, brownian._grid)
+    for table in tables:
         assert table.cache_info().maxsize is not None
     for steps in range(1, 200):
         step_normals(IndexKey(SEED, (1,)), steps, 1)
     info = hier_rng._step_suffixes.cache_info()
     assert info.currsize <= info.maxsize
     probe = (
-        "import mlpicard; from mlpicard import brownian, hier_rng; "
+        "import mlpicard; from mlpicard import brownian, hier_rng, mlp; "
         "print(hier_rng._block_suffixes.cache_info().currsize, "
         "hier_rng._step_suffixes.cache_info().currsize, "
+        "hier_rng._extension_coords.cache_info().currsize, "
+        "mlp._term_extensions.cache_info().currsize, "
         "brownian._grid.cache_info().currsize)"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.split() == ["0", "0", "0"]
+    assert out.stdout.split() == ["0"] * len(tables)
 
 
 def leb128_path(path):
@@ -244,25 +250,31 @@ def leb128_path(path):
 
 
 def test_children_extend_the_encoded_path():
-    # a child's encoding is built from its parent's, but must equal the
-    # length-prefixed LEB128 encoding of the whole path: single- and
-    # multi-byte coordinates, and length prefixes that cross 128
-    parents = [IndexKey(SEED, p) for p in ((), (0,), (127, 128), (300, 16383, 16384, 2**40),
-                                            tuple(range(126)), tuple(range(130)))]
+    # a packed child's encoding is one concatenation of its own length
+    # header, its parent's encoded coordinates and the extension's, but must
+    # equal the length-prefixed LEB128 encoding of the whole path: parents of
+    # mixed depth and seed in one batch, single- and multi-byte coordinates,
+    # extensions of mixed length, and length headers that cross 128 (a
+    # 126-deep parent with a 3-long extension) or start beyond it
+    parents = [IndexKey(SEED + i, p) for i, p in enumerate(
+        ((), (0,), (127, 128), (300, 16383, 16384, 2**40), tuple(range(126)),
+         tuple(range(130))))]
     extensions = [(), (0,), (2, 1, 1), (128, 16384), (2**40, 5, 127)]
-    subs = children(parents, extensions)
-    assert len(subs) == len(parents) * len(extensions)
+    seeds, paths = children(pack(parents), extensions)
+    assert len(seeds) == len(paths) == len(parents) * len(extensions)
     for i, key in enumerate(parents):
         for j, ext in enumerate(extensions):
-            sub = subs[i * len(extensions) + j]  # key-major
-            want = IndexKey(SEED, key.path + ext)
-            assert sub == want and hash(sub) == hash(want)
-            assert sub.seed == key.seed
-            assert sub.path_bytes == leb128_path(key.path + ext)
-            assert sub == child(key, ext)
-            # grandchildren are built from the child's own encoding
-            grand = child(sub, (3, 129))
-            assert grand.path_bytes == leb128_path(key.path + ext + (3, 129))
+            at = i * len(extensions) + j  # key-major
+            want = hier_rng._path_bytes(key.path + ext)
+            assert want == leb128_path(key.path + ext)
+            assert (seeds[at], paths[at]) == (key.seed, want)
+            assert pack([child(key, ext)]) == ([seeds[at]], [paths[at]])
+    # grandchildren are built from the children's own encodings
+    grand = children((seeds, paths), [(3, 129)])
+    assert grand == (seeds, [leb128_path(key.path + ext + (3, 129))
+                             for key in parents for ext in extensions])
+    assert children(pack(parents), []) == ([], [])
+    assert children(([], []), extensions) == ([], [])
 
 
 def test_children_validate_the_extension():
@@ -270,10 +282,13 @@ def test_children_validate_the_extension():
     with pytest.raises(ValueError):
         child(key, (3, -1))
     with pytest.raises(ValueError):
-        children([key, key], [(0,), (-5,)])
+        children(pack([key, key]), [(0,), (-5,)])
+    with pytest.raises(ValueError):  # a refused list is not cached
+        children(pack([key]), [(0,), (-5,)])
     # integer-valued coordinates are normalized like IndexKey's
     assert child(key, (np.int64(4),)).path == (1, 2, 4)
     assert type(child(key, (np.int64(4),)).path[-1]) is int
+    assert children(pack([key]), [[np.int64(4)]]) == pack([IndexKey(SEED, (1, 2, 4))])
 
 
 def test_key_pickles_with_its_encoding():
@@ -284,19 +299,30 @@ def test_key_pickles_with_its_encoding():
 
 @pytest.mark.parametrize("dim", [1, 4, 9])
 def test_batch_draws_equal_one_key_draws(dim):
-    # the batched forms hash each key with its own primed hasher; every row
+    # the batched forms take a packed key batch (here of two seeds, part of
+    # it made by children) and hash each key with its own hasher; every row
     # must equal the one-key function's output, bit for bit
     keys = [IndexKey(SEED, p) for p in ((0, 4, 2, 1), (300, 1), (), (0, 4, 2, 2))]
-    keys += children([IndexKey(SEED + 1, (16384,))], [(k, 1) for k in range(3)])
-    u = batch_uniform(keys, "u")
+    seeds, paths = pack(keys)
+    parent = IndexKey(SEED + 1, (16384,))
+    subs = children(pack([parent]), [(k, 1) for k in range(3)])
+    packed = (seeds + subs[0], paths + subs[1])
+    keys += [child(parent, (k, 1)) for k in range(3)]
+    u = batch_uniform(packed, "u")
     assert u.tobytes() == np.array([uniform(k, "u") for k in keys]).tobytes()
+    for count in (0, 1, 8, 9, 17):
+        got = batch_normals(packed, "g", count * dim, 2.0)
+        assert got.shape == (len(keys), count * dim)
+        want = np.array([normals(k, "g", count * dim, 2.0) for k in keys])
+        assert got.tobytes() == want.tobytes(), count
     for steps in (1, 5, 130):
-        got = batch_step_normals(keys, steps, dim, 0.25)
+        got = batch_step_normals(packed, steps, dim, 0.25)
         assert got.shape == (len(keys), steps, dim)
         want = np.array([step_normals(k, steps, dim, 0.25) for k in keys])
         assert got.tobytes() == want.tobytes(), (steps, dim)
-    assert batch_uniform([], "u").shape == (0,)
-    assert batch_step_normals([], 5, dim).shape == (0, 5, dim)
+    assert batch_uniform(([], []), "u").shape == (0,)
+    assert batch_normals(([], []), "g", 3).shape == (0, 3)
+    assert batch_step_normals(([], []), 5, dim).shape == (0, 5, dim)
 
 
 @pytest.mark.parametrize("dim", [1, 9])
@@ -314,7 +340,7 @@ def test_batch_step_normals_hash_only_the_counted_rows(dim, monkeypatch):
         return out
 
     monkeypatch.setattr(hier_rng, "_hash_suffixes", counted)
-    got = batch_step_normals(keys, 130, dim, 0.25, counts)
+    got = batch_step_normals(pack(keys), 130, dim, 0.25, counts)
     assert hashed == [sum(counts) * -(-dim // 8)]
     assert got.shape == (len(keys), 130, dim)
     for key, count, rows in zip(keys, counts, got):
@@ -322,4 +348,4 @@ def test_batch_step_normals_hash_only_the_counted_rows(dim, monkeypatch):
         assert not rows[count:].any()
     for bad in ([0, 3, 131, 1], [0, -1, 2, 1], [1, 2]):
         with pytest.raises(ValueError):
-            batch_step_normals(keys, 130, dim, 0.25, bad)
+            batch_step_normals(pack(keys), 130, dim, 0.25, bad)

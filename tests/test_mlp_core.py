@@ -10,7 +10,7 @@ import mlpicard.hier_rng as hier_rng
 from mlpicard.brownian import PathBatch, _snap_indices, generate_batch
 from mlpicard.errors import ConfigError, NonFiniteDriftError
 from mlpicard.harness import build_config, run
-from mlpicard.hier_rng import IndexKey, children, uniform
+from mlpicard.hier_rng import IndexKey, child, pack, uniform
 from mlpicard.ledger import CostLedger
 from mlpicard.mlp import realize_estimate, rep_seed
 from mlpicard.models import Problem, builtin_problem, make_drift
@@ -120,11 +120,11 @@ def test_process_consistency_addresses():
         addresses = set()
 
         def traced_uniform(keys, tag):
-            addresses.update(("u", k, tag) for k in keys)
+            addresses.update(("u", k, tag) for k in zip(*keys))
             return real_uniform(keys, tag)
 
         def traced_generate(keys, until, level, m, horizon, dim, ledger=None):
-            addresses.update(("w", k, level) for k in keys)
+            addresses.update(("w", k, level) for k in zip(*keys))
             return real_generate(keys, until, level, m, horizon, dim, ledger)
 
         mlp_mod.batch_uniform = traced_uniform
@@ -191,8 +191,9 @@ def test_time_vector_matches_per_time_reference():
         prob = builtin_problem(name, d=d, T=1.5, xi=0.75, **params)
         for n, m in ((1, 3), (2, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)):
             root = IndexKey(SEED + 100 * d + 10 * n + m, (0,))
-            keys = children([root], [(k,) for k in range(3)])
-            paths = generate_batch(keys, np.full(len(keys), prob.horizon), n, m, prob.horizon, d)
+            keys = [child(root, (k,)) for k in range(3)]
+            paths = generate_batch(pack(keys), np.full(len(keys), prob.horizon), n, m,
+                                   prob.horizon, d)
             grid = np.arange(m**n + 1) * prob.horizon / m**n
             times = np.concatenate([[0.0, prob.horizon], grid, rng.uniform(0.0, 1.5, 4)])
             owner = rng.integers(0, len(keys), len(times))
@@ -304,15 +305,16 @@ def test_term_memo_call_counts_and_scope():
     calls = {"uniform": 0, "generate": 0}
     keys = {"uniform": set(), "generate": set()}
 
-    # the batched evaluator draws through these two, many keys per call
+    # the batched evaluator draws through these two, many keys per call, each
+    # batch two parallel lists: seeds and encoded paths
     def counted_uniform(batch, *args):
-        calls["uniform"] += len(batch)
-        keys["uniform"].update(batch)
+        calls["uniform"] += len(batch[1])
+        keys["uniform"].update(zip(*batch))
         return real_uniform(batch, *args)
 
     def counted_generate(batch, *args):
-        calls["generate"] += len(batch)
-        keys["generate"].update(batch)
+        calls["generate"] += len(batch[1])
+        keys["generate"].update(zip(*batch))
         return real_generate(batch, *args)
 
     mlp_mod.batch_uniform = counted_uniform
@@ -345,15 +347,15 @@ def test_each_path_is_generated_up_to_its_last_read(monkeypatch):
 
     def recording_generate(*args):
         batch = real_generate(*args)
-        filled.update(zip(batch.keys, batch.filled.tolist()))
+        filled.update(zip(zip(*batch.keys), batch.filled.tolist()))
         return batch
 
     def recording_value_at(self, t, owner, query_level):
         out = real_value_at(self, t, owner, query_level)
         idx = _snap_indices(t, query_level, self.branching, self.horizon)
-        most = np.full(len(self.keys), -1)
+        most = np.full(len(self.keys[1]), -1)
         np.maximum.at(most, owner, idx * self.branching ** (self.level - query_level))
-        for key, index in zip(self.keys, most.tolist()):
+        for key, index in zip(zip(*self.keys), most.tolist()):
             read[key] = max(read.get(key, -1), index)
         return out
 
@@ -371,22 +373,46 @@ def test_each_path_is_generated_up_to_its_last_read(monkeypatch):
         assert all(filled[key] >= read[key] for key in filled)
 
 
+class CountingHasher:
+    """A BLAKE2b hasher that counts each digest under ``kind[0]``."""
+
+    def __init__(self, hasher, tally, kind):
+        self.hasher, self.tally, self.kind = hasher, tally, kind
+
+    def copy(self):
+        return CountingHasher(self.hasher.copy(), self.tally, self.kind)
+
+    def update(self, data):
+        self.hasher.update(data)
+
+    def digest(self):
+        self.tally[self.kind[0]] += 1
+        return self.hasher.digest()
+
+
 def test_path_step_digests_pinned_at_k5(monkeypatch):
     # one k = 5 realization hashes 14275 path-step digests (58150 whole
     # paths) and 6745 uniform digests, and is still charged the logical
-    # draws of whole paths
-    real = hier_rng._hash_suffixes
-    digests = {"step": 0, "other": 0}
+    # draws of whole paths; every digest is counted where it is computed,
+    # under the estimator's entry point that asked for it
+    tally = {"step": 0, "other": 0}
+    kind = [None]
+    blake2b = hashlib.blake2b
+    monkeypatch.setattr(hier_rng, "hashlib", type(hashlib)("counting_hashlib"))
+    hier_rng.hashlib.blake2b = lambda *args, **kwargs: CountingHasher(
+        blake2b(*args, **kwargs), tally, kind)
 
-    def counted(keys, prefix, *args):
-        out = real(keys, prefix, *args)
-        digests["step" if prefix == hier_rng._INT_TAG else "other"] += len(out) // 64
-        return out
+    def under(name, fn):
+        def counted(*args):
+            kind[0] = name
+            return fn(*args)
+        return counted
 
-    monkeypatch.setattr(hier_rng, "_hash_suffixes", counted)
+    monkeypatch.setattr(mlp_mod, "generate_batch", under("step", mlp_mod.generate_batch))
+    monkeypatch.setattr(mlp_mod, "batch_uniform", under("other", mlp_mod.batch_uniform))
     prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
     res = realize_estimate(prob, 5, 5, SEED)
-    assert digests == {"step": 14275, "other": 6745}
+    assert tally == {"step": 14275, "other": 6745}
     assert res.ledger.snapshot() == (156505, 81031)
 
 
