@@ -12,20 +12,17 @@ __version__ = "0.1.0"
 from .errors import ConfigError, ResourceLimitError
 from .hier_rng import IndexKey, child, derive_seed, normals, uniform, uniforms
 from .ledger import CostLedger
-from .mlp import RealizeResult, realize_estimate
+from .mlp import realize_estimate
 from .models import (
     DriftModel,
-    Oracle,
     Problem,
     builtin_problem,
     lipschitz_selfcheck,
     make_drift,
-    oracle_mean,
     pathwise_value,
 )
-from .particles import EnsembleStats, ensemble_stats, simulate_particles
+from .particles import ensemble_stats, simulate_particles
 from .recursions import (
-    CertificateResult,
     complexity_certificate,
     cost_bound,
     cost_budget,
@@ -36,22 +33,17 @@ from .recursions import (
     gronwall_closed_form,
     log_cost_bound,
     log_error_bound,
-    log_moment_bound,
     moment_bound,
     two_step_closed_form,
     two_step_roots,
 )
 
 __all__ = [
-    "CertificateResult",
     "ConfigError",
     "CostLedger",
     "DriftModel",
-    "EnsembleStats",
     "IndexKey",
-    "Oracle",
     "Problem",
-    "RealizeResult",
     "ResourceLimitError",
     "builtin_problem",
     "child",
@@ -68,11 +60,9 @@ __all__ = [
     "lipschitz_selfcheck",
     "log_cost_bound",
     "log_error_bound",
-    "log_moment_bound",
     "make_drift",
     "moment_bound",
     "normals",
-    "oracle_mean",
     "pathwise_value",
     "realize_estimate",
     "simulate_particles",

@@ -4,8 +4,10 @@ Configuration is a flat key=value text file plus ``--set key=value``
 overrides; no nesting.  Every mode is deterministic given its configuration:
 all randomness flows through the keyed generator from the single master
 seed, repetition fan-out across a worker pool preserves ordering before any
-aggregation, and CSV numbers are printed with 17 significant digits.  Wall
-times are reported but are the only non-reproducible columns.
+aggregation, and CSV numbers are printed with 17 significant digits.  One
+recorder ends every mode's rows with ``status`` and ``wall_s``, the seconds
+of the row's own work (the rows of oracle-compare share one span); wall
+times are the only non-reproducible columns.
 
 Modes
 -----
@@ -33,6 +35,7 @@ a dead worker process.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -207,12 +210,6 @@ def _convert(name: str, text: str, kind: type):
         raise ConfigError(f"cannot parse {name}={text!r} as {kind.__name__}") from None
 
 
-def _field_types() -> dict[str, type]:
-    return {"mode": str, "problem": str, "out": str, "eps_list": str} | {
-        f.name: type(getattr(ExperimentConfig(), f.name)) for f in fields(ExperimentConfig)
-    }
-
-
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a flat key=value file; '#' starts a comment, blank lines ignored."""
     mapping: dict[str, str] = {}
@@ -237,25 +234,20 @@ def build_config(
     **overrides,
 ) -> ExperimentConfig:
     """Assemble a validated config from file, --set pairs, and CLI overrides."""
-    types = _field_types()
-    cfg = ExperimentConfig()
-    pending: dict[str, str] = {}
-    if config_path:
-        pending.update(parse_config_file(config_path))
+    types = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+    pending = parse_config_file(config_path) if config_path else {}
     for item in sets:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         pending[key.strip()] = value.strip()
-    for key, text in pending.items():
-        if key not in types:
-            raise ConfigError(f"unknown config key {key!r}")
-        cfg = replace(cfg, **{key: _convert(key, text, types[key])})
     clean = {k: v for k, v in overrides.items() if v is not None}
-    for key in clean:
+    # one check of the keys, from the file, --set pairs and CLI shorthands alike
+    for key in [*pending, *clean]:
         if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
-    cfg = replace(cfg, **clean)
+    typed = {key: _convert(key, text, types[key]) for key, text in pending.items()}
+    cfg = replace(ExperimentConfig(), **typed | clean)
     cfg.validate()
     return cfg
 
@@ -387,6 +379,7 @@ _CLOSED_FORMS = (
     (gronwall_closed_form, direct_gronwall, True),
 )
 _CLOSED_FORM_TOL = 1e-9
+_CLOSED_FORM_HORIZON = 30  # forcing terms b(0..30) per case
 
 
 def _brute_force_budget(n: int, m: int, d: int, v: int, f: int) -> int:
@@ -412,37 +405,39 @@ def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
 
 def _closed_form_suites(cfg: ExperimentConfig):
     """Per suite of ``_CLOSED_FORMS``, in order: (cases, worst relative gap of
-    the closed form against its direct recursion, start time)."""
+    the closed form against its direct recursion)."""
     for solver, direct, complex_params in _CLOSED_FORMS:
-        started = time.perf_counter()
-        draws = _recursion_parameter_draws(cfg.seed, cfg.rec_draws, 30, complex_params)
+        draws = _harness_draws(cfg.seed, cfg.rec_draws, "params", 4 + _CLOSED_FORM_HORIZON + 1,
+                               lambda u: _recursion_parameters(u, complex_params))
         worst = max(0.0, *(_relative_error(solver(*draw), direct(*draw)) for draw in draws))
-        yield len(draws), worst, started
+        yield len(draws), worst
 
 
-def _recursion_parameter_draws(
-    seed: int, count: int, horizon: int, complex_params: bool
-) -> list[tuple[complex, complex, np.ndarray]]:
-    """Randomized (kappa, lambda, forcing) with well-separated roots."""
+def _harness_draws(seed: int, count: int, tag: str, words: int, draw: Callable) -> list:
+    """The first ``count`` accepted draws of the harness branch: child i of
+    ``(seed, (_HARNESS_BRANCH,))`` gives ``draw`` its ``words`` uniforms under
+    ``tag``, for i = 0, 1, ..., and ``draw`` rejects them by returning None."""
     key = IndexKey(seed, (_HARNESS_BRANCH,))
-    draws = []
-    i = 0
-    while len(draws) < count:
-        u = uniforms(child(key, (i,)), "params", 4 + horizon + 1)
-        i += 1
-        kappa = 0.2 + 2.8 * u[0]
-        lam = 0.2 + 2.8 * u[1]
-        if complex_params:
-            kappa = complex(kappa, 2.0 * u[2] - 1.0)
-            lam = complex(lam, 2.0 * u[3] - 1.0)
-        forcing = 2.0 * u[4:] - 1.0
-        # keep both characteristic discriminants away from zero
-        if abs(kappa * kappa + 4.0 * lam) < 0.05:
-            continue
-        if abs((1.0 + kappa) ** 2 + 4.0 * lam) < 0.05:
-            continue
-        draws.append((kappa, lam, forcing))
-    return draws
+    draws = (draw(uniforms(child(key, (i,)), tag, words)) for i in itertools.count())
+    return list(itertools.islice((d for d in draws if d is not None), count))
+
+
+def _recursion_parameters(
+    u: np.ndarray, complex_params: bool
+) -> Optional[tuple[complex, complex, np.ndarray]]:
+    """Randomized (kappa, lambda, forcing) with well-separated roots."""
+    kappa = 0.2 + 2.8 * u[0]
+    lam = 0.2 + 2.8 * u[1]
+    if complex_params:
+        kappa = complex(kappa, 2.0 * u[2] - 1.0)
+        lam = complex(lam, 2.0 * u[3] - 1.0)
+    forcing = 2.0 * u[4:] - 1.0
+    # keep both characteristic discriminants away from zero
+    if abs(kappa * kappa + 4.0 * lam) < 0.05:
+        return None
+    if abs((1.0 + kappa) ** 2 + 4.0 * lam) < 0.05:
+        return None
+    return kappa, lam, forcing
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +480,29 @@ def write_csv(result: ExperimentResult, path: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _status(ok: bool) -> str:
-    return "ok" if ok else "FAIL"
+class _Recorder:
+    """The rows of one mode run: the mode's columns, then ``status`` and
+    ``wall_s``.  Each :meth:`add` closes one span of work, timed from the
+    recorder's creation or the previous ``add``; its rows share the span's
+    status and wall time, and its ``ok`` folds into the run's."""
+
+    def __init__(self, cfg: ExperimentConfig, *columns: str) -> None:
+        self.cfg = cfg
+        self.columns = (*columns, "status", "wall_s")
+        self.rows: list[tuple] = []
+        self.ok = True
+        self.started = time.perf_counter()
+
+    def add(self, ok: bool, *rows: tuple) -> None:
+        now = time.perf_counter()
+        self.ok &= ok
+        self.rows += [(*row, "ok" if ok else "FAIL", now - self.started) for row in rows]
+        self.started = now
+
+    def result(self, footer: Sequence[str] = ()) -> ExperimentResult:
+        return ExperimentResult(
+            self.cfg.mode, self.columns, self.rows, list(footer), self.ok, self.cfg.echo()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +519,16 @@ def _require_budget(cfg: ExperimentConfig, n: int, m: int) -> int:
     return budget
 
 
+def _bound_constants(problem: Problem) -> tuple[float, float, float]:
+    """(L, ||xi||, ||mu(0, 0)||), the problem's constants in the error,
+    moment and cost-times-accuracy bounds."""
+    return (
+        problem.drift.lipschitz_L,
+        float(np.linalg.norm(problem.initial)),
+        float(np.linalg.norm(problem.drift.value_at_origin)),
+    )
+
+
 def _mode_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     spec = problem_spec(cfg)
     problem = _cached_problem(spec)
@@ -511,40 +537,31 @@ def _mode_convergence(cfg: ExperimentConfig) -> ExperimentResult:
             f"convergence mode needs a pathwise oracle; problem {cfg.problem!r} "
             f"has {problem.oracle_kind!r}"
         )
-    norm_xi = float(np.linalg.norm(problem.initial))
-    norm_mu = float(np.linalg.norm(problem.drift.value_at_origin))
-    L = problem.drift.lipschitz_L
-
-    columns = (
-        "k", "n", "m", "reps", "rmse", "rmse_ci_half", "rmse_ci_upper", "error_bound",
-        "bound_ok", "draws", "evals", "cost_budget", "cost_bound", "status", "wall_s",
-    )
-    rows = []
+    constants = _bound_constants(problem)
     rmses, rmse_ses = [], []
-    all_ok = True
     budgets = [_require_budget(cfg, k, k) for k in cfg.levels()]
     with _worker_pool(cfg.jobs, cfg.reps) as pool:
+        rec = _Recorder(
+            cfg, "k", "n", "m", "reps", "rmse", "rmse_ci_half", "rmse_ci_upper", "error_bound",
+            "bound_ok", "draws", "evals", "cost_budget", "cost_bound",
+        )
         for k, budget in zip(cfg.levels(), budgets):
-            started = time.perf_counter()
             results = _repetitions(cfg, spec, k, k, pool)
             w0 = np.array([r[1] for r in results])
             diffs = np.array([r[0] for r in results]) - pathwise_value(problem, problem.horizon, w0)
             squared = np.array([float(diff @ diff) for diff in diffs])
             draws, evals = results[0][2:]
             rmse, half, se_sq = summarize_squared_errors(squared)
-            bound = error_bound(k, k, cfg.T, cfg.T, cfg.d, L, norm_xi, norm_mu)
+            bound = error_bound(k, k, cfg.T, cfg.T, cfg.d, *constants)
             ok = rmse + half <= bound
-            all_ok &= ok
             rmses.append(rmse)
             rmse_ses.append(se_sq / (2.0 * rmse) if rmse > 0 else 0.0)
-            rows.append((
+            rec.add(ok, (
                 k, k, k, cfg.reps, rmse, half, rmse + half, bound, ok, draws, evals,
-                budget, cost_bound(k, k, cfg.d, 1, 1), _status(ok),
-                time.perf_counter() - started,
+                budget, cost_bound(k, k, cfg.d, 1, 1),
             ))
 
-    footer = _slope_footer(list(cfg.levels()), rmses, rmse_ses)
-    return ExperimentResult("convergence", columns, rows, footer, all_ok, cfg.echo())
+    return rec.result(_slope_footer(list(cfg.levels()), rmses, rmse_ses))
 
 
 def _slope_footer(ks: list[int], rmses: list[float], ses: list[float]) -> list[str]:
@@ -580,76 +597,48 @@ def _slope_footer(ks: list[int], rmses: list[float], ses: list[float]) -> list[s
 
 
 def _mode_cost_table(cfg: ExperimentConfig) -> ExperimentResult:
-    spec = problem_spec(cfg)
-    problem = _cached_problem(spec)
-    columns = (
-        "n", "m", "d", "draws", "evals", "draws_budget", "evals_budget", "cost_budget",
+    problem = _cached_problem(problem_spec(cfg))
+    rec = _Recorder(
+        cfg, "n", "m", "d", "draws", "evals", "draws_budget", "evals_budget", "cost_budget",
         "cost_bound", "draws_ok", "evals_ok", "budget_le_bound", "draws_ge_top_path",
-        "status", "wall_s",
     )
-    rows = []
-    all_ok = True
     for n in cfg.levels():
         for m in cfg.levels():
-            _require_budget(cfg, n, m)
-            started = time.perf_counter()
+            total_budget = _require_budget(cfg, n, m)
             result = realize_estimate(
                 problem, n, m, derive_seed(cfg.seed, "cell", n, m)
             )
             draws, evals = result.ledger.snapshot()
             draws_budget = cost_budget(n, m, cfg.d, 1, 0)
             evals_budget = cost_budget(n, m, cfg.d, 0, 1)
-            total_budget = cost_budget(n, m, cfg.d, 1, 1)
             bound = cost_bound(n, m, cfg.d, 1, 1)
             draws_ok = draws <= draws_budget
             evals_ok = evals <= evals_budget
             budget_le_bound = total_budget <= bound
             top_path_ok = draws >= m**n * cfg.d
             ok = draws_ok and evals_ok and budget_le_bound and top_path_ok
-            all_ok &= ok
-            rows.append((
+            rec.add(ok, (
                 n, m, cfg.d, draws, evals, draws_budget, evals_budget, total_budget,
-                bound, draws_ok, evals_ok, budget_le_bound, top_path_ok, _status(ok),
-                time.perf_counter() - started,
+                bound, draws_ok, evals_ok, budget_le_bound, top_path_ok,
             ))
-    return ExperimentResult("cost-table", columns, rows, [], all_ok, cfg.echo())
+    return rec.result()
 
 
 def _mode_verify_bounds(cfg: ExperimentConfig) -> ExperimentResult:
-    spec = problem_spec(cfg)
-    problem = _cached_problem(spec)
-    columns = ("check", "observed", "limit", "margin", "status", "wall_s")
-    rows = []
-    all_ok = True
-
-    def record(check: str, observed: float, limit: float, started: float, ok: bool) -> None:
-        nonlocal all_ok
-        all_ok &= ok
-        rows.append((
-            check, observed, limit, limit - observed, _status(ok),
-            time.perf_counter() - started,
-        ))
-
-    started = time.perf_counter()
+    problem = _cached_problem(problem_spec(cfg))
+    rec = _Recorder(cfg, "check", "observed", "limit", "margin")
     samples = simulate_particles(problem, cfg.particles_n, cfg.particles_m, cfg.seed)
     stats = ensemble_stats(samples)
-    bound = moment_bound(
-        cfg.T,
-        problem.drift.lipschitz_L,
-        float(np.linalg.norm(problem.initial)),
-        float(np.linalg.norm(problem.drift.value_at_origin)),
-        cfg.d,
-    )
+    bound = moment_bound(cfg.T, *_bound_constants(problem), cfg.d)
+    observed = stats.second_moment_root
     limit = bound + 3.0 * stats.second_moment_root_se
-    record("particle_second_moment_root", stats.second_moment_root, limit, started,
-           stats.second_moment_root <= limit)
+    rec.add(observed <= limit, _check("particle_second_moment_root", observed, limit))
 
     names = ("two_step_agreement", "two_step_agreement_complex", "gronwall_agreement",
              "gronwall_agreement_complex")
-    for name, (_, worst, started) in zip(names, _closed_form_suites(cfg)):
-        record(name, worst, _CLOSED_FORM_TOL, started, worst < _CLOSED_FORM_TOL)
+    for name, (_, worst) in zip(names, _closed_form_suites(cfg)):
+        rec.add(worst < _CLOSED_FORM_TOL, _check(name, worst, _CLOSED_FORM_TOL))
 
-    started = time.perf_counter()
     worst_gap = -math.inf
     for n in range(0, 9):
         for m in range(1, 6):
@@ -660,32 +649,29 @@ def _mode_verify_bounds(cfg: ExperimentConfig) -> ExperimentResult:
                             worst_gap,
                             cost_budget(n, m, d, v, f) - cost_bound(n, m, d, v, f),
                         )
-    record("budget_minus_bound_max", float(worst_gap), 0.0, started, worst_gap <= 0)
+    rec.add(worst_gap <= 0, _check("budget_minus_bound_max", float(worst_gap), 0.0))
 
-    started = time.perf_counter()
     worst = -math.inf
-    for kappa, lam, cs in _majorant_parameter_draws(cfg.seed, cfg.bound_draws):
+    draws = _harness_draws(cfg.seed, cfg.bound_draws, "majorant-params", 6, _majorant_parameters)
+    for kappa, lam, cs in draws:
         overshoot = _gronwall_majorant_overshoot(kappa, lam, *cs, horizon=20)
         worst = max(worst, overshoot)
-    record("gronwall_majorant_overshoot_max", float(worst), 0.0, started, worst <= 0.0)
+    rec.add(worst <= 0.0, _check("gronwall_majorant_overshoot_max", float(worst), 0.0))
+    return rec.result()
 
-    return ExperimentResult("verify-bounds", columns, rows, [], all_ok, cfg.echo())
+
+def _check(name: str, observed: float, limit: float) -> tuple:
+    """A verify-bounds row: check, observed, limit and margin."""
+    return name, observed, limit, limit - observed
 
 
-def _majorant_parameter_draws(
-    seed: int, count: int
-) -> list[tuple[float, float, tuple[float, float, float, float]]]:
-    key = IndexKey(seed, (_HARNESS_BRANCH,))
-    draws = []
-    i = 0
-    while len(draws) < count:
-        u = uniforms(child(key, (i,)), "majorant-params", 6)
-        i += 1
-        kappa, lam = 3.0 * u[0], 3.0 * u[1]
-        if kappa + lam < 0.05:  # need growth base beta > 1
-            continue
-        draws.append((kappa, lam, (5.0 * u[2], 5.0 * u[3], 5.0 * u[4], 5.0 * u[5])))
-    return draws
+def _majorant_parameters(
+    u: np.ndarray,
+) -> Optional[tuple[float, float, tuple[float, float, float, float]]]:
+    kappa, lam = 3.0 * u[0], 3.0 * u[1]
+    if kappa + lam < 0.05:  # need growth base beta > 1
+        return None
+    return kappa, lam, (5.0 * u[2], 5.0 * u[3], 5.0 * u[4], 5.0 * u[5])
 
 
 def _gronwall_majorant_overshoot(
@@ -713,7 +699,7 @@ def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
     spec = problem_spec(cfg)
     problem = _cached_problem(spec)
     _require_budget(cfg, cfg.mlp_n, cfg.mlp_m)
-    started = time.perf_counter()
+    rec = _Recorder(cfg, "coord", "mlp_mean", "mlp_se", "particle_mean", "particle_se")
     with _worker_pool(cfg.jobs, cfg.reps) as pool:
         values = np.array([r[0] for r in _repetitions(cfg, spec, cfg.mlp_n, cfg.mlp_m, pool)])
     mlp_mean = values.mean(axis=0)
@@ -725,36 +711,25 @@ def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
     distance = float(np.linalg.norm(mlp_mean - stats.mean))
     combined = float(math.sqrt(float(np.sum(mlp_se**2 + stats.mean_se**2))))
     agree = distance <= 3.0 * combined
-    wall = time.perf_counter() - started
-
-    columns = ("coord", "mlp_mean", "mlp_se", "particle_mean", "particle_se",
-               "status", "wall_s")
-    rows = [
-        (i, mlp_mean[i], mlp_se[i], stats.mean[i], stats.mean_se[i], _status(agree), wall)
-        for i in range(cfg.d)
-    ]
+    # one span for every coordinate: the rows share its status and wall time
+    rec.add(agree, *[
+        (i, mlp_mean[i], mlp_se[i], stats.mean[i], stats.mean_se[i]) for i in range(cfg.d)
+    ])
     footer = [
         f"distance={_fmt(distance)}",
         f"combined_se={_fmt(combined)}",
         f"sigmas={_fmt(distance / combined if combined > 0 else 0.0)}",
         f"agree_3se={'1' if agree else '0'}",
     ]
-    return ExperimentResult("oracle-compare", columns, rows, footer, agree, cfg.echo())
+    return rec.result(footer)
 
 
 def _mode_recursion_selftest(cfg: ExperimentConfig) -> ExperimentResult:
-    columns = ("suite", "cases", "max_abs_gap", "tol", "status", "wall_s")
-    rows = []
-    all_ok = True
-
+    rec = _Recorder(cfg, "suite", "cases", "max_abs_gap", "tol")
     names = ("two_step_real", "two_step_complex", "gronwall_real", "gronwall_complex")
-    for name, (cases, worst, started) in zip(names, _closed_form_suites(cfg)):
-        ok = worst < _CLOSED_FORM_TOL
-        all_ok &= ok
-        rows.append((name, cases, worst, _CLOSED_FORM_TOL, _status(ok),
-                     time.perf_counter() - started))
+    for name, (cases, worst) in zip(names, _closed_form_suites(cfg)):
+        rec.add(worst < _CLOSED_FORM_TOL, (name, cases, worst, _CLOSED_FORM_TOL))
 
-    started = time.perf_counter()
     worst_int = 0
     cases = 0
     for n in range(0, 7):
@@ -765,33 +740,23 @@ def _mode_recursion_selftest(cfg: ExperimentConfig) -> ExperimentResult:
                         gap = abs(cost_budget(n, m, d, v, f) - _brute_force_budget(n, m, d, v, f))
                         worst_int = max(worst_int, gap)
                         cases += 1
-    ok = worst_int == 0
-    all_ok &= ok
-    rows.append(("budget_vs_bruteforce", cases, float(worst_int), 0.0, _status(ok),
-                 time.perf_counter() - started))
-    return ExperimentResult("recursion-selftest", columns, rows, [], all_ok, cfg.echo())
+    rec.add(worst_int == 0, ("budget_vs_bruteforce", cases, float(worst_int), 0.0))
+    return rec.result()
 
 
 def _mode_certificate(cfg: ExperimentConfig) -> ExperimentResult:
-    spec = problem_spec(cfg)
-    problem = _cached_problem(spec)
-    norm_xi = float(np.linalg.norm(problem.initial))
-    norm_mu = float(np.linalg.norm(problem.drift.value_at_origin))
+    problem = _cached_problem(problem_spec(cfg))
     cert = complexity_certificate(
-        cfg.delta, cfg.T, cfg.d, problem.drift.lipschitz_L, norm_xi, norm_mu, cfg.cert_kmax
+        cfg.delta, cfg.T, cfg.d, *_bound_constants(problem), cfg.cert_kmax
     )
-    columns = ("eps", "n_eps", "cost_bound", "log_lhs", "log_rhs", "status", "wall_s")
-    rows = []
-    all_ok = cert.attained
     log_rhs = math.log(cfg.d + 1) + cert.log_sup
+    rec = _Recorder(cfg, "eps", "n_eps", "cost_bound", "log_lhs", "log_rhs")
+    rec.ok = cert.attained
     for eps in cfg.eps_values():
-        started = time.perf_counter()
         try:
             n_eps = cert.n_eps(eps)
         except ValueError:
-            all_ok = False
-            rows.append((eps, -1, 0, math.nan, log_rhs, _status(False),
-                         time.perf_counter() - started))
+            rec.add(False, (eps, -1, 0, math.nan, log_rhs))
             continue
         # Checked in log space and written exactly: no tally is involved, so the
         # 64-bit range of cost_bound does not apply.
@@ -803,16 +768,13 @@ def _mode_certificate(cfg: ExperimentConfig) -> ExperimentResult:
             )
         bound = exact_cost_bound(n_eps, n_eps, cfg.d, 1, 1)
         log_lhs = log_bound + (2.0 + cfg.delta) * math.log(eps)
-        ok = log_lhs <= log_rhs
-        all_ok &= ok
-        rows.append((eps, n_eps, bound, log_lhs, log_rhs, _status(ok),
-                     time.perf_counter() - started))
+        rec.add(log_lhs <= log_rhs, (eps, n_eps, bound, log_lhs, log_rhs))
     footer = [
         f"argmax_k={cert.argmax_k}",
         f"log_sup={_fmt(cert.log_sup)}",
         f"sup_attained={'1' if cert.attained else '0'}",
     ]
-    return ExperimentResult("certificate", columns, rows, footer, all_ok, cfg.echo())
+    return rec.result(footer)
 
 
 MODES: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {

@@ -52,7 +52,6 @@ __all__ = [
     "derive_seed",
     "normals",
     "pack",
-    "step_normals",
     "uniform",
     "uniforms",
 ]
@@ -236,14 +235,15 @@ def _gaussians(words: np.ndarray, variance: float) -> np.ndarray:
 
 
 def uniform(key: IndexKey, tag: Tag) -> float:
-    """One uniform draw in [0, 1), deterministic in (key, tag)."""
-    digest = _hash_suffixes(pack((key,)), _tag_bytes(tag), _block_suffixes(1))
-    return (int.from_bytes(digest[:8], "little") >> 11) * _INV_2_53
+    """One uniform draw in [0, 1), deterministic in (key, tag): the
+    :func:`batch_uniform` of the batch of one key."""
+    return float(batch_uniform(pack((key,)), tag)[0])
 
 
 def batch_uniform(keys: KeyBatch, tag: Tag) -> np.ndarray:
-    """``uniform(key, tag)`` for each key of the batch, as one array, bit for
-    bit; each key's one-block message is absorbed by one hasher copy."""
+    """One uniform draw in [0, 1) per key of the batch, deterministic in
+    (key, tag), as one array; each key's one-block message is absorbed by
+    one hasher copy."""
     hashers = _seed_hashers(keys[0])
     tail = _tag_bytes(tag) + _block_suffixes(1)[0]
     digests = bytearray()
@@ -276,11 +276,6 @@ def batch_normals(keys: KeyBatch, tag: Tag, count: int, variance: float = 1.0) -
     return _gaussians(_words(keys, tag, count), variance)
 
 
-def step_normals(key: IndexKey, steps: int, dim: int, variance: float = 1.0) -> np.ndarray:
-    """Row k is ``normals(key, k, dim, variance)`` for k = 0..steps-1, bit for bit."""
-    return batch_step_normals(pack((key,)), steps, dim, variance)[0]
-
-
 def batch_step_normals(
     keys: KeyBatch,
     steps: int,
@@ -288,9 +283,9 @@ def batch_step_normals(
     variance: float = 1.0,
     counts: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """``step_normals(key, steps, dim, variance)`` for each key of the batch,
-    stacked; key i's rows from ``counts[i]`` on are zero and not hashed (no
-    row is when ``counts`` is None).
+    """Row k of key i is ``normals(key_i, k, dim, variance)``, bit for bit,
+    for k = 0..steps-1; key i's rows from ``counts[i]`` on are zero and not
+    hashed (no row is when ``counts`` is None).
 
     The result has shape (number of keys, steps, dim).  A key's rows share the
     message prefix (path and integer-tag marker), so its keyed hasher is

@@ -1,9 +1,9 @@
 """Tallies of scalar random draws and drift evaluations.
 
-The two flags mirror the binary cost switches of the budget recursion in
-:mod:`mlpicard.recursions`: draws are counted only when ``count_draws`` is
-set, drift evaluations only when ``count_evals`` is set.  Tallies are plain
-non-decreasing integers.
+Both are always counted, as plain non-decreasing integers.  The binary cost
+switches v and f of the budget recursion in :mod:`mlpicard.recursions`
+select the components of a :meth:`CostLedger.snapshot` instead: a budget
+with v = 1, f = 0 bounds the draws, one with v = 0, f = 1 the evaluations.
 """
 
 from __future__ import annotations
@@ -15,18 +15,14 @@ __all__ = ["CostLedger"]
 
 @dataclass
 class CostLedger:
-    count_draws: bool = True
-    count_evals: bool = True
     scalar_draws: int = 0
     drift_evals: int = 0
 
     def add_draws(self, n: int) -> None:
-        if self.count_draws:
-            self.scalar_draws += n
+        self.scalar_draws += n
 
     def add_evals(self, n: int) -> None:
-        if self.count_evals:
-            self.drift_evals += n
+        self.drift_evals += n
 
     def snapshot(self) -> tuple[int, int]:
         """(scalar draws, drift evaluations) at this point."""

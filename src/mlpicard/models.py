@@ -30,7 +30,6 @@ __all__ = [
     "builtin_problem",
     "lipschitz_selfcheck",
     "make_drift",
-    "oracle_mean",
     "pathwise_value",
 ]
 
@@ -255,10 +254,3 @@ def pathwise_value(problem: Problem, t: float, w_value: np.ndarray) -> np.ndarra
     if problem.oracle is None or problem.oracle.kind != "pathwise":
         raise ValueError(f"problem has no pathwise oracle (kind {problem.oracle_kind!r})")
     return problem.oracle.pathwise(t, w_value)
-
-
-def oracle_mean(problem: Problem, t: float) -> np.ndarray:
-    """Exact mean E[X(t)] for problems carrying a mean or pathwise oracle."""
-    if problem.oracle is None:
-        raise ValueError("problem has no oracle")
-    return problem.oracle.mean(t)

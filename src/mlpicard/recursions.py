@@ -46,7 +46,6 @@ __all__ = [
     "gronwall_closed_form",
     "log_cost_bound",
     "log_error_bound",
-    "log_moment_bound",
     "moment_bound",
     "two_step_closed_form",
     "two_step_roots",
@@ -204,12 +203,6 @@ def cost_bound(n: int, m: int, d: int, v: int, f: int) -> int:
     if value > _COST_LIMIT:
         raise OverflowError(f"cost bound for n={n}, m={m} exceeds the 64-bit tally range")
     return value
-
-
-def log_moment_bound(t: float, L: float, norm_xi: float, norm_mu00: float, d: int) -> float:
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    return math.log(norm_xi + norm_mu00 * t + math.sqrt(t * d)) + L * t
 
 
 def moment_bound(t: float, L: float, norm_xi: float, norm_mu00: float, d: int) -> float:

@@ -103,10 +103,6 @@ def test_generate_counts_and_start():
     assert np.all(path.values[0] == 0.0)
     assert ledger.scalar_draws == 4
 
-    muted = CostLedger(count_draws=False)
-    generate(IndexKey(SEED, (0,)), 1, 4, 1.0, 1, muted)
-    assert muted.scalar_draws == 0
-
 
 @pytest.mark.parametrize("dim", [1, 4, 8, 9, 17])
 def test_generate_matches_per_step_reference(dim):

@@ -3,6 +3,7 @@ import importlib
 import multiprocessing
 import os
 import pkgutil
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -322,6 +323,33 @@ def test_non_finite_drift_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: drift 'law_only_linear' returned a non-finite")
         assert not out.exists()
+
+
+def test_wall_columns_time_each_rows_own_work(tmp_path, monkeypatch):
+    # every CSV hash masks wall_s, but perfbench's particles-dense rate
+    # divides the particle work by the particle row's wall_s: a 50 ms pause in
+    # the particle simulation must show in that row of verify-bounds and in
+    # no later row, and the rows of oracle-compare share the one span of
+    # their estimate
+    simulate = harness_mod.simulate_particles
+
+    def slow_simulate(*args, **kwargs):
+        time.sleep(0.05)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "simulate_particles", slow_simulate)
+    extra = QUICK_PARTICLES + ["problem=sine_meanfield", "L=1.0", "rec_draws=40",
+                               "bound_draws=40"]
+    res = run(_cfg("verify-bounds", tmp_path, extra=extra))
+    first, *later = res.rows
+    assert first[0] == "particle_second_moment_root"
+    assert first[-1] >= 0.05
+    assert len(later) == 6 and all(row[-1] < 0.05 for row in later), later
+
+    extra = QUICK_PARTICLES + ["problem=sine_meanfield", "L=1.0", "mlp_n=2", "mlp_m=2", "d=2"]
+    res = run(_cfg("oracle-compare", tmp_path, extra=extra, name="oc.csv"))
+    assert len(res.rows) == 2
+    assert res.rows[0][-1] == res.rows[1][-1] >= 0.05
 
 
 def test_direct_recursion_helpers_match_naive_loops():

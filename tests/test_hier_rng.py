@@ -22,12 +22,16 @@ from mlpicard.hier_rng import (
     derive_seed,
     normals,
     pack,
-    step_normals,
     uniform,
     uniforms,
 )
 
 SEED = 0xC0FFEE
+
+
+def step_normals(key, steps, dim, variance=1.0):
+    """The step normals of one key: its rows of the batch of that key alone."""
+    return batch_step_normals(pack((key,)), steps, dim, variance)[0]
 
 
 def test_child_concatenation():

@@ -99,13 +99,6 @@ def test_budget_matches_brute_force():
                         assert cost_budget(n, m, d, v, f) == brute_force_budget(n, m, d, v, f)
 
 
-def test_flags_silence_tallies():
-    prob = builtin_problem("sine_meanfield", d=1, T=1.0, xi=1.0, L=1.0)
-    ledger = CostLedger(count_draws=False, count_evals=False)
-    realize_estimate(prob, 2, 2, SEED, ledger=ledger)
-    assert ledger.snapshot() == (0, 0)
-
-
 def test_process_consistency_addresses():
     # evaluating the same (theta, level) process at two times must draw the
     # same set of (key, tag) addresses

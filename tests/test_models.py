@@ -10,7 +10,6 @@ from mlpicard.models import (
     builtin_problem,
     lipschitz_selfcheck,
     make_drift,
-    oracle_mean,
     pathwise_value,
 )
 
@@ -34,7 +33,7 @@ def test_zero_drift_problem():
 def test_law_only_linear_oracle_values():
     prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
     # m'(t) = b m(t), m(0) = xi  =>  m(1) = e^{-1}
-    assert oracle_mean(prob, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
+    assert prob.oracle.mean(1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
     assert pathwise_value(prob, 1.0, np.array([0.3]))[0] == pytest.approx(
         math.exp(-1.0) + 0.3, abs=1e-15
     )
@@ -48,9 +47,9 @@ def test_law_only_linear_fixed_point_property():
     # xi + int_0^t b m(s) ds + w must reproduce m(t) + w on a fine quadrature
     b, xi, t = -1.0, 1.0, 1.0
     prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=xi, b=b)
-    integral, err = quad(lambda s: b * oracle_mean(prob, s)[0], 0.0, t, epsabs=1e-13)
+    integral, err = quad(lambda s: b * prob.oracle.mean(s)[0], 0.0, t, epsabs=1e-13)
     lhs = xi + integral
-    rhs = oracle_mean(prob, t)[0]
+    rhs = prob.oracle.mean(t)[0]
     assert abs(lhs - rhs) < 1e-12
     assert err < 1e-12
 
@@ -58,7 +57,7 @@ def test_law_only_linear_fixed_point_property():
 def test_full_linear_oracle():
     prob = builtin_problem("full_linear", d=1, T=1.0, xi=1.0, a=0.0, b=1.0)
     assert prob.oracle_kind == "mean-only"
-    assert oracle_mean(prob, 1.0)[0] == pytest.approx(math.e, abs=1e-14)
+    assert prob.oracle.mean(1.0)[0] == pytest.approx(math.e, abs=1e-14)
     assert prob.oracle.coord_variance(1.0) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         pathwise_value(prob, 1.0, np.zeros(1))

@@ -5,7 +5,7 @@ import pytest
 
 from mlpicard.errors import ResourceLimitError
 from mlpicard.hier_rng import IndexKey, child, normals
-from mlpicard.models import builtin_problem, oracle_mean
+from mlpicard.models import builtin_problem
 from mlpicard.particles import ensemble_stats, simulate_particles
 from mlpicard.recursions import moment_bound
 
@@ -68,7 +68,7 @@ def test_mean_matches_analytic_oracle():
     prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
     samples = simulate_particles(prob, 2000, 200, SEED)
     stats = ensemble_stats(samples)
-    exact = oracle_mean(prob, 1.0)[0]
+    exact = prob.oracle.mean(1.0)[0]
     assert abs(stats.mean[0] - exact) <= 3.0 * stats.mean_se[0]
 
 

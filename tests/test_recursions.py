@@ -16,7 +16,6 @@ from mlpicard.recursions import (
     gronwall_closed_form,
     log_cost_bound,
     log_error_bound,
-    log_moment_bound,
     moment_bound,
     two_step_closed_form,
     two_step_roots,
@@ -243,9 +242,6 @@ def test_moment_bound_values():
     assert moment_bound(0.0, 3.0, 2.5, 1.0, 4) == 2.5
     assert moment_bound(1.0, 0.0, 0.0, 0.0, 4) == 2.0  # sqrt(t d)
     assert moment_bound(1.0, 1.0, 1.0, 0.0, 1) == pytest.approx(2.0 * math.e, rel=1e-14)
-    assert math.exp(log_moment_bound(1.0, 1.0, 1.0, 0.0, 1)) == pytest.approx(
-        moment_bound(1.0, 1.0, 1.0, 0.0, 1), rel=1e-14
-    )
     # exact second-moment root of the b=-1 linear solution stays below it
     exact = math.sqrt(math.exp(-2.0) + 1.0)
     assert exact == pytest.approx(1.0655, abs=1e-4)
