@@ -28,14 +28,12 @@ from .recursions import (
     cost_budget,
     error_bound,
     exact_cost_bound,
-    gronwall_beta,
     gronwall_bound,
     gronwall_closed_form,
     log_cost_bound,
     log_error_bound,
     moment_bound,
     two_step_closed_form,
-    two_step_roots,
 )
 
 __all__ = [
@@ -54,7 +52,6 @@ __all__ = [
     "ensemble_stats",
     "error_bound",
     "exact_cost_bound",
-    "gronwall_beta",
     "gronwall_bound",
     "gronwall_closed_form",
     "lipschitz_selfcheck",
@@ -67,7 +64,6 @@ __all__ = [
     "realize_estimate",
     "simulate_particles",
     "two_step_closed_form",
-    "two_step_roots",
     "uniform",
     "uniforms",
 ]

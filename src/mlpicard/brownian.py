@@ -90,7 +90,6 @@ class PathBatch(NamedTuple):
     level: int
     branching: int
     horizon: float
-    dim: int
     filled: np.ndarray  # steps generated per key: values[i, :filled[i] + 1] are its path
     values: np.ndarray  # shape (len(keys), filled.max() + 1, dim), values[:, 0] == 0
 
@@ -158,4 +157,4 @@ def generate_batch(
     filled.setflags(write=False)
     if ledger is not None:
         ledger.add_draws(size * steps * dim)
-    return PathBatch(keys, level, branching, horizon, dim, filled, values)
+    return PathBatch(keys, level, branching, horizon, filled, values)

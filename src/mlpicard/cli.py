@@ -1,8 +1,9 @@
 """Command-line entry point: one subcommand per harness mode.
 
 Exit codes: 0 all assertions pass, 1 statistical assertion failure,
-2 configuration error (including a drift that turns non-finite
-mid-recursion), 3 resource refusal or a worker process that died.
+2 configuration error (including a non-finite parameter and a drift that
+turns non-finite mid-recursion), 3 resource refusal or a worker process
+that died.
 """
 
 from __future__ import annotations

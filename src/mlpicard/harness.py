@@ -72,7 +72,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "MODES",
-    "ProblemSpec",
     "build_config",
     "direct_gronwall",
     "direct_two_step",
@@ -132,6 +131,10 @@ class ExperimentConfig:
     bound_draws: int = 500
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; choose one of {sorted(MODES)}")
         if self.problem not in _PROBLEM_PARAMS:
@@ -256,38 +259,24 @@ def build_config(
 # problems and worker-pool plumbing
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Picklable problem descriptor; workers rebuild the Problem from it."""
-
-    name: str
-    d: int
-    T: float
-    xi: float
-    params: tuple[tuple[str, float], ...]
-
-    def build(self) -> Problem:
-        return builtin_problem(self.name, self.d, self.T, self.xi, **dict(self.params))
-
-
-def problem_spec(cfg: ExperimentConfig) -> ProblemSpec:
-    names = _PROBLEM_PARAMS[cfg.problem]
-    params = tuple((name, float(getattr(cfg, name))) for name in names)
-    return ProblemSpec(cfg.problem, cfg.d, cfg.T, cfg.xi, params)
-
-
 @lru_cache(maxsize=8)
-def _cached_problem(spec: ProblemSpec) -> Problem:
-    return spec.build()
+def _problem(cfg: ExperimentConfig) -> Problem:
+    """The configured built-in problem, built once per process and config; a
+    parameter it rejects is a ConfigError."""
+    params = {name: getattr(cfg, name) for name in _PROBLEM_PARAMS[cfg.problem]}
+    try:
+        return builtin_problem(cfg.problem, cfg.d, cfg.T, cfg.xi, **params)
+    except ValueError as exc:
+        raise ConfigError(f"problem {cfg.problem!r}: {exc}") from None
 
 
-def _worker(task: tuple[ProblemSpec, int, int, tuple[int, ...]]) -> list[tuple]:
+def _worker(task: tuple[ExperimentConfig, int, int, tuple[int, ...]]) -> list[tuple]:
     """Realizations of (n, m) under each seed, evaluated as one batch: per
     seed its value at T, W0(T), draws and evaluations, as plain Python
     numbers, which cross a process boundary cheaply."""
-    spec, n, m, seeds = task
+    cfg, n, m, seeds = task
     ledger = CostLedger()
-    values, w0 = _realize_batch(_cached_problem(spec), n, m, seeds, ledger)
+    values, w0 = _realize_batch(_problem(cfg), n, m, seeds, ledger)
     draws, evals = ledger.snapshot()
     # Charges are per query time and every root's tree has the same shape,
     # so the batch tally is exactly len(seeds) single tallies.
@@ -316,7 +305,7 @@ def _worker_pool(jobs: int, reps: int) -> Iterator[Optional[ProcessPoolExecutor]
 
 
 def _repetitions(
-    cfg: ExperimentConfig, spec: ProblemSpec, n: int, m: int, pool: Optional[ProcessPoolExecutor]
+    cfg: ExperimentConfig, n: int, m: int, pool: Optional[ProcessPoolExecutor]
 ) -> list[tuple]:
     """``cfg.reps`` realizations of (n, m) under the repetition seeds, in
     order, as returned by ``_worker``.
@@ -330,7 +319,7 @@ def _repetitions(
     seeds = [rep_seed(cfg.seed, r) for r in range(cfg.reps)]
     per_chunk = (cfg.reps // (4 * cfg.jobs), _CHUNK_BUDGET // cost_budget(n, m, cfg.d, 1, 1))
     size = max(1, min(per_chunk))
-    tasks = [(spec, n, m, tuple(seeds[i : i + size])) for i in range(0, cfg.reps, size)]
+    tasks = [(cfg, n, m, tuple(seeds[i : i + size])) for i in range(0, cfg.reps, size)]
     chunks = map(_worker, tasks) if pool is None else pool.map(_worker, tasks)
     return [result for chunk in chunks for result in chunk]
 
@@ -530,8 +519,7 @@ def _bound_constants(problem: Problem) -> tuple[float, float, float]:
 
 
 def _mode_convergence(cfg: ExperimentConfig) -> ExperimentResult:
-    spec = problem_spec(cfg)
-    problem = _cached_problem(spec)
+    problem = _problem(cfg)
     if problem.oracle_kind != "pathwise":
         raise ConfigError(
             f"convergence mode needs a pathwise oracle; problem {cfg.problem!r} "
@@ -546,7 +534,7 @@ def _mode_convergence(cfg: ExperimentConfig) -> ExperimentResult:
             "bound_ok", "draws", "evals", "cost_budget", "cost_bound",
         )
         for k, budget in zip(cfg.levels(), budgets):
-            results = _repetitions(cfg, spec, k, k, pool)
+            results = _repetitions(cfg, k, k, pool)
             w0 = np.array([r[1] for r in results])
             diffs = np.array([r[0] for r in results]) - pathwise_value(problem, problem.horizon, w0)
             squared = np.array([float(diff @ diff) for diff in diffs])
@@ -597,7 +585,7 @@ def _slope_footer(ks: list[int], rmses: list[float], ses: list[float]) -> list[s
 
 
 def _mode_cost_table(cfg: ExperimentConfig) -> ExperimentResult:
-    problem = _cached_problem(problem_spec(cfg))
+    problem = _problem(cfg)
     rec = _Recorder(
         cfg, "n", "m", "d", "draws", "evals", "draws_budget", "evals_budget", "cost_budget",
         "cost_bound", "draws_ok", "evals_ok", "budget_le_bound", "draws_ge_top_path",
@@ -625,7 +613,7 @@ def _mode_cost_table(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _mode_verify_bounds(cfg: ExperimentConfig) -> ExperimentResult:
-    problem = _cached_problem(problem_spec(cfg))
+    problem = _problem(cfg)
     rec = _Recorder(cfg, "check", "observed", "limit", "margin")
     samples = simulate_particles(problem, cfg.particles_n, cfg.particles_m, cfg.seed)
     stats = ensemble_stats(samples)
@@ -696,12 +684,11 @@ def _gronwall_majorant_overshoot(
 
 
 def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
-    spec = problem_spec(cfg)
-    problem = _cached_problem(spec)
+    problem = _problem(cfg)
     _require_budget(cfg, cfg.mlp_n, cfg.mlp_m)
     rec = _Recorder(cfg, "coord", "mlp_mean", "mlp_se", "particle_mean", "particle_se")
     with _worker_pool(cfg.jobs, cfg.reps) as pool:
-        values = np.array([r[0] for r in _repetitions(cfg, spec, cfg.mlp_n, cfg.mlp_m, pool)])
+        values = np.array([r[0] for r in _repetitions(cfg, cfg.mlp_n, cfg.mlp_m, pool)])
     mlp_mean = values.mean(axis=0)
     mlp_se = np.sqrt(values.var(axis=0, ddof=1) / cfg.reps)
 
@@ -745,7 +732,7 @@ def _mode_recursion_selftest(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _mode_certificate(cfg: ExperimentConfig) -> ExperimentResult:
-    problem = _cached_problem(problem_spec(cfg))
+    problem = _problem(cfg)
     cert = complexity_certificate(
         cfg.delta, cfg.T, cfg.d, *_bound_constants(problem), cfg.cert_kmax
     )

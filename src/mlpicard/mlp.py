@@ -77,7 +77,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -285,21 +285,13 @@ def _realize_batch(
     return values, paths.values[:, -1]
 
 
-def realize_estimate(
-    problem: Problem,
-    n: int,
-    m: int,
-    master_seed: int,
-    *,
-    ledger: Optional[CostLedger] = None,
-) -> RealizeResult:
+def realize_estimate(problem: Problem, n: int, m: int, master_seed: int) -> RealizeResult:
     """Compute one realization of the root estimator at t = T: the batch of
-    one seed.
+    one seed, charged to a fresh ledger.
 
     Deterministic in (problem, n, m, master_seed).
     """
-    if ledger is None:
-        ledger = CostLedger()
+    ledger = CostLedger()
     values, w0 = _realize_batch(problem, n, m, (master_seed,), ledger)
     return RealizeResult(value=values[0], ledger=ledger, w0_terminal=w0[0].copy())
 

@@ -84,22 +84,16 @@ def make_drift(
 class Oracle:
     """Exact-solution descriptor attached to a Problem.
 
-    kind 'pathwise': ``pathwise(t, w)`` returns X(t) driven by the Brownian
-    value w = W0(t), coupled to the estimator's own path; ``w`` may stack
-    several such values as (..., d) rows, each answered alone.  kind 'mean-only':
-    only ``mean`` and ``coord_variance`` are available.
+    With ``pathwise`` set (kind 'pathwise'), ``pathwise(t, w)`` returns X(t)
+    driven by the Brownian value w = W0(t), coupled to the estimator's own
+    path; ``w`` may stack several such values as (..., d) rows, each answered
+    alone.  Without it (kind 'mean-only'), only ``mean`` and
+    ``coord_variance`` are available.
     """
 
-    kind: str  # 'pathwise' | 'mean-only'
     mean: Callable[[float], np.ndarray]
     pathwise: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     coord_variance: Optional[Callable[[float], float]] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("pathwise", "mean-only"):
-            raise ValueError(f"unknown oracle kind {self.kind!r}")
-        if self.kind == "pathwise" and self.pathwise is None:
-            raise ValueError("pathwise oracle requires a pathwise function")
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,9 @@ class Problem:
 
     @property
     def oracle_kind(self) -> str:
-        return self.oracle.kind if self.oracle is not None else "none"
+        if self.oracle is None:
+            return "none"
+        return "mean-only" if self.oracle.pathwise is None else "pathwise"
 
 
 def _as_initial(xi, dim: int) -> np.ndarray:
@@ -152,7 +148,6 @@ def builtin_problem(name: str, d: int = 1, T: float = 1.0, xi=1.0, **params) -> 
     if name == "zero_drift":
         drift = make_drift("zero_drift", lambda x, y: np.zeros_like(x), 0.0, d)
         oracle = Oracle(
-            kind="pathwise",
             mean=lambda t: initial.copy(),
             pathwise=lambda t, w: initial + w,
             coord_variance=lambda t: float(t),
@@ -163,7 +158,6 @@ def builtin_problem(name: str, d: int = 1, T: float = 1.0, xi=1.0, **params) -> 
         b = float(params["b"])
         drift = make_drift("law_only_linear", lambda x, y: b * y + 0.0 * x, 2.0 * abs(b), d)
         oracle = Oracle(
-            kind="pathwise",
             mean=lambda t: initial * np.exp(b * t),
             pathwise=lambda t, w: initial * np.exp(b * t) + w,
             coord_variance=lambda t: float(t),
@@ -183,7 +177,6 @@ def builtin_problem(name: str, d: int = 1, T: float = 1.0, xi=1.0, **params) -> 
             return float(np.expm1(2.0 * a * t) / (2.0 * a))
 
         oracle = Oracle(
-            kind="mean-only",
             mean=lambda t: initial * np.exp((a + b) * t),
             coord_variance=coord_variance,
         )
@@ -206,7 +199,6 @@ def builtin_problem(name: str, d: int = 1, T: float = 1.0, xi=1.0, **params) -> 
 class LipschitzReport:
     passed: bool
     worst_ratio: float
-    samples: int
     witness: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -245,12 +237,12 @@ def lipschitz_selfcheck(
     worst_ratio = float(ratio[worst])
     passed = worst_ratio <= 1.0 + _RATIO_TOL
     witness = None if passed else (x1[worst], y1[worst], x2[worst], y2[worst])
-    return LipschitzReport(passed, worst_ratio, samples, witness)
+    return LipschitzReport(passed, worst_ratio, witness)
 
 
 def pathwise_value(problem: Problem, t: float, w_value: np.ndarray) -> np.ndarray:
     """Exact solution at time t driven by the Brownian value w_value = W0(t),
     row by row for a stack of (..., d) values."""
-    if problem.oracle is None or problem.oracle.kind != "pathwise":
+    if problem.oracle_kind != "pathwise":
         raise ValueError(f"problem has no pathwise oracle (kind {problem.oracle_kind!r})")
     return problem.oracle.pathwise(t, w_value)

@@ -15,8 +15,6 @@ each block of particles is drawn as one packed key batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
 import numpy as np
 
 from .errors import ResourceLimitError
@@ -26,7 +24,7 @@ from .models import Problem
 __all__ = ["EnsembleStats", "ensemble_stats", "simulate_particles"]
 
 _PARTICLE_BRANCH = 1  # root path coordinate reserved for particle noise
-_DEFAULT_CEILING = 4 * 10**9  # limit on N*N*M pairwise work
+_CEILING = 4 * 10**9  # limit on N*N*M pairwise work
 _BLOCK = 128  # row block for the pairwise drift sum and the noise draws
 
 
@@ -42,42 +40,23 @@ def _interaction_mean(problem: Problem, state: np.ndarray) -> np.ndarray:
     return out / n
 
 
-def simulate_particles(
-    problem: Problem,
-    N: int,
-    M: int,
-    master_seed: int,
-    *,
-    ceiling: Optional[int] = _DEFAULT_CEILING,
-    key_indices: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """N samples of X(T) from the M-step interacting Euler scheme.
-
-    ``key_indices`` relabels which noise key drives which particle slot
-    (default: particle i uses key index i); with a permutation the outputs
-    are the correspondingly permuted ones, up to reduction-order roundoff in
-    the interaction sum.
-    """
+def simulate_particles(problem: Problem, N: int, M: int, master_seed: int) -> np.ndarray:
+    """N samples of X(T) from the M-step interacting Euler scheme; particle i
+    is driven by the noise key (master_seed, (1, i))."""
     if N < 2:
         raise ValueError(f"need at least 2 particles, got {N}")
     if M < 1:
         raise ValueError(f"need at least 1 time step, got {M}")
-    if ceiling is not None and N * N * M > ceiling:
+    if N * N * M > _CEILING:
         raise ResourceLimitError(
-            f"pairwise work N*N*M = {N * N * M} exceeds the ceiling {ceiling}"
+            f"pairwise work N*N*M = {N * N * M} exceeds the ceiling {_CEILING}"
         )
-    if key_indices is None:
-        key_indices = range(N)
-    else:
-        key_indices = list(key_indices)
-        if len(key_indices) != N:
-            raise ValueError(f"need {N} key indices, got {len(key_indices)}")
     d = problem.dim
     dt = problem.horizon / M
     root = IndexKey(master_seed, (_PARTICLE_BRANCH,))
     increments = np.empty((N, M, d))
     for lo in range(0, N, _BLOCK):
-        keys = pack([child(root, (i,)) for i in key_indices[lo : lo + _BLOCK]])
+        keys = pack([child(root, (i,)) for i in range(lo, min(lo + _BLOCK, N))])
         increments[lo : lo + _BLOCK] = batch_normals(keys, "dw", M * d, dt).reshape(-1, M, d)
     state = np.tile(problem.initial, (N, 1))
     for step in range(M):
@@ -92,7 +71,6 @@ class EnsembleStats:
     second_moment_root: float
     mean_se: np.ndarray
     second_moment_root_se: float
-    count: int
 
 
 def ensemble_stats(samples: np.ndarray) -> EnsembleStats:
@@ -109,4 +87,4 @@ def ensemble_stats(samples: np.ndarray) -> EnsembleStats:
     se_sq = float(np.sqrt(sq_norm.var(ddof=1) / n))
     root = float(np.sqrt(mean_sq))
     root_se = se_sq / (2.0 * root) if root > 0.0 else 0.0
-    return EnsembleStats(mean, variance, root, mean_se, root_se, n)
+    return EnsembleStats(mean, variance, root, mean_se, root_se)

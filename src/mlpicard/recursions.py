@@ -83,39 +83,29 @@ def _maybe_real(values: np.ndarray, *params: complex) -> np.ndarray:
     return values.real
 
 
-def two_step_closed_form(
-    kappa: complex, lam: complex, forcing: Sequence, horizon: int | None = None
-) -> np.ndarray:
-    """Exact solution a(0..horizon) of the two-step recursion."""
+def two_step_closed_form(kappa: complex, lam: complex, forcing: Sequence) -> np.ndarray:
+    """Exact solution a(0..len(forcing)-1) of the two-step recursion."""
     b = np.asarray(forcing)
-    if horizon is None:
-        horizon = len(b) - 1
-    if horizon < 0 or len(b) < horizon + 1:
-        raise ValueError(f"forcing with {len(b)} terms cannot cover horizon {horizon}")
+    if len(b) == 0:
+        raise ValueError("forcing must hold at least one term")
     x1, x2 = two_step_roots(kappa, lam)
-    kernel = _power_kernel(x1, x2, horizon)
-    out = np.convolve(b[: horizon + 1].astype(complex), kernel)[: horizon + 1]
-    return _maybe_real(out, kappa, lam, *np.atleast_1d(b[: horizon + 1]))
+    kernel = _power_kernel(x1, x2, len(b) - 1)
+    out = np.convolve(b.astype(complex), kernel)[: len(b)]
+    return _maybe_real(out, kappa, lam, *b)
 
 
-def gronwall_closed_form(
-    kappa: complex, lam: complex, forcing: Sequence, horizon: int | None = None
-) -> np.ndarray:
-    """Exact solution a(0..horizon) of the full-history recursion
+def gronwall_closed_form(kappa: complex, lam: complex, forcing: Sequence) -> np.ndarray:
+    """Exact solution a(0..len(forcing)-1) of the full-history recursion
     a(n) = b(n) + sum_{k=0}^{n-1} [kappa*a(k) + lambda*a(k-1)]."""
     b = np.asarray(forcing)
-    if horizon is None:
-        horizon = len(b) - 1
-    if horizon < 0 or len(b) < horizon + 1:
-        raise ValueError(f"forcing with {len(b)} terms cannot cover horizon {horizon}")
+    if len(b) == 0:
+        raise ValueError("forcing must hold at least one term")
     x1, x2 = two_step_roots(1.0 + kappa, lam)
-    head = b[: horizon + 1].astype(complex)
-    diff = np.empty_like(head)
-    diff[0] = head[0]
-    diff[1:] = head[1:] - head[:-1]
-    kernel = _power_kernel(x1, x2, horizon)
-    out = np.convolve(diff, kernel)[: horizon + 1]
-    return _maybe_real(out, kappa, lam, *np.atleast_1d(b[: horizon + 1]))
+    diff = b.astype(complex)
+    diff[1:] -= b[:-1]
+    kernel = _power_kernel(x1, x2, len(b) - 1)
+    out = np.convolve(diff, kernel)[: len(b)]
+    return _maybe_real(out, kappa, lam, *b)
 
 
 def gronwall_beta(kappa: float, lam: float) -> float:
@@ -246,17 +236,10 @@ class CertificateResult:
     error bound (and that of every deeper level up to k_max) is below it.
     """
 
-    delta: float
-    T: float
-    d: int
-    L: float
-    norm_xi: float
-    norm_mu00: float
     k_max: int
     log_supremand: np.ndarray  # index k-1 holds the value at k
     argmax_k: int
     log_sup: float
-    sup: float  # inf when exp(log_sup) overflows
     attained: bool
     _log_error: np.ndarray
 
@@ -299,22 +282,14 @@ def complexity_certificate(
     )
     argmax = int(np.argmax(log_vals))
     log_sup = float(log_vals[argmax])
-    sup = math.exp(log_sup) if log_sup < 709.0 else math.inf
     log_error = np.array(
         [log_error_bound(kk, kk, T, T, d, L, norm_xi, norm_mu00) for kk in range(1, k_max + 1)]
     )
     return CertificateResult(
-        delta=delta,
-        T=T,
-        d=d,
-        L=L,
-        norm_xi=norm_xi,
-        norm_mu00=norm_mu00,
         k_max=k_max,
         log_supremand=log_vals,
         argmax_k=argmax + 1,
         log_sup=log_sup,
-        sup=sup,
         attained=argmax + 1 < k_max,
         _log_error=log_error,
     )

@@ -52,7 +52,7 @@ def evaluate_one(problem, key, n, m, t, path, ledger=None) -> np.ndarray:
     """X[n, m](t) of one key, n >= 1, through the batched evaluator; ``path``
     is the key's GridPath, created at a level >= n."""
     steps = np.array([len(path.values) - 1])
-    batch = PathBatch(pack((key,)), path.level, path.branching, path.horizon, path.dim, steps,
+    batch = PathBatch(pack((key,)), path.level, path.branching, path.horizon, steps,
                       path.values[None])
     (value,) = _evaluate(problem, batch, m, (n,), np.array([t]), np.zeros(1, dtype=np.intp),
                          CostLedger() if ledger is None else ledger)

@@ -242,8 +242,7 @@ def test_repetitions_do_not_depend_on_jobs_or_chunks(monkeypatch, reps):
     # chunks of 1 (reps = 7) and of 16, 8 and 5 with a short last one
     # (reps = 64) give each seed's realization, in seed order
     cfg = build_config(None, ["d=2", f"reps={reps}", "seed=5"], mode="convergence")
-    spec = harness_mod.problem_spec(cfg)
-    problem = spec.build()
+    problem = harness_mod._problem(cfg)
     want = []
     for r in range(reps):
         single = realize_estimate(problem, 2, 2, rep_seed(cfg.seed, r))
@@ -253,9 +252,9 @@ def test_repetitions_do_not_depend_on_jobs_or_chunks(monkeypatch, reps):
     for jobs in (1, 2, 3):
         cfg = replace(cfg, jobs=jobs)
         with harness_mod._worker_pool(jobs, reps) as pool:
-            runs[jobs] = harness_mod._repetitions(cfg, spec, 2, 2, pool)
+            runs[jobs] = harness_mod._repetitions(cfg, 2, 2, pool)
     monkeypatch.setattr(harness_mod, "_CHUNK_BUDGET", 1)  # every chunk one seed
-    runs["cap"] = harness_mod._repetitions(cfg, spec, 2, 2, None)
+    runs["cap"] = harness_mod._repetitions(cfg, 2, 2, None)
     for jobs, got in runs.items():
         assert repr(got) == repr(want), jobs
 
@@ -323,6 +322,28 @@ def test_non_finite_drift_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: drift 'law_only_linear' returned a non-finite")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, sets", [
+    ("convergence", ["T=nan"]),
+    ("certificate", ["T=nan"]),
+    ("convergence", ["T=inf"]),
+    ("convergence", ["xi=nan"]),
+    ("convergence", ["xi=inf"]),
+    ("verify-bounds", ["problem=sine_meanfield", "L=-1"]),
+])
+def test_bad_problem_parameters_exit_code(tmp_path, capsys, mode, sets):
+    # a non-finite parameter, or one the built-in problem rejects, is a
+    # configuration error (exit 2) with one line on stderr and no CSV; at
+    # k = 1 no drift is evaluated mid-recursion to catch it later
+    out = tmp_path / "bad.csv"
+    args = [mode, "--reps", "4", "--set", "k_max=1", "--out", str(out)]
+    code = main(args + [arg for item in sets for arg in ("--set", item)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_wall_columns_time_each_rows_own_work(tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ def test_unknown_problem():
 
 def test_zero_drift_problem():
     prob = builtin_problem("zero_drift", d=2, T=1.0, xi=1.5)
+    assert prob.oracle_kind == "pathwise"
     assert prob.drift.lipschitz_L == 0.0
     assert np.all(prob.drift.value_at_origin == 0.0)
     assert np.array_equal(pathwise_value(prob, 0.0, np.zeros(2)), prob.initial)
@@ -32,6 +33,7 @@ def test_zero_drift_problem():
 
 def test_law_only_linear_oracle_values():
     prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
+    assert prob.oracle_kind == "pathwise"
     # m'(t) = b m(t), m(0) = xi  =>  m(1) = e^{-1}
     assert prob.oracle.mean(1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
     assert pathwise_value(prob, 1.0, np.array([0.3]))[0] == pytest.approx(

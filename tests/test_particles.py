@@ -3,23 +3,28 @@ import hashlib
 import numpy as np
 import pytest
 
+import mlpicard.particles as particles_mod
 from mlpicard.errors import ResourceLimitError
 from mlpicard.hier_rng import IndexKey, child, normals
 from mlpicard.models import builtin_problem
-from mlpicard.particles import ensemble_stats, simulate_particles
+from mlpicard.particles import _interaction_mean, ensemble_stats, simulate_particles
 from mlpicard.recursions import moment_bound
 
 SEED = 314159
 
 
-def test_validation():
+def test_validation(monkeypatch):
     prob = builtin_problem("zero_drift", d=1, T=1.0, xi=0.0)
     with pytest.raises(ValueError):
         simulate_particles(prob, 1, 10, SEED)
     with pytest.raises(ValueError):
         simulate_particles(prob, 4, 0, SEED)
-    with pytest.raises(ResourceLimitError):
-        simulate_particles(prob, 1000, 1000, SEED, ceiling=10**6)
+    # N*N*M = 10**10 passes the 4*10**9 ceiling: refused before any noise
+    # array is allocated or drawn
+    monkeypatch.setattr(particles_mod, "np", None)
+    monkeypatch.setattr(particles_mod, "batch_normals", None)
+    with pytest.raises(ResourceLimitError, match="exceeds the ceiling 4000000000"):
+        simulate_particles(prob, 10**5, 1, SEED)
 
 
 def test_zero_drift_is_exact_euler():
@@ -53,14 +58,15 @@ def test_determinism():
 
 
 def test_interaction_symmetry_under_permutation():
+    # relabelling the particles permutes their interaction means, up to
+    # reduction-order roundoff in the sum over the others
     prob = builtin_problem("sine_meanfield", d=2, T=1.0, xi=0.5, L=1.0)
-    n = 7
-    perm = [3, 0, 6, 1, 5, 2, 4]
-    base = simulate_particles(prob, n, 4, SEED)
-    permuted = simulate_particles(prob, n, 4, SEED, key_indices=perm)
-    # particle slot i now carries noise stream perm[i]; outputs follow, up to
-    # reduction-order roundoff in the interaction sum
-    assert np.allclose(permuted, base[perm], rtol=1e-12, atol=1e-12)
+    rng = np.random.default_rng(SEED)
+    for n in (7, 300):  # 300 spans three row blocks
+        state = rng.normal(size=(n, 2))
+        perm = rng.permutation(n)
+        got = _interaction_mean(prob, state[perm])
+        assert np.allclose(got, _interaction_mean(prob, state)[perm], rtol=0.0, atol=1e-12)
 
 
 def test_mean_matches_analytic_oracle():
@@ -101,23 +107,14 @@ def test_ensemble_stats_chi_concentration():
     assert abs(stats.second_moment_root - 1.0) < 0.03
 
 
-def test_key_indices_validation():
-    prob = builtin_problem("zero_drift", d=1, T=1.0, xi=0.0)
-    with pytest.raises(ValueError):
-        simulate_particles(prob, 4, 2, SEED, key_indices=[0, 1])
-    with pytest.raises(ValueError):
-        simulate_particles(prob, 4, 2, SEED, key_indices=[0, 1, -1, 3])
-
-
 def test_particle_outputs_pinned_by_digest():
     # one SHA-256 over the ensembles of sine_meanfield at d = 1 and 3, 50
-    # particles x 17 steps and 40 x 9 with the key indices reversed
+    # particles x 17 steps and 40 x 9
     digest = hashlib.sha256()
     for d in (1, 3):
         prob = builtin_problem("sine_meanfield", d=d, T=1.0, xi=1.0, L=1.0)
         digest.update(simulate_particles(prob, 50, 17, SEED).tobytes())
-        reversed_keys = range(39, -1, -1)
-        digest.update(simulate_particles(prob, 40, 9, SEED, key_indices=reversed_keys).tobytes())
+        digest.update(simulate_particles(prob, 40, 9, SEED).tobytes())
     assert digest.hexdigest() == (
-        "65a964bcda9e8262f7b129418c54228fb9b48f27fd01d8d65ec28c6317f024e2"
+        "45208349aa15389f3fa6a39993d502507933d65f2493cb24e1d9d1a24911e28e"
     )

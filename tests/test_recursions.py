@@ -112,9 +112,10 @@ def test_closed_forms_match_direct(kappa, lam, forcing):
     assert np.max(np.abs(got - direct_gronwall(kappa, lam, forcing)) / scale) < 1e-9
 
 
-def test_forcing_shorter_than_horizon_rejected():
-    with pytest.raises(ValueError):
-        two_step_closed_form(1.0, 1.0, np.ones(3), horizon=5)
+def test_empty_forcing_rejected():
+    for solver in (two_step_closed_form, gronwall_closed_form):
+        with pytest.raises(ValueError, match="at least one term"):
+            solver(1.0, 1.0, np.ones(0))
 
 
 def test_beta_value_and_bound_basics():
