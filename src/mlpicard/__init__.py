@@ -10,7 +10,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .errors import ConfigError, ResourceLimitError
-from .hier_rng import IndexKey, child, derive_seed, normals, uniform, uniforms
+from .hier_rng import derive_seed
 from .ledger import CostLedger
 from .mlp import realize_estimate
 from .models import (
@@ -40,11 +40,9 @@ __all__ = [
     "ConfigError",
     "CostLedger",
     "DriftModel",
-    "IndexKey",
     "Problem",
     "ResourceLimitError",
     "builtin_problem",
-    "child",
     "complexity_certificate",
     "cost_bound",
     "cost_budget",
@@ -59,11 +57,8 @@ __all__ = [
     "log_error_bound",
     "make_drift",
     "moment_bound",
-    "normals",
     "pathwise_value",
     "realize_estimate",
     "simulate_particles",
     "two_step_closed_form",
-    "uniform",
-    "uniforms",
 ]

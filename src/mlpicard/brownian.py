@@ -14,7 +14,8 @@ logical m**n * d scalar draws per path all the same, once, at creation.
 A :class:`PathBatch` stacks the paths of many keys created at one level, so
 that the estimator generates and queries all sibling paths with one bulk
 hash loop, one cumulative sum and one snapping pass per batch; its keys
-are a packed key batch of :mod:`mlpicard.hier_rng`, not key objects.
+are a key batch of :mod:`mlpicard.hier_rng`, which this module passes on
+without reading: the key count is that of the query times.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class PathBatch(NamedTuple):
     branching: int
     horizon: float
     filled: np.ndarray  # steps generated per key: values[i, :filled[i] + 1] are its path
-    values: np.ndarray  # shape (len(keys), filled.max() + 1, dim), values[:, 0] == 0
+    values: np.ndarray  # shape (number of keys, filled.max() + 1, dim), values[:, 0] == 0
 
     def value_at(self, t: np.ndarray, owner: np.ndarray, query_level: int) -> np.ndarray:
         """Values of the paths ``owner[i]`` at the level-``query_level`` grid
@@ -125,13 +126,14 @@ def generate_batch(
     up to the last grid step a query at a time up to its ``until`` can read.
 
     ``until`` holds each key's largest query time (the horizon for a whole
-    path).  The increment of grid step k of a key's path is the key's keyed
-    Gaussian vector with purpose tag k.  The steps of all keys are drawn in
-    one bulk call (each key's message prefix is hashed once, every digest is
-    mapped in a single vector pass) and summed along the step axis, so every
-    generated value is bit-identical to the whole path of its key generated
-    alone, and the ledger charge is exactly branching**level * dim scalar
-    draws per key, however few steps are hashed.
+    path), one per key, in key order.  The increment of grid step k of a
+    key's path is the key's keyed Gaussian vector with purpose tag k.  The
+    steps of all keys are drawn in one bulk call (each key's message prefix
+    is hashed once, every digest is mapped in a single vector pass) and
+    summed along the step axis, so every generated value is bit-identical to
+    the whole path of its key generated alone, and the ledger charge is
+    exactly branching**level * dim scalar draws per key, however few steps
+    are hashed.
     """
     if level < 1:
         raise ValueError(f"grid level must be at least 1, got {level}")
@@ -144,10 +146,8 @@ def generate_batch(
     steps = branching**level
     if steps > _MAX_GRID:
         raise OverflowError(f"grid with {steps} steps exceeds the index range")
-    size = len(keys[1])
     until = np.asarray(until, dtype=float)
-    if until.shape != (size,):
-        raise ValueError(f"need one query time per key, got shape {until.shape}")
+    size = len(until)  # one query time per key, checked by batch_step_normals
     filled = _reach(until, level, branching, horizon)
     width = int(filled.max(initial=0))
     values = np.zeros((size, width + 1, dim))

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ResourceLimitError, WorkerCrashError
-from .hier_rng import IndexKey, child, derive_seed, uniforms
+from .hier_rng import batch_uniforms, children, derive_seed, pack
 from .ledger import CostLedger
 from .mlp import _realize_batch, realize_estimate, rep_seed, summarize_squared_errors
 from .models import Problem, builtin_problem, pathwise_value
@@ -405,10 +405,15 @@ def _closed_form_suites(cfg: ExperimentConfig):
 def _harness_draws(seed: int, count: int, tag: str, words: int, draw: Callable) -> list:
     """The first ``count`` accepted draws of the harness branch: child i of
     ``(seed, (_HARNESS_BRANCH,))`` gives ``draw`` its ``words`` uniforms under
-    ``tag``, for i = 0, 1, ..., and ``draw`` rejects them by returning None."""
-    key = IndexKey(seed, (_HARNESS_BRANCH,))
-    draws = (draw(uniforms(child(key, (i,)), tag, words)) for i in itertools.count())
-    return list(itertools.islice((d for d in draws if d is not None), count))
+    ``tag``, for i = 0, 1, ..., and ``draw`` rejects them by returning None.
+    The children are drawn in batches of ``count`` keys."""
+    root = pack([(seed, (_HARNESS_BRANCH,))])
+    accepted: list = []
+    for start in itertools.count(0, count):
+        keys = children(root, [(i,) for i in range(start, start + count)])
+        accepted += (d for d in map(draw, batch_uniforms(keys, tag, words)) if d is not None)
+        if len(accepted) >= count:
+            return accepted[:count]
 
 
 def _recursion_parameters(

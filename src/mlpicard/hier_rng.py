@@ -15,45 +15,42 @@ bit-reproducible and safe to compute concurrently.
 Uniform draws take values in [0, 1); the closed right endpoint would be a
 measure-zero distinction with no observable effect at 53-bit resolution.
 
-Caches save re-encoding and change no output: a key encodes its path once
-(``IndexKey.path_bytes``); the encoded extension lists of :func:`children`
-and the counter suffixes live in small bounded LRU tables, which start empty.
+Caches save re-encoding and change no output: the encoded extension lists
+of :func:`children` and the counter suffixes live in small bounded LRU
+tables, which start empty.
 
-Batched forms serve the estimator, which addresses thousands of sibling
-keys per realization, through *key batches*: two parallel plain lists of
-master seeds and encoded paths (:func:`pack` makes one), so no key object
-is built below the roots.  A child's encoding in :func:`children` is one
-concatenation: its own length header, its parent's encoded coordinates and
-the extension's.  The hashing forms copy each key's hasher from one keyed
-hasher per seed (a one-block uniform is one copy absorbing its message; a
-multi-block key primes a copy with its path and copies it per block), map
-all digests in one vector pass and equal the one-key forms bit for bit;
-:func:`batch_step_normals` hashes only the steps its caller asks for.
+Keys come in *key batches* only: :func:`pack` makes one from plain
+``(seed, path)`` pairs, :func:`children` extends every key of one and
+:func:`concat` joins several, and every draw takes one and returns one row
+per key.  The batch's layout is private to this module; no other module
+builds, indexes or unpacks it.  A child's encoding in :func:`children` is
+one concatenation: its own length header, its parent's encoded coordinates
+and the extension's.  The hashing forms copy each key's hasher from one
+keyed hasher per seed (a one-block uniform is one copy absorbing its
+message; a multi-block key primes a copy with its path and copies it per
+block) and map all digests in one vector pass; :func:`batch_step_normals`
+hashes only the steps its caller asks for.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, repeat
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtri
 
 __all__ = [
-    "IndexKey",
     "batch_normals",
     "batch_step_normals",
     "batch_uniform",
-    "child",
+    "batch_uniforms",
     "children",
+    "concat",
     "derive_seed",
-    "normals",
     "pack",
-    "uniform",
-    "uniforms",
 ]
 
 Tag = Union[int, str]
@@ -90,43 +87,34 @@ def _tag_bytes(tag: Tag) -> bytes:
     raise TypeError(f"purpose tag must be int or str, got {type(tag).__name__}")
 
 
-@dataclass(frozen=True, slots=True)
-class IndexKey:
-    """Address of one independent random object: master seed plus integer path.
+def pack(pairs: Iterable[tuple[int, Sequence[int]]]) -> KeyBatch:
+    """The key batch of ``(seed, path)`` pairs, in order.
 
-    Keys with equal (seed, path) produce bit-identical output for the same
-    purpose tag; distinct keys address statistically independent streams.
-    The path plays the role of a hierarchical index: extending it with
-    :func:`child` never perturbs the streams of the parent.  ``path_bytes``
-    is ``_path_bytes(path)``, encoded once when the key is made.
+    Equal pairs address bit-identical streams for the same purpose tag and
+    distinct pairs statistically independent ones; extending a path with
+    :func:`children` never perturbs the streams of its parent.  Seeds are
+    reduced mod 2**64, integer-valued coordinates are normalized, and a
+    negative coordinate raises ValueError.
     """
-
-    seed: int
-    path: tuple[int, ...] = ()
-    path_bytes: bytes = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", int(self.seed) & _SEED_MASK)
-        path = tuple(map(int, self.path))
-        if min(path, default=0) < 0:
-            raise ValueError(f"index path must be non-negative, got {path}")
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "path_bytes", _path_bytes(path))
+    seeds, paths = [], []
+    for seed, path in pairs:
+        seeds.append(int(seed) & _SEED_MASK)
+        paths.append(_path_bytes(tuple(map(int, path))))
+    return seeds, paths
 
 
-def child(key: IndexKey, extension: Sequence[int]) -> IndexKey:
-    """Return ``key`` with its path extended; the input is never mutated."""
-    return IndexKey(key.seed, key.path + tuple(extension))
-
-
-def pack(keys: Sequence[IndexKey]) -> KeyBatch:
-    """The key batch of ``keys``: their master seeds and encoded paths."""
-    return [key.seed for key in keys], [key.path_bytes for key in keys]
+def concat(batches: Iterable[KeyBatch]) -> KeyBatch:
+    """The key batch of all keys of ``batches``, in order."""
+    seeds, paths = [], []
+    for batch_seeds, batch_paths in batches:
+        seeds += batch_seeds
+        paths += batch_paths
+    return seeds, paths
 
 
 def children(keys: KeyBatch, extensions: Sequence[Sequence[int]]) -> KeyBatch:
-    """The key batch of ``[child(key, ext) for key in keys for ext in
-    extensions]``, key-major.
+    """The key batch of every key of ``keys`` with its path extended by
+    every extension, key-major; the parents are never mutated.
 
     Parents may differ in depth: each child's length header comes from its
     parent's own coordinate count, read off the parent's header.
@@ -234,12 +222,6 @@ def _gaussians(words: np.ndarray, variance: float) -> np.ndarray:
     return ndtri(u) * np.sqrt(variance)
 
 
-def uniform(key: IndexKey, tag: Tag) -> float:
-    """One uniform draw in [0, 1), deterministic in (key, tag): the
-    :func:`batch_uniform` of the batch of one key."""
-    return float(batch_uniform(pack((key,)), tag)[0])
-
-
 def batch_uniform(keys: KeyBatch, tag: Tag) -> np.ndarray:
     """One uniform draw in [0, 1) per key of the batch, deterministic in
     (key, tag), as one array; each key's one-block message is absorbed by
@@ -255,24 +237,20 @@ def batch_uniform(keys: KeyBatch, tag: Tag) -> np.ndarray:
     return (words[::_WORDS_PER_BLOCK] >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def uniforms(key: IndexKey, tag: Tag, count: int) -> np.ndarray:
-    """``count`` i.i.d. uniform draws in [0, 1) for one (key, tag) stream."""
-    words = _words(pack((key,)), tag, count)[0]
-    return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
+def batch_uniforms(keys: KeyBatch, tag: Tag, count: int) -> np.ndarray:
+    """``count`` i.i.d. uniform draws in [0, 1) per key of the batch, for
+    its (key, tag) stream, in shape (number of keys, count); the first
+    column is :func:`batch_uniform`, bit for bit."""
+    return (_words(keys, tag, count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def normals(key: IndexKey, tag: Tag, count: int, variance: float = 1.0) -> np.ndarray:
-    """``count`` i.i.d. centered normal draws with the given variance.
+def batch_normals(keys: KeyBatch, tag: Tag, count: int, variance: float = 1.0) -> np.ndarray:
+    """``count`` i.i.d. centered normal draws with the given variance per key
+    of the batch, for its (key, tag) stream, in shape (number of keys, count).
 
     Uses the inverse normal CDF on counter-based uniforms shifted into the
     open interval (0, 1), so generation is rejection-free and deterministic.
     """
-    return batch_normals(pack((key,)), tag, count, variance)[0]
-
-
-def batch_normals(keys: KeyBatch, tag: Tag, count: int, variance: float = 1.0) -> np.ndarray:
-    """``normals(key, tag, count, variance)`` for each key of the batch,
-    stacked into shape (number of keys, count), bit for bit."""
     return _gaussians(_words(keys, tag, count), variance)
 
 
@@ -283,9 +261,10 @@ def batch_step_normals(
     variance: float = 1.0,
     counts: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """Row k of key i is ``normals(key_i, k, dim, variance)``, bit for bit,
-    for k = 0..steps-1; key i's rows from ``counts[i]`` on are zero and not
-    hashed (no row is when ``counts`` is None).
+    """Row k of key i is the ``batch_normals`` row of key i under integer
+    tag k, ``dim`` draws, bit for bit, for k = 0..steps-1; key i's rows from
+    ``counts[i]`` on are zero and not hashed (no row is when ``counts`` is
+    None).
 
     The result has shape (number of keys, steps, dim).  A key's rows share the
     message prefix (path and integer-tag marker), so its keyed hasher is

@@ -25,15 +25,15 @@ Batched evaluation: the random inputs of a term, its sub-index eta,
 uniform u and fresh path, depend on (theta, n, k, l) but not on the query
 time t; only s = u*t does.  The nodes (theta, j) of one index theta form a
 key group, and one evaluator call serves a batch of key groups whose tops
-share a level: their keys, as one packed key batch of master seeds and
-encoded paths (only the roots are ``IndexKey`` objects), their paths stacked
-along a leading batch axis, and one flat vector of query times, each with
-the index of the key it belongs to.  The times are gathered top-down,
-j = top..1: term (j, l) makes its sub keys, for all keys of the batch, from
-its extension list (built once per (j, fan, l)), draws their uniforms in one
-bulk hash and appends s = u*t to the same-key nodes (theta, l) and
-(theta, l-1).  The sub keys of the level-l terms of every node and key form
-one sub-batch: their fresh paths are generated together at level l right
+share a level: their keys, as one key batch of :mod:`mlpicard.hier_rng`
+(whose layout only that module reads), their paths stacked along a leading
+batch axis, and one flat vector of query times, each with the index of the
+key it belongs to.  The times are gathered top-down, j = top..1: term
+(j, l) makes its sub keys, for all keys of the batch, from its extension
+list (built once per (j, fan, l)), draws their uniforms in one bulk hash
+and appends s = u*t to the same-key nodes (theta, l) and (theta, l-1).  The
+sub keys of the level-l terms of every node and key form one sub-batch,
+joined by one ``concat``: their fresh paths are generated together at level l right
 before one recursive call evaluates the X_eta nodes l and l-1 at all their
 times, and are dropped when it returns.  A sub key's path, and those of its
 same-key nodes below, is read only at times up to its largest s, so it is
@@ -42,8 +42,8 @@ top is L makes L-1 sub-calls, and a realization 2**(n-1) calls, whatever m
 is.  Each node is then evaluated once, bottom-up, over the rows of all keys.
 
 A batch may hold many roots: ``_realize_batch`` evaluates the root keys
-(seed, (0,)) of many master seeds in one call, each at t = T, and
-``realize_estimate`` is its batch of one.  Rows never mix and every key is
+(seed, (_ESTIMATOR_BRANCH,)) of many master seeds in one call, each at
+t = T, and ``realize_estimate`` is its batch of one.  Rows never mix and every key is
 hashed under its own seed, so each root's value is bit-identical to its
 realization alone, and the roots' trees share one shape, so the ledger
 charge is the number of roots times that of one realization.
@@ -83,7 +83,7 @@ import numpy as np
 
 from .brownian import PathBatch, generate_batch
 from .errors import NonFiniteDriftError
-from .hier_rng import IndexKey, batch_uniform, children, derive_seed, pack
+from .hier_rng import batch_uniform, children, concat, derive_seed, pack
 from .ledger import CostLedger
 from .models import DriftModel, Problem
 
@@ -95,6 +95,7 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+_ESTIMATOR_BRANCH = 0  # root path coordinate reserved for the estimator's keys
 
 
 @lru_cache(maxsize=64)  # a realization uses n*(n-1)/2 extension lists
@@ -159,10 +160,12 @@ def _evaluate(
     for j in levels:
         asked[j].append((times, owner))
         rows[j] = len(times)
-    # Per term level l: the sub keys of every node's level-l terms, and the
-    # chunks of (times, owners) they are asked at.
-    sub_keys: list = [None] * top
-    sub_asked: list = [None] * top
+    # Per term level l: the parts of the sub-key batch of every node's level-l
+    # terms, its key count so far, and the chunks of (times, owners) they are
+    # asked at.
+    sub_keys: list = [[] for _ in range(top)]
+    sub_count = [0] * top
+    sub_asked: list = [[] for _ in range(top)]
     sub_rows = [0] * top
 
     # Top-down: gather every node's times; each sub key's uniform is drawn
@@ -178,16 +181,14 @@ def _evaluate(
         for level in range(1, j):
             fan = m ** (j - level)
             subs = children(keys, _term_extensions(j, fan, level))
-            u = batch_uniform(subs, "u").reshape(len(keys[1]), fan)
+            u = batch_uniform(subs, "u").reshape(-1, fan)
             s = (u[o].T * t).ravel()
             same = np.broadcast_to(o, (fan, size)).ravel()  # owners in nodes l, l-1
-            if sub_keys[level] is None:
-                sub_keys[level], sub_asked[level] = ([], []), []
-            base = len(sub_keys[level][1])  # sub key (g, k) sits at base + g*fan + k
+            base = sub_count[level]  # sub key (g, k) sits at base + g*fan + k
             sub_owner = (np.arange(fan)[:, None] + (o * fan + base)).ravel()
             terms.append((level, fan, rows[level], rows[level - 1], sub_rows[level]))
-            for into, part in zip(sub_keys[level], subs):
-                into.extend(part)
+            sub_keys[level].append(subs)
+            sub_count[level] += u.size
             sub_asked[level].append((s, sub_owner))
             sub_rows[level] += len(s)
             asked[level].append((s, same))
@@ -215,9 +216,9 @@ def _evaluate(
             level = j - 1
             s, o = _joined(sub_asked[level])
             # each sub key's path is read at its s and at the u*s below them
-            until = np.zeros(len(sub_keys[level][1]))
+            until = np.zeros(sub_count[level])
             np.maximum.at(until, o, s)
-            fresh = generate_batch(sub_keys[level], until, level, m, problem.horizon, d)
+            fresh = generate_batch(concat(sub_keys[level]), until, level, m, problem.horizon, d)
             sub_keys[level] = sub_asked[level] = None
             sub_levels = (level, level - 1) if level >= 2 else (level,)
             sub_values[level] = _evaluate(problem, fresh, m, sub_levels, s, o, ledger)
@@ -274,7 +275,7 @@ def _realize_batch(
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    roots = pack([IndexKey(seed, (0,)) for seed in master_seeds])
+    roots = pack([(seed, (_ESTIMATOR_BRANCH,)) for seed in master_seeds])
     count = len(master_seeds)
     paths = generate_batch(
         roots, np.full(count, problem.horizon), n, m, problem.horizon, problem.dim, ledger

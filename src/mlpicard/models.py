@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonFiniteDriftError
-from .hier_rng import IndexKey, normals, uniforms
+from .hier_rng import batch_normals, batch_uniforms, pack
 
 __all__ = [
     "DriftModel",
@@ -203,12 +203,13 @@ class LipschitzReport:
 
 
 def lipschitz_selfcheck(
-    model: DriftModel, d: int, samples: int, radius: float, key: IndexKey
+    model: DriftModel, d: int, samples: int, radius: float, key: tuple[int, tuple]
 ) -> LipschitzReport:
     """Randomized check of the declared Lipschitz constant.
 
-    Draws quadruples (x1, y1, x2, y2) uniformly in the ball of the given
-    radius and reports the worst observed ratio
+    Draws quadruples (x1, y1, x2, y2) under the ``(seed, path)`` pair
+    ``key``, uniformly in the ball of the given radius, and reports the worst
+    observed ratio
 
         ||mu(x1,y1) - mu(x2,y2)|| / ((L/2)||x1-x2|| + (L/2)||y1-y2||),
 
@@ -217,8 +218,9 @@ def lipschitz_selfcheck(
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    gauss = normals(key, "lipschitz-dirs", samples * 4 * d).reshape(samples, 4, d)
-    radial = uniforms(key, "lipschitz-radii", samples * 4).reshape(samples, 4)
+    keys = pack([key])
+    gauss = batch_normals(keys, "lipschitz-dirs", samples * 4 * d).reshape(samples, 4, d)
+    radial = batch_uniforms(keys, "lipschitz-radii", samples * 4).reshape(samples, 4)
     norms = np.linalg.norm(gauss, axis=2, keepdims=True)
     norms[norms == 0.0] = 1.0
     points = gauss / norms * (radius * radial ** (1.0 / d))[..., None]

@@ -9,7 +9,8 @@ pairwise drift sum is O(N**2) per step by design (oracle clarity over speed)
 and is reduced in a fixed order so runs are bit-reproducible.  Particle noise
 keys live on a reserved root branch disjoint from the estimator's keys, so
 oracle and estimator stay independent under one master seed; the noise of
-each block of particles is drawn as one packed key batch.
+each block of 128 particles is drawn as one key batch, the children
+(seed, (1, i)) of the branch root.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .hier_rng import IndexKey, batch_normals, child, pack
+from .hier_rng import batch_normals, children, pack
 from .models import Problem
 
 __all__ = ["EnsembleStats", "ensemble_stats", "simulate_particles"]
 
 _PARTICLE_BRANCH = 1  # root path coordinate reserved for particle noise
-_CEILING = 4 * 10**9  # limit on N*N*M pairwise work
+_CEILING = 4 * 10**9  # limit on N*N*M*d pairwise work
 _BLOCK = 128  # row block for the pairwise drift sum and the noise draws
 
 
@@ -47,16 +48,16 @@ def simulate_particles(problem: Problem, N: int, M: int, master_seed: int) -> np
         raise ValueError(f"need at least 2 particles, got {N}")
     if M < 1:
         raise ValueError(f"need at least 1 time step, got {M}")
-    if N * N * M > _CEILING:
-        raise ResourceLimitError(
-            f"pairwise work N*N*M = {N * N * M} exceeds the ceiling {_CEILING}"
-        )
     d = problem.dim
+    if N * N * M * d > _CEILING:
+        raise ResourceLimitError(
+            f"pairwise work N*N*M*d = {N * N * M * d} exceeds the ceiling {_CEILING}"
+        )
     dt = problem.horizon / M
-    root = IndexKey(master_seed, (_PARTICLE_BRANCH,))
+    root = pack([(master_seed, (_PARTICLE_BRANCH,))])
     increments = np.empty((N, M, d))
     for lo in range(0, N, _BLOCK):
-        keys = pack([child(root, (i,)) for i in range(lo, min(lo + _BLOCK, N))])
+        keys = children(root, [(i,) for i in range(lo, min(lo + _BLOCK, N))])
         increments[lo : lo + _BLOCK] = batch_normals(keys, "dw", M * d, dt).reshape(-1, M, d)
     state = np.tile(problem.initial, (N, 1))
     for step in range(M):

@@ -1,5 +1,5 @@
-"""Shared test utilities: one-key path and estimator references, CSV
-normalization and acceptance reporting."""
+"""Shared test utilities: one-key draw, path and estimator references, CSV
+normalization and acceptance reporting.  A key is a ``(seed, path)`` pair."""
 
 from __future__ import annotations
 
@@ -10,9 +10,19 @@ from pathlib import Path
 import numpy as np
 
 from mlpicard.brownian import PathBatch, _check_query_level, _snap_indices, generate_batch
-from mlpicard.hier_rng import IndexKey, pack
+from mlpicard.hier_rng import batch_normals, batch_uniform, pack
 from mlpicard.ledger import CostLedger
 from mlpicard.mlp import _evaluate
+
+
+def uniform(key, tag) -> float:
+    """The uniform draw of one key under ``tag``: its batch of one."""
+    return float(batch_uniform(pack([key]), tag)[0])
+
+
+def normals(key, tag, count, variance=1.0) -> np.ndarray:
+    """The ``count`` normal draws of one key under ``tag``: its batch of one."""
+    return batch_normals(pack([key]), tag, count, variance)[0]
 
 
 def snap(t: float, level: int, branching: int, horizon: float) -> tuple[int, float]:
@@ -26,7 +36,7 @@ def snap(t: float, level: int, branching: int, horizon: float) -> tuple[int, flo
 class GridPath:
     """One whole Brownian path on the creation-level grid."""
 
-    key: IndexKey
+    key: tuple[int, tuple[int, ...]]
     level: int
     branching: int
     horizon: float
@@ -44,7 +54,7 @@ class GridPath:
 def generate(key, level, branching, horizon, dim, ledger=None) -> GridPath:
     """The whole path of ``key``: the batch of one key, generated up to the
     horizon."""
-    batch = generate_batch(pack((key,)), [horizon], level, branching, horizon, dim, ledger)
+    batch = generate_batch(pack([key]), [horizon], level, branching, horizon, dim, ledger)
     return GridPath(key, level, branching, horizon, dim, batch.values[0])
 
 
@@ -52,7 +62,7 @@ def evaluate_one(problem, key, n, m, t, path, ledger=None) -> np.ndarray:
     """X[n, m](t) of one key, n >= 1, through the batched evaluator; ``path``
     is the key's GridPath, created at a level >= n."""
     steps = np.array([len(path.values) - 1])
-    batch = PathBatch(pack((key,)), path.level, path.branching, path.horizon, steps,
+    batch = PathBatch(pack([key]), path.level, path.branching, path.horizon, steps,
                       path.values[None])
     (value,) = _evaluate(problem, batch, m, (n,), np.array([t]), np.zeros(1, dtype=np.intp),
                          CostLedger() if ledger is None else ledger)

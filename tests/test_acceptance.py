@@ -10,9 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import csv_without_wall, evaluate_one, generate, report_criterion
+from helpers import csv_without_wall, evaluate_one, generate, report_criterion, uniform
 from mlpicard.harness import build_config, run
-from mlpicard.hier_rng import IndexKey, uniform
 from mlpicard.mlp import realize_estimate, rep_seed
 from mlpicard.models import Problem, builtin_problem, make_drift
 from mlpicard.particles import ensemble_stats, simulate_particles
@@ -272,12 +271,12 @@ def test_criterion_8_exactness_degeneracies():
 
     # level 0 enters the recursion as zero: at n = 2, m = 1 the lower half of
     # the one correction term is mu(0, 0), which an affine drift tells apart
-    key = IndexKey(SEED, (0,))
+    key = (SEED, (0,))
     affine = make_drift("affine", lambda x, y: 0.25 + 0.0 * x + 0.5 * y, 1.0, 1)
     tilted = Problem(1, 1.0, np.ones(1), affine)
     mu, origin = affine.evaluate, affine.value_at_origin
     path = generate(key, 2, 1, 1.0, 1)
-    sub = IndexKey(SEED, (0, 2, 1, 1))
+    sub = (SEED, (0, 2, 1, 1))
     s = uniform(sub, "u") * 1.0
     fresh = generate(sub, 1, 1, 1.0, 1)
     own = tilted.initial + path.value_at(s, 1) + s * origin

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import generate, snap
+from helpers import generate, normals, snap
 from mlpicard.brownian import generate_batch
-from mlpicard.hier_rng import IndexKey, child, children, normals, pack
+from mlpicard.hier_rng import children, pack
 from mlpicard.ledger import CostLedger
 
 SEED = 1234
@@ -77,14 +77,14 @@ def test_snap_rule_matches_loop_oracle(branching):
             times = times[(times >= 0.0) & (times <= horizon)]
             want = [loop_snap_index(t, level, branching, horizon) for t in times]
             assert [snap(t, level, branching, horizon)[0] for t in times] == want
-            path = generate(IndexKey(SEED, (30, level)), level, branching, horizon, 2)
+            path = generate((SEED, (30, level)), level, branching, horizon, 2)
             got = path.value_at(times, level)
             assert got.shape == (len(times), 2)
             assert got.tobytes() == path.values[want].tobytes(), (horizon, level)
 
 
 def test_value_at_time_array():
-    path = generate(IndexKey(SEED, (31,)), 3, 2, 1.0, 3)
+    path = generate((SEED, (31,)), 3, 2, 1.0, 3)
     times = np.array([0.0, 0.3, 0.5, 0.99, 1.0])
     for level in (1, 2, 3):
         batched = path.value_at(times, level)
@@ -98,7 +98,7 @@ def test_value_at_time_array():
 
 def test_generate_counts_and_start():
     ledger = CostLedger()
-    path = generate(IndexKey(SEED, (0,)), 1, 4, 1.0, 1, ledger)
+    path = generate((SEED, (0,)), 1, 4, 1.0, 1, ledger)
     assert path.values.shape == (5, 1)
     assert np.all(path.values[0] == 0.0)
     assert ledger.scalar_draws == 4
@@ -111,7 +111,7 @@ def test_generate_matches_per_step_reference(dim):
     horizon = 1.5
     for level in (1, 2, 3):
         for m in (2, 3, 5):
-            key = IndexKey(SEED, (5, level, m))
+            key = (SEED, (5, level, m))
             var = horizon / m**level
             increments = np.array([normals(key, k, dim, var) for k in range(m**level)])
             want = np.vstack([np.zeros((1, dim)), np.cumsum(increments, axis=0)])
@@ -120,15 +120,15 @@ def test_generate_matches_per_step_reference(dim):
 
 
 def test_generate_reproducible():
-    a = generate(IndexKey(SEED, (3,)), 2, 3, 2.0, 4)
-    b = generate(IndexKey(SEED, (3,)), 2, 3, 2.0, 4)
+    a = generate((SEED, (3,)), 2, 3, 2.0, 4)
+    b = generate((SEED, (3,)), 2, 3, 2.0, 4)
     assert np.array_equal(a.values, b.values)
-    c = generate(IndexKey(SEED, (4,)), 2, 3, 2.0, 4)
+    c = generate((SEED, (4,)), 2, 3, 2.0, 4)
     assert not np.array_equal(a.values, c.values)
 
 
 def test_generate_validation():
-    key = IndexKey(SEED)
+    key = (SEED, ())
     with pytest.raises(ValueError):
         generate(key, 0, 2, 1.0, 1)
     with pytest.raises(ValueError):
@@ -140,7 +140,7 @@ def test_generate_validation():
 
 
 def test_value_at_lookup():
-    path = generate(IndexKey(SEED, (7,)), 2, 2, 1.0, 1)
+    path = generate((SEED, (7,)), 2, 2, 1.0, 1)
     assert np.all(path.value_at(0.0, 1) == 0.0)
     assert np.array_equal(path.value_at(1.0, 2), path.values[4])
     # level-1 query at t=0.6 snaps to 0.5, stored at nested index 2
@@ -150,7 +150,7 @@ def test_value_at_lookup():
 
 
 def test_values_read_only():
-    path = generate(IndexKey(SEED, (8,)), 1, 2, 1.0, 2)
+    path = generate((SEED, (8,)), 1, 2, 1.0, 2)
     with pytest.raises(ValueError):
         path.values[0, 0] = 1.0
 
@@ -163,7 +163,7 @@ def test_values_read_only():
 def test_nested_lookup_consistency(frac, query_level):
     # a coarse query answered by a fine path equals the same query on a path
     # regenerated at the coarse level from the same key
-    key = IndexKey(SEED, (11,))
+    key = (SEED, (11,))
     fine = generate(key, 3, 2, 1.0, 2)
     t = frac * 1.0
     idx, time = snap(t, query_level, 2, 1.0)
@@ -172,7 +172,7 @@ def test_nested_lookup_consistency(frac, query_level):
 
 
 def test_query_order_independence():
-    path = generate(IndexKey(SEED, (12,)), 3, 2, 1.0, 2)
+    path = generate((SEED, (12,)), 3, 2, 1.0, 2)
     queries = [(0.9, 1), (0.1, 3), (0.5, 2), (1.0, 1), (0.1, 3), (0.9, 3)]
     forward = [path.value_at(t, j).copy() for t, j in queries]
     backward = [path.value_at(t, j).copy() for t, j in reversed(queries)]
@@ -184,7 +184,7 @@ def test_increment_variance():
     # n=1, m=2, T=1: increments have variance 1/2
     rows = []
     for i in range(10**4):
-        path = generate(IndexKey(SEED, (20, i)), 1, 2, 1.0, 1)
+        path = generate((SEED, (20, i)), 1, 2, 1.0, 1)
         rows.append(np.diff(path.values, axis=0)[:, 0])
     increments = np.concatenate(rows)
     assert abs(increments.var(ddof=1) - 0.5) < 0.03
@@ -193,7 +193,7 @@ def test_increment_variance():
 def test_terminal_distribution():
     reps = 10**4
     finals = np.array(
-        [generate(IndexKey(SEED, (21, i)), 2, 2, 1.0, 1).values[-1, 0] for i in range(reps)]
+        [generate((SEED, (21, i)), 2, 2, 1.0, 1).values[-1, 0] for i in range(reps)]
     )
     assert abs(finals.mean()) < 3.0 / np.sqrt(reps)
     assert abs(finals.var(ddof=1) - 1.0) < 0.1
@@ -202,8 +202,8 @@ def test_terminal_distribution():
 def test_generate_batch_matches_generate():
     # every path of a batch equals its key's path generated alone, and the
     # ledger is charged steps*dim draws per key
-    parents = [IndexKey(SEED, (30,)), IndexKey(SEED, (300, 16384))]
-    keys = [child(parent, (k,)) for parent in parents for k in range(3)]
+    parents = [(SEED, (30,)), (SEED, (300, 16384))]
+    keys = [(seed, path + (k,)) for seed, path in parents for k in range(3)]
     packed = children(pack(parents), [(k,) for k in range(3)])
     for level, m, dim in ((1, 5, 1), (2, 3, 4), (3, 2, 9)):
         ledger = CostLedger()
@@ -218,7 +218,7 @@ def test_generate_batch_matches_generate():
 
 
 def test_path_batch_value_at_matches_each_path():
-    keys = [child(IndexKey(SEED, (31,)), (k,)) for k in range(4)]
+    keys = [(SEED, (31, k)) for k in range(4)]
     batch = generate_batch(pack(keys), np.ones(len(keys)), 3, 2, 1.0, 2)
     paths = [generate(key, 3, 2, 1.0, 2) for key in keys]
     rng = np.random.default_rng(SEED)
@@ -252,8 +252,7 @@ def test_truncated_generation_equals_full_on_every_filled_prefix(dim, horizon):
     # prefix that its reads can touch, byte-equal to the whole path, and is
     # charged the logical draws of whole paths; dim 9 is two digest blocks
     rng = np.random.default_rng(dim)
-    keys = [child(parent, (k,)) for parent in (IndexKey(SEED, (40,)),
-                                               IndexKey(SEED + 1, (400, 16384)))
+    keys = [(seed, path + (k,)) for seed, path in ((SEED, (40,)), (SEED + 1, (400, 16384)))
             for k in range(4)]
     for m in (1, 2, 3, 5):
         for level in (1, 2, 3):
@@ -287,7 +286,7 @@ def test_reach_covers_a_coarser_grid_one_ulp_ahead():
     t = 1 * 0.05 / 3
     assert t == 0.016666666666666666 < 3 * 0.05 / 9 == 0.01666666666666667
     assert snap(t, 2, 3, 0.05)[0] == 2 and snap(t, 1, 3, 0.05)[0] == 1
-    key = IndexKey(SEED, (41,))
+    key = (SEED, (41,))
     batch = generate_batch(pack([key]), [t], 2, 3, 0.05, 1)
     assert batch.filled.tolist() == [3]
     full = generate(key, 2, 3, 0.05, 1).values
@@ -299,7 +298,7 @@ def test_reach_covers_a_coarser_grid_one_ulp_ahead():
 def test_read_past_the_filled_prefix_raises():
     # generated up to 0.3 at level 3, m = 2: the prefix ends at index 2
     # (t = 0.25); later reads at any level are refused, not served stale
-    keys = children(pack([IndexKey(SEED, (42,))]), [(0,), (1,)])
+    keys = children(pack([(SEED, (42,))]), [(0,), (1,)])
     batch = generate_batch(keys, [0.3, 1.0], 3, 2, 1.0, 1)
     assert batch.filled.tolist() == [2, 8]
     first = np.zeros(1, dtype=np.intp)

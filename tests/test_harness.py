@@ -13,6 +13,8 @@ import pytest
 
 import mlpicard
 import mlpicard.harness as harness_mod
+import mlpicard.mlp as mlp_mod
+import mlpicard.particles as particles_mod
 from helpers import csv_without_wall
 from mlpicard.cli import main
 from mlpicard.errors import ConfigError, ResourceLimitError, WorkerCrashError
@@ -513,6 +515,46 @@ def test_public_names_resolve():
     for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def test_public_api_is_pinned():
+    # growing or shrinking the package's API is a reviewed edit of this list
+    assert mlpicard.__all__ == [
+        "ConfigError",
+        "CostLedger",
+        "DriftModel",
+        "Problem",
+        "ResourceLimitError",
+        "builtin_problem",
+        "complexity_certificate",
+        "cost_bound",
+        "cost_budget",
+        "derive_seed",
+        "ensemble_stats",
+        "error_bound",
+        "exact_cost_bound",
+        "gronwall_bound",
+        "gronwall_closed_form",
+        "lipschitz_selfcheck",
+        "log_cost_bound",
+        "log_error_bound",
+        "make_drift",
+        "moment_bound",
+        "pathwise_value",
+        "realize_estimate",
+        "simulate_particles",
+        "two_step_closed_form",
+    ]
+
+
+def test_root_branches_are_distinct():
+    # the estimator, the particle oracle and the harness draw under one
+    # master seed from the root branches (branch,) of their key paths; their
+    # streams are independent only while the branches differ
+    branches = (mlp_mod._ESTIMATOR_BRANCH, particles_mod._PARTICLE_BRANCH,
+                harness_mod._HARNESS_BRANCH)
+    assert len(set(branches)) == len(branches)
+    assert all(type(branch) is int and branch >= 0 for branch in branches)
 
 
 def test_resource_refusal_from_run(tmp_path):

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import mlpicard.mlp as mlp_mod
-from helpers import evaluate_one, generate
+from helpers import evaluate_one, generate, uniform
 import mlpicard.hier_rng as hier_rng
 from mlpicard.brownian import PathBatch, _snap_indices, generate_batch
 from mlpicard.errors import ConfigError, NonFiniteDriftError
 from mlpicard.harness import build_config, run
-from mlpicard.hier_rng import IndexKey, child, pack, uniform
+from mlpicard.hier_rng import pack
 from mlpicard.ledger import CostLedger
 from mlpicard.mlp import realize_estimate, rep_seed
 from mlpicard.models import Problem, builtin_problem, make_drift
@@ -42,7 +42,7 @@ def brute_force_budget(n, m, d, v, f):
 def test_level_one_closed_form():
     # n = 1: xi + W(snap(t, m)) + t*mu(0,0), with the double sum empty
     prob = constant_drift_problem(0.375, d=2, T=1.0, xi=1.0)
-    key = IndexKey(SEED, (0,))
+    key = (SEED, (0,))
     path = generate(key, 1, 3, 1.0, 2)
     for t in (0.0, 0.4, 1.0):
         got = evaluate_one(prob, key, 1, 3, t, path)
@@ -54,7 +54,7 @@ def test_zero_drift_collapse_bit_exact():
     prob = builtin_problem("zero_drift", d=1, T=1.0, xi=1.0)
     for n in range(1, 5):
         for m in range(1, 5):
-            key = IndexKey(SEED + n * 10 + m, (0,))
+            key = (SEED + n * 10 + m, (0,))
             path = generate(key, n, m, 1.0, 1)
             for t in (0.0, 0.37, 1.0):
                 got = evaluate_one(prob, key, n, m, t, path)
@@ -103,7 +103,7 @@ def test_process_consistency_addresses():
     # evaluating the same (theta, level) process at two times must draw the
     # same set of (key, tag) addresses
     prob = builtin_problem("sine_meanfield", d=1, T=1.0, xi=1.0, L=1.0)
-    key = IndexKey(SEED, (0,))
+    key = (SEED, (0,))
     path = generate(key, 3, 2, 1.0, 1)
 
     real_uniform = mlp_mod.batch_uniform
@@ -142,7 +142,7 @@ def reference_estimator(problem, key, n, m, t, path):
     for level in range(1, n):
         fan = m ** (n - level)
         for k in range(1, fan + 1):
-            sub = IndexKey(key.seed, key.path + (n, k, level))
+            sub = (key[0], key[1] + (n, k, level))
             s = uniform(sub, "u") * t
             fresh = generate(sub, level, m, problem.horizon, problem.dim)
             hi = mu(
@@ -162,7 +162,7 @@ def test_matches_independent_reimplementation():
     for d, n, m in ((2, 1, 3), (2, 2, 2), (2, 3, 2), (2, 3, 3), (2, 4, 2),
                     (1, 3, 3), (1, 4, 4), (9, 3, 2)):
         prob = builtin_problem("sine_meanfield", d=d, T=1.5, xi=0.75, L=1.0)
-        key = IndexKey(SEED + n + 10 * m, (0,))
+        key = (SEED + n + 10 * m, (0,))
         path = generate(key, n, m, prob.horizon, prob.dim)
         got = evaluate_one(prob, key, n, m, prob.horizon, path)
         want = reference_estimator(prob, key, n, m, prob.horizon, path)
@@ -183,8 +183,7 @@ def test_time_vector_matches_per_time_reference():
     for name, d, params in cases:
         prob = builtin_problem(name, d=d, T=1.5, xi=0.75, **params)
         for n, m in ((1, 3), (2, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)):
-            root = IndexKey(SEED + 100 * d + 10 * n + m, (0,))
-            keys = [child(root, (k,)) for k in range(3)]
+            keys = [(SEED + 100 * d + 10 * n + m, (0, k)) for k in range(3)]
             paths = generate_batch(pack(keys), np.full(len(keys), prob.horizon), n, m,
                                    prob.horizon, d)
             grid = np.arange(m**n + 1) * prob.horizon / m**n
@@ -415,12 +414,12 @@ def test_level_two_hand_expansion():
     # estimator enters each lower half as zero, through mu(0, 0)
     prob = builtin_problem("sine_meanfield", d=1, T=1.0, xi=1.0, L=1.0)
     mu = prob.drift.evaluate
-    key = IndexKey(SEED, (0,))
+    key = (SEED, (0,))
     path = generate(key, 2, 2, 1.0, 1)
     zero = np.zeros(1)
     value = prob.initial + path.value_at(1.0, 2) + 1.0 * prob.drift.value_at_origin
     for k in (1, 2):
-        sub = IndexKey(SEED, (0, 2, k, 1))
+        sub = (SEED, (0, 2, k, 1))
         s = uniform(sub, "u") * 1.0
         fresh = generate(sub, 1, 2, 1.0, 1)
         own = prob.initial + path.value_at(s, 1) + s * prob.drift.value_at_origin

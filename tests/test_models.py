@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from helpers import generate
-from mlpicard.hier_rng import IndexKey
 from mlpicard.models import (
     builtin_problem,
     lipschitz_selfcheck,
@@ -77,7 +76,7 @@ def test_sine_meanfield_problem():
     assert prob.oracle_kind == "none"
     assert np.all(prob.drift.value_at_origin == 0.0)
     with pytest.raises(ValueError):
-        pathwise_value(prob, 1.0, generate(IndexKey(SEED, (0,)), 1, 2, 1.0, 3).values[-1])
+        pathwise_value(prob, 1.0, generate((SEED, (0,)), 1, 2, 1.0, 3).values[-1])
 
 
 def test_value_at_origin_cached_exactly():
@@ -96,7 +95,7 @@ def _builtin_suite():
 
 
 def test_declared_lipschitz_constants_pass_selfcheck():
-    key = IndexKey(SEED, (1,))
+    key = (SEED, (1,))
     for prob in _builtin_suite():
         report = lipschitz_selfcheck(prob.drift, prob.dim, 10**5, 5.0, key)
         assert report.passed, (prob.drift.name, report.worst_ratio)
@@ -105,7 +104,7 @@ def test_declared_lipschitz_constants_pass_selfcheck():
 
 def test_selfcheck_zero_drift_worst_ratio():
     prob = builtin_problem("zero_drift", d=1, T=1.0, xi=0.0)
-    report = lipschitz_selfcheck(prob.drift, 1, 1000, 2.0, IndexKey(SEED, (2,)))
+    report = lipschitz_selfcheck(prob.drift, 1, 1000, 2.0, (SEED, (2,)))
     assert report.passed
     assert report.worst_ratio == 0.0
 
@@ -113,14 +112,14 @@ def test_selfcheck_zero_drift_worst_ratio():
 def test_selfcheck_sine_explicit_constant():
     # mu(x, y) = (sin x + sin y)/2 satisfies the split with L = 1
     drift = make_drift("half_sines", lambda x, y: 0.5 * (np.sin(x) + np.sin(y)), 1.0, 1)
-    report = lipschitz_selfcheck(drift, 1, 10**4, 4.0, IndexKey(SEED, (3,)))
+    report = lipschitz_selfcheck(drift, 1, 10**4, 4.0, (SEED, (3,)))
     assert report.passed, report.worst_ratio
 
 
 def test_selfcheck_catches_understated_constant():
     # slope 2 in the first argument cannot hide under a declared L = 1
     drift = make_drift("too_steep", lambda x, y: 2.0 * x + 0.0 * y, 1.0, 1)
-    report = lipschitz_selfcheck(drift, 1, 2000, 1.0, IndexKey(SEED, (4,)))
+    report = lipschitz_selfcheck(drift, 1, 2000, 1.0, (SEED, (4,)))
     assert not report.passed
     assert report.worst_ratio > 1.0
     x1, y1, x2, y2 = report.witness
@@ -132,7 +131,7 @@ def test_selfcheck_catches_understated_constant():
 def test_oracle_pathwise_uses_coupled_path():
     # driven by W0 at a grid time of the estimator's own path
     prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
-    path = generate(IndexKey(SEED, (5,)), 2, 2, 1.0, 1)
+    path = generate((SEED, (5,)), 2, 2, 1.0, 1)
     for t, i in ((0.5, 2), (1.0, 4)):
         got = pathwise_value(prob, t, path.value_at(t, 2))
         assert got[0] == pytest.approx(math.exp(-t) + path.values[i, 0], abs=1e-15)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import mlpicard.particles as particles_mod
+from helpers import normals
 from mlpicard.errors import ResourceLimitError
-from mlpicard.hier_rng import IndexKey, child, normals
 from mlpicard.models import builtin_problem
 from mlpicard.particles import _interaction_mean, ensemble_stats, simulate_particles
 from mlpicard.recursions import moment_bound
@@ -25,6 +25,10 @@ def test_validation(monkeypatch):
     monkeypatch.setattr(particles_mod, "batch_normals", None)
     with pytest.raises(ResourceLimitError, match="exceeds the ceiling 4000000000"):
         simulate_particles(prob, 10**5, 1, SEED)
+    # the pairwise drift sum scales with d too: N*N*M*d = 6.4e9 at d = 8
+    wide = builtin_problem("zero_drift", d=8, T=1.0, xi=0.0)
+    with pytest.raises(ResourceLimitError, match=r"N\*N\*M\*d = 6400000000 exceeds"):
+        simulate_particles(wide, 2000, 200, SEED)
 
 
 def test_zero_drift_is_exact_euler():
@@ -34,9 +38,8 @@ def test_zero_drift_is_exact_euler():
     n, steps = 16, 5
     samples = simulate_particles(prob, n, steps, SEED)
     dt = 1.0 / steps
-    root = IndexKey(SEED, (1,))
     for i in range(n):
-        increments = normals(child(root, (i,)), "dw", steps * 2, dt).reshape(steps, 2)
+        increments = normals((SEED, (1, i)), "dw", steps * 2, dt).reshape(steps, 2)
         assert np.allclose(samples[i], prob.initial + increments.sum(axis=0), atol=1e-12)
 
 
@@ -102,7 +105,7 @@ def test_ensemble_stats_basics():
 
 
 def test_ensemble_stats_chi_concentration():
-    draws = normals(IndexKey(SEED, (9,)), "chi", 10**4).reshape(-1, 1)
+    draws = normals((SEED, (9,)), "chi", 10**4).reshape(-1, 1)
     stats = ensemble_stats(draws)
     assert abs(stats.second_moment_root - 1.0) < 0.03
 
