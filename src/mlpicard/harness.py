@@ -4,8 +4,8 @@ Configuration is a flat key=value text file plus ``--set key=value``
 overrides; no nesting.  Every mode is deterministic given its configuration:
 all randomness flows through the keyed generator from the single master
 seed, repetition fan-out across a worker pool preserves ordering before any
-aggregation, and CSV numbers are printed with 17 significant digits.  One
-recorder ends every mode's rows with ``status`` and ``wall_s``, the seconds
+aggregation, and CSV numbers are printed with 17 significant digits.  A
+mode's result ends every row with ``status`` and ``wall_s``, the seconds
 of the row's own work (the rows of oracle-compare share one span); wall
 times are the only non-reproducible columns.
 
@@ -53,7 +53,7 @@ from .errors import ConfigError, ResourceLimitError, WorkerCrashError
 from .hier_rng import batch_uniforms, children, derive_seed, pack
 from .ledger import CostLedger
 from .mlp import _realize_batch, realize_estimate, rep_seed, summarize_squared_errors
-from .models import Problem, builtin_problem, pathwise_value
+from .models import PROBLEM_PARAMS, Problem, builtin_problem, pathwise_value
 from .particles import ensemble_stats, simulate_particles
 from .recursions import (
     complexity_certificate,
@@ -90,12 +90,6 @@ _HARNESS_BRANCH = 2  # root path coordinate reserved for harness parameter draws
 # Longest exact integer a CSV cell holds: CPython's default int-to-str limit,
 # fixed here so the output does not depend on interpreter settings.
 _MAX_INT_DIGITS = 4300
-_PROBLEM_PARAMS = {
-    "zero_drift": (),
-    "law_only_linear": ("b",),
-    "full_linear": ("a", "b"),
-    "sine_meanfield": ("L",),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +131,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; choose one of {sorted(MODES)}")
-        if self.problem not in _PROBLEM_PARAMS:
+        if self.problem not in PROBLEM_PARAMS:
             raise ConfigError(
-                f"unknown problem {self.problem!r}; choose one of {sorted(_PROBLEM_PARAMS)}"
+                f"unknown problem {self.problem!r}; choose one of {sorted(PROBLEM_PARAMS)}"
             )
         if self.d < 1:
             raise ConfigError(f"d must be at least 1, got {self.d}")
@@ -263,7 +257,7 @@ def build_config(
 def _problem(cfg: ExperimentConfig) -> Problem:
     """The configured built-in problem, built once per process and config; a
     parameter it rejects is a ConfigError."""
-    params = {name: getattr(cfg, name) for name in _PROBLEM_PARAMS[cfg.problem]}
+    params = {name: getattr(cfg, name) for name in PROBLEM_PARAMS[cfg.problem]}
     try:
         return builtin_problem(cfg.problem, cfg.d, cfg.T, cfg.xi, **params)
     except ValueError as exc:
@@ -438,20 +432,6 @@ def _recursion_parameters(
 # result container and CSV output
 
 
-@dataclass
-class ExperimentResult:
-    mode: str
-    columns: tuple[str, ...]
-    rows: list[tuple]
-    footer: list[str]
-    ok: bool
-    config_echo: str
-
-    def failures(self) -> list[tuple]:
-        status = self.columns.index("status")
-        return [row for row in self.rows if row[status] != "ok"]
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -474,29 +454,31 @@ def write_csv(result: ExperimentResult, path: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-class _Recorder:
+class ExperimentResult:
     """The rows of one mode run: the mode's columns, then ``status`` and
-    ``wall_s``.  Each :meth:`add` closes one span of work, timed from the
-    recorder's creation or the previous ``add``; its rows share the span's
-    status and wall time, and its ``ok`` folds into the run's."""
+    ``wall_s``, and the footer lines.  Each :meth:`add` closes one span of
+    work, timed from the result's creation or the previous ``add``; its rows
+    share the span's status and wall time, and its ``ok`` folds into the
+    run's."""
 
     def __init__(self, cfg: ExperimentConfig, *columns: str) -> None:
-        self.cfg = cfg
+        self.mode = cfg.mode
+        self.config_echo = cfg.echo()
         self.columns = (*columns, "status", "wall_s")
         self.rows: list[tuple] = []
+        self.footer: list[str] = []
         self.ok = True
-        self.started = time.perf_counter()
+        self._started = time.perf_counter()
 
     def add(self, ok: bool, *rows: tuple) -> None:
         now = time.perf_counter()
         self.ok &= ok
-        self.rows += [(*row, "ok" if ok else "FAIL", now - self.started) for row in rows]
-        self.started = now
+        self.rows += [(*row, "ok" if ok else "FAIL", now - self._started) for row in rows]
+        self._started = now
 
-    def result(self, footer: Sequence[str] = ()) -> ExperimentResult:
-        return ExperimentResult(
-            self.cfg.mode, self.columns, self.rows, list(footer), self.ok, self.cfg.echo()
-        )
+    def failures(self) -> list[tuple]:
+        status = self.columns.index("status")
+        return [row for row in self.rows if row[status] != "ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +507,15 @@ def _bound_constants(problem: Problem) -> tuple[float, float, float]:
 
 def _mode_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     problem = _problem(cfg)
-    if problem.oracle_kind != "pathwise":
+    if problem.pathwise is None:
         raise ConfigError(
-            f"convergence mode needs a pathwise oracle; problem {cfg.problem!r} "
-            f"has {problem.oracle_kind!r}"
+            f"convergence mode needs a pathwise oracle; problem {cfg.problem!r} has none"
         )
     constants = _bound_constants(problem)
     rmses, rmse_ses = [], []
     budgets = [_require_budget(cfg, k, k) for k in cfg.levels()]
     with _worker_pool(cfg.jobs, cfg.reps) as pool:
-        rec = _Recorder(
+        rec = ExperimentResult(
             cfg, "k", "n", "m", "reps", "rmse", "rmse_ci_half", "rmse_ci_upper", "error_bound",
             "bound_ok", "draws", "evals", "cost_budget", "cost_bound",
         )
@@ -554,7 +535,8 @@ def _mode_convergence(cfg: ExperimentConfig) -> ExperimentResult:
                 budget, cost_bound(k, k, cfg.d, 1, 1),
             ))
 
-    return rec.result(_slope_footer(list(cfg.levels()), rmses, rmse_ses))
+    rec.footer = _slope_footer(list(cfg.levels()), rmses, rmse_ses)
+    return rec
 
 
 def _slope_footer(ks: list[int], rmses: list[float], ses: list[float]) -> list[str]:
@@ -591,7 +573,7 @@ def _slope_footer(ks: list[int], rmses: list[float], ses: list[float]) -> list[s
 
 def _mode_cost_table(cfg: ExperimentConfig) -> ExperimentResult:
     problem = _problem(cfg)
-    rec = _Recorder(
+    rec = ExperimentResult(
         cfg, "n", "m", "d", "draws", "evals", "draws_budget", "evals_budget", "cost_budget",
         "cost_bound", "draws_ok", "evals_ok", "budget_le_bound", "draws_ge_top_path",
     )
@@ -614,12 +596,12 @@ def _mode_cost_table(cfg: ExperimentConfig) -> ExperimentResult:
                 n, m, cfg.d, draws, evals, draws_budget, evals_budget, total_budget,
                 bound, draws_ok, evals_ok, budget_le_bound, top_path_ok,
             ))
-    return rec.result()
+    return rec
 
 
 def _mode_verify_bounds(cfg: ExperimentConfig) -> ExperimentResult:
     problem = _problem(cfg)
-    rec = _Recorder(cfg, "check", "observed", "limit", "margin")
+    rec = ExperimentResult(cfg, "check", "observed", "limit", "margin")
     samples = simulate_particles(problem, cfg.particles_n, cfg.particles_m, cfg.seed)
     stats = ensemble_stats(samples)
     bound = moment_bound(cfg.T, *_bound_constants(problem), cfg.d)
@@ -650,7 +632,7 @@ def _mode_verify_bounds(cfg: ExperimentConfig) -> ExperimentResult:
         overshoot = _gronwall_majorant_overshoot(kappa, lam, *cs, horizon=20)
         worst = max(worst, overshoot)
     rec.add(worst <= 0.0, _check("gronwall_majorant_overshoot_max", float(worst), 0.0))
-    return rec.result()
+    return rec
 
 
 def _check(name: str, observed: float, limit: float) -> tuple:
@@ -672,26 +654,21 @@ def _gronwall_majorant_overshoot(
 ) -> float:
     """Run the majorized inequality with equality (its maximal solution) and
     return the largest amount by which it exceeds the closed bound."""
-    worst = -math.inf
+    forcing = []
     geometric = 0.0  # sum_{k=1..n} c4**k
-    sum_full = sum_lag = 0.0
-    history: list[float] = []
     for n in range(horizon + 1):
         if n >= 1:
             geometric += c4**n
-        a_n = c1 + c2 * n + c3 * geometric + kappa * sum_full + lam * sum_lag
-        if n >= 1:
-            sum_lag += history[n - 1]
-        sum_full += a_n
-        history.append(a_n)
-        worst = max(worst, a_n - gronwall_bound(kappa, lam, c1, c2, c3, c4, n))
-    return worst
+        forcing.append(c1 + c2 * n + c3 * geometric)
+    maximal = direct_gronwall(kappa, lam, forcing).real
+    bounds = [gronwall_bound(kappa, lam, c1, c2, c3, c4, n) for n in range(horizon + 1)]
+    return max(a_n - bound for a_n, bound in zip(maximal, bounds))
 
 
 def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
     problem = _problem(cfg)
     _require_budget(cfg, cfg.mlp_n, cfg.mlp_m)
-    rec = _Recorder(cfg, "coord", "mlp_mean", "mlp_se", "particle_mean", "particle_se")
+    rec = ExperimentResult(cfg, "coord", "mlp_mean", "mlp_se", "particle_mean", "particle_se")
     with _worker_pool(cfg.jobs, cfg.reps) as pool:
         values = np.array([r[0] for r in _repetitions(cfg, cfg.mlp_n, cfg.mlp_m, pool)])
     mlp_mean = values.mean(axis=0)
@@ -707,17 +684,17 @@ def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
     rec.add(agree, *[
         (i, mlp_mean[i], mlp_se[i], stats.mean[i], stats.mean_se[i]) for i in range(cfg.d)
     ])
-    footer = [
+    rec.footer = [
         f"distance={_fmt(distance)}",
         f"combined_se={_fmt(combined)}",
         f"sigmas={_fmt(distance / combined if combined > 0 else 0.0)}",
         f"agree_3se={'1' if agree else '0'}",
     ]
-    return rec.result(footer)
+    return rec
 
 
 def _mode_recursion_selftest(cfg: ExperimentConfig) -> ExperimentResult:
-    rec = _Recorder(cfg, "suite", "cases", "max_abs_gap", "tol")
+    rec = ExperimentResult(cfg, "suite", "cases", "max_abs_gap", "tol")
     names = ("two_step_real", "two_step_complex", "gronwall_real", "gronwall_complex")
     for name, (cases, worst) in zip(names, _closed_form_suites(cfg)):
         rec.add(worst < _CLOSED_FORM_TOL, (name, cases, worst, _CLOSED_FORM_TOL))
@@ -733,7 +710,7 @@ def _mode_recursion_selftest(cfg: ExperimentConfig) -> ExperimentResult:
                         worst_int = max(worst_int, gap)
                         cases += 1
     rec.add(worst_int == 0, ("budget_vs_bruteforce", cases, float(worst_int), 0.0))
-    return rec.result()
+    return rec
 
 
 def _mode_certificate(cfg: ExperimentConfig) -> ExperimentResult:
@@ -742,7 +719,7 @@ def _mode_certificate(cfg: ExperimentConfig) -> ExperimentResult:
         cfg.delta, cfg.T, cfg.d, *_bound_constants(problem), cfg.cert_kmax
     )
     log_rhs = math.log(cfg.d + 1) + cert.log_sup
-    rec = _Recorder(cfg, "eps", "n_eps", "cost_bound", "log_lhs", "log_rhs")
+    rec = ExperimentResult(cfg, "eps", "n_eps", "cost_bound", "log_lhs", "log_rhs")
     rec.ok = cert.attained
     for eps in cfg.eps_values():
         try:
@@ -761,12 +738,12 @@ def _mode_certificate(cfg: ExperimentConfig) -> ExperimentResult:
         bound = exact_cost_bound(n_eps, n_eps, cfg.d, 1, 1)
         log_lhs = log_bound + (2.0 + cfg.delta) * math.log(eps)
         rec.add(log_lhs <= log_rhs, (eps, n_eps, bound, log_lhs, log_rhs))
-    footer = [
+    rec.footer = [
         f"argmax_k={cert.argmax_k}",
         f"log_sup={_fmt(cert.log_sup)}",
         f"sup_attained={'1' if cert.attained else '0'}",
     ]
-    return rec.result(footer)
+    return rec
 
 
 MODES: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {

@@ -28,8 +28,8 @@ one concatenation: its own length header, its parent's encoded coordinates
 and the extension's.  The hashing forms copy each key's hasher from one
 keyed hasher per seed (a one-block uniform is one copy absorbing its
 message; a multi-block key primes a copy with its path and copies it per
-block) and map all digests in one vector pass; :func:`batch_step_normals`
-hashes only the steps its caller asks for.
+block but the last) and map all digests in one vector pass;
+:func:`batch_step_normals` hashes only the steps its caller asks for.
 """
 
 from __future__ import annotations
@@ -187,20 +187,25 @@ def _hash_suffixes(
     then in suffix order; key i takes the first ``counts[i]`` suffixes, all
     of them when ``counts`` is None.
 
-    Each key's hasher is copied from its seed's keyed hasher, absorbs its
-    path and the shared prefix once and is copied per suffix.
+    Each key with a suffix to take copies its seed's keyed hasher, which
+    absorbs its path and the shared prefix once, is copied per suffix but
+    the last and absorbs the last itself.
     """
     if counts is None:
         counts = repeat(len(suffixes))
     hashers = _seed_hashers(keys[0])
     digests = bytearray()
     for seed, path, count in zip(*keys, counts):
+        if not count:
+            continue
         primed = hashers[seed].copy()
         primed.update(path + prefix)
-        for suffix in islice(suffixes, count):
+        for suffix in islice(suffixes, count - 1):
             hasher = primed.copy()
             hasher.update(suffix)
             digests += hasher.digest()
+        primed.update(suffixes[count - 1])
+        digests += primed.digest()
     return digests
 
 

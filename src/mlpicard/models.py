@@ -1,4 +1,4 @@
-"""McKean-Vlasov problem instances: drifts, constants, and exact-solution oracles.
+"""McKean-Vlasov problem instances: drifts, constants, and exact solutions.
 
 A drift mu maps a state point and a law sample to a velocity, with the
 two-sided Lipschitz property
@@ -6,10 +6,10 @@ two-sided Lipschitz property
     ||mu(x1, y1) - mu(x2, y2)|| <= (L/2) ||x1 - x2|| + (L/2) ||y1 - y2||
 
 in the Euclidean norm.  Built-in problems carry whatever exact solution is
-available: a *pathwise* oracle expresses X(t) as a function of the driving
-Brownian value (enabling per-realization error measurement), a *mean-only*
-oracle provides E[X(t)] and per-coordinate variance, and the nonlinear sine
-model has no closed form and is checked against the particle system instead.
+available: ``pathwise`` expresses X(t) as a function of the driving Brownian
+value (enabling per-realization error measurement), ``mean`` gives E[X(t)],
+and the nonlinear sine model has neither and is checked against the particle
+system instead.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .hier_rng import batch_normals, batch_uniforms, pack
 __all__ = [
     "DriftModel",
     "LipschitzReport",
-    "Oracle",
+    "PROBLEM_PARAMS",
     "Problem",
     "builtin_problem",
     "lipschitz_selfcheck",
@@ -36,6 +36,13 @@ __all__ = [
 # Relative slack for the sampled Lipschitz ratio; exact-equality cases like
 # linear drifts sit on the boundary up to roundoff.
 _RATIO_TOL = 1e-9
+# The parameters each built-in problem takes, all of them required.
+PROBLEM_PARAMS = {
+    "zero_drift": (),
+    "law_only_linear": ("b",),
+    "full_linear": ("a", "b"),
+    "sine_meanfield": ("L",),
+}
 
 
 @dataclass(frozen=True)
@@ -81,30 +88,22 @@ def make_drift(
 
 
 @dataclass(frozen=True)
-class Oracle:
-    """Exact-solution descriptor attached to a Problem.
-
-    With ``pathwise`` set (kind 'pathwise'), ``pathwise(t, w)`` returns X(t)
-    driven by the Brownian value w = W0(t), coupled to the estimator's own
-    path; ``w`` may stack several such values as (..., d) rows, each answered
-    alone.  Without it (kind 'mean-only'), only ``mean`` and
-    ``coord_variance`` are available.
-    """
-
-    mean: Callable[[float], np.ndarray]
-    pathwise: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    coord_variance: Optional[Callable[[float], float]] = None
-
-
-@dataclass(frozen=True)
 class Problem:
-    """One McKean-Vlasov instance: dimension, horizon, start point, drift."""
+    """One McKean-Vlasov instance: dimension, horizon, start point, drift,
+    and its exact solutions where known.
+
+    ``mean(t)`` returns E[X(t)].  ``pathwise(t, w)`` returns X(t) driven by
+    the Brownian value w = W0(t), coupled to the estimator's own path; ``w``
+    may stack several such values as (..., d) rows, each answered alone.
+    Either is None when the problem has no such closed form.
+    """
 
     dim: int
     horizon: float
     initial: np.ndarray
     drift: DriftModel
-    oracle: Optional[Oracle] = None
+    mean: Optional[Callable[[float], np.ndarray]] = None
+    pathwise: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -117,52 +116,42 @@ class Problem:
         initial.setflags(write=False)
         object.__setattr__(self, "initial", initial)
 
-    @property
-    def oracle_kind(self) -> str:
-        if self.oracle is None:
-            return "none"
-        return "mean-only" if self.oracle.pathwise is None else "pathwise"
-
-
-def _as_initial(xi, dim: int) -> np.ndarray:
-    arr = np.asarray(xi, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(dim, float(arr))
-    return arr
-
 
 def builtin_problem(name: str, d: int = 1, T: float = 1.0, xi=1.0, **params) -> Problem:
-    """Configure one of the built-in test problems.
+    """Configure one of the built-in test problems; ``params`` must be
+    exactly the problem's entry in ``PROBLEM_PARAMS``.
 
     zero_drift            mu = 0, L = 0; pathwise X(t) = xi + W0(t).
     law_only_linear(b)    mu(x, y) = b*y, L = 2|b|; pathwise
                           X(t) = xi*exp(b*t) + W0(t), mean xi*exp(b*t).
-    full_linear(a, b)     mu(x, y) = a*x + b*y, L = 2*max(|a|,|b|); mean-only
-                          E[X(t)] = xi*exp((a+b)*t), per-coordinate variance
-                          (exp(2*a*t) - 1)/(2*a), or t when a = 0.
+    full_linear(a, b)     mu(x, y) = a*x + b*y, L = 2*max(|a|,|b|); mean
+                          E[X(t)] = xi*exp((a+b)*t), no pathwise form.
     sine_meanfield(L)     mu(x, y) = (L/2)*(sin x + sin y) coordinatewise; no
                           closed form (checked against the particle oracle).
     """
-    initial = _as_initial(xi, d)
+    if name not in PROBLEM_PARAMS:
+        raise ValueError(
+            f"unknown built-in problem {name!r}; choose one of {sorted(PROBLEM_PARAMS)}"
+        )
+    expected = PROBLEM_PARAMS[name]
+    if sorted(params) != sorted(expected):
+        raise ValueError(
+            f"problem {name!r} takes parameters {list(expected)}, got {sorted(params)}"
+        )
+    initial = np.asarray(xi, dtype=float)
+    if initial.ndim == 0:
+        initial = np.full(d, float(initial))
 
     if name == "zero_drift":
         drift = make_drift("zero_drift", lambda x, y: np.zeros_like(x), 0.0, d)
-        oracle = Oracle(
-            mean=lambda t: initial.copy(),
-            pathwise=lambda t, w: initial + w,
-            coord_variance=lambda t: float(t),
-        )
-        return Problem(d, float(T), initial, drift, oracle)
+        return Problem(d, float(T), initial, drift, lambda t: initial.copy(),
+                       lambda t, w: initial + w)
 
     if name == "law_only_linear":
         b = float(params["b"])
         drift = make_drift("law_only_linear", lambda x, y: b * y + 0.0 * x, 2.0 * abs(b), d)
-        oracle = Oracle(
-            mean=lambda t: initial * np.exp(b * t),
-            pathwise=lambda t, w: initial * np.exp(b * t) + w,
-            coord_variance=lambda t: float(t),
-        )
-        return Problem(d, float(T), initial, drift, oracle)
+        return Problem(d, float(T), initial, drift, lambda t: initial * np.exp(b * t),
+                       lambda t, w: initial * np.exp(b * t) + w)
 
     if name == "full_linear":
         a = float(params["a"])
@@ -170,29 +159,15 @@ def builtin_problem(name: str, d: int = 1, T: float = 1.0, xi=1.0, **params) -> 
         drift = make_drift(
             "full_linear", lambda x, y: a * x + b * y, 2.0 * max(abs(a), abs(b)), d
         )
+        return Problem(d, float(T), initial, drift, lambda t: initial * np.exp((a + b) * t))
 
-        def coord_variance(t: float) -> float:
-            if a == 0.0:
-                return float(t)
-            return float(np.expm1(2.0 * a * t) / (2.0 * a))
-
-        oracle = Oracle(
-            mean=lambda t: initial * np.exp((a + b) * t),
-            coord_variance=coord_variance,
-        )
-        return Problem(d, float(T), initial, drift, oracle)
-
-    if name == "sine_meanfield":
-        L = float(params["L"])
-        if L < 0:
-            raise ValueError(f"sine_meanfield requires L >= 0, got {L}")
-        half = 0.5 * L
-        drift = make_drift(
-            "sine_meanfield", lambda x, y: half * (np.sin(x) + np.sin(y)), L, d
-        )
-        return Problem(d, float(T), initial, drift, None)
-
-    raise ValueError(f"unknown built-in problem {name!r}")
+    # sine_meanfield, the one name left
+    L = float(params["L"])
+    if L < 0:
+        raise ValueError(f"sine_meanfield requires L >= 0, got {L}")
+    half = 0.5 * L
+    drift = make_drift("sine_meanfield", lambda x, y: half * (np.sin(x) + np.sin(y)), L, d)
+    return Problem(d, float(T), initial, drift)
 
 
 @dataclass(frozen=True)
@@ -245,6 +220,6 @@ def lipschitz_selfcheck(
 def pathwise_value(problem: Problem, t: float, w_value: np.ndarray) -> np.ndarray:
     """Exact solution at time t driven by the Brownian value w_value = W0(t),
     row by row for a stack of (..., d) values."""
-    if problem.oracle_kind != "pathwise":
-        raise ValueError(f"problem has no pathwise oracle (kind {problem.oracle_kind!r})")
-    return problem.oracle.pathwise(t, w_value)
+    if problem.pathwise is None:
+        raise ValueError("problem has no pathwise oracle")
+    return problem.pathwise(t, w_value)

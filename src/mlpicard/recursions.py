@@ -6,8 +6,10 @@ Solvers
 ``two_step_closed_form`` solves a(k+2) = b(k+2) + kappa*a(k+1) + lambda*a(k)
 with a(0) = b(0), a(1) = b(1) + kappa*b(0), through the characteristic roots
 of x**2 = kappa*x + lambda.  ``gronwall_closed_form`` solves the full-history
-variant a(n) = b(n) + sum_{k<n} [kappa*a(k) + lambda*a(k-1)] through the roots
-of x**2 = (1+kappa)*x + lambda.  Both accept complex parameters and reject
+variant a(n) = b(n) + sum_{k<n} [kappa*a(k) + lambda*a(k-1)]: differencing
+consecutive indices turns it into the two-step recursion with 1+kappa in
+place of kappa and forcing b(n) - b(n-1), which it hands to
+``two_step_closed_form``.  Both accept complex parameters and reject
 (near-)coincident roots rather than regularizing them.  For k = 0 the a(k-1)
 term is switched off by its indicator, so no |k-1| index juggling is needed.
 
@@ -69,12 +71,6 @@ def two_step_roots(kappa: complex, lam: complex) -> tuple[complex, complex]:
     return complex(x1), complex(x2)
 
 
-def _power_kernel(x1: complex, x2: complex, horizon: int) -> np.ndarray:
-    # p[j] = (x2**(j+1) - x1**(j+1)) / (x2 - x1), j = 0..horizon
-    j = np.arange(1, horizon + 2)
-    return (np.power(x2, j) - np.power(x1, j)) / (x2 - x1)
-
-
 def _maybe_real(values: np.ndarray, *params: complex) -> np.ndarray:
     # A recursion with real data has a real solution; the imaginary dust is
     # roundoff from the complex root arithmetic.
@@ -89,23 +85,19 @@ def two_step_closed_form(kappa: complex, lam: complex, forcing: Sequence) -> np.
     if len(b) == 0:
         raise ValueError("forcing must hold at least one term")
     x1, x2 = two_step_roots(kappa, lam)
-    kernel = _power_kernel(x1, x2, len(b) - 1)
+    # kernel[j] = (x2**(j+1) - x1**(j+1)) / (x2 - x1), j = 0..len(b)-1
+    j = np.arange(1, len(b) + 1)
+    kernel = (np.power(x2, j) - np.power(x1, j)) / (x2 - x1)
     out = np.convolve(b.astype(complex), kernel)[: len(b)]
     return _maybe_real(out, kappa, lam, *b)
 
 
 def gronwall_closed_form(kappa: complex, lam: complex, forcing: Sequence) -> np.ndarray:
     """Exact solution a(0..len(forcing)-1) of the full-history recursion
-    a(n) = b(n) + sum_{k=0}^{n-1} [kappa*a(k) + lambda*a(k-1)]."""
+    a(n) = b(n) + sum_{k=0}^{n-1} [kappa*a(k) + lambda*a(k-1)]: the two-step
+    recursion with kappa + 1 and the forcing differences b(n) - b(n-1)."""
     b = np.asarray(forcing)
-    if len(b) == 0:
-        raise ValueError("forcing must hold at least one term")
-    x1, x2 = two_step_roots(1.0 + kappa, lam)
-    diff = b.astype(complex)
-    diff[1:] -= b[:-1]
-    kernel = _power_kernel(x1, x2, len(b) - 1)
-    out = np.convolve(diff, kernel)[: len(b)]
-    return _maybe_real(out, kappa, lam, *b)
+    return two_step_closed_form(1.0 + kappa, lam, np.concatenate((b[:1], b[1:] - b[:-1])))
 
 
 def gronwall_beta(kappa: float, lam: float) -> float:

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import math
 import multiprocessing
 import os
 import pkgutil
@@ -20,6 +21,7 @@ from mlpicard.cli import main
 from mlpicard.errors import ConfigError, ResourceLimitError, WorkerCrashError
 from mlpicard.harness import build_config, direct_gronwall, direct_two_step, run
 from mlpicard.mlp import realize_estimate, rep_seed
+from mlpicard.recursions import gronwall_bound
 
 QUICK_CONVERGENCE = [
     "problem=law_only_linear", "b=-1.0", "d=1", "T=1.0", "xi=1.0",
@@ -101,7 +103,7 @@ def test_config_errors():
         for bad in (0, -3):
             with pytest.raises(ConfigError, match=count):
                 build_config(None, [f"{count}={bad}"], mode="verify-bounds")
-    # mean-only problems cannot drive the coupled-error mode
+    # a problem without a pathwise solution cannot drive the coupled-error mode
     cfg = build_config(None, ["problem=full_linear"], mode="convergence")
     with pytest.raises(ConfigError):
         run(cfg)
@@ -192,6 +194,48 @@ def test_verify_bounds_mode(tmp_path):
     rerun = _cfg("verify-bounds", tmp_path, extra=extra, name="again.csv")
     run(rerun)
     assert csv_without_wall(cfg.out) == csv_without_wall(rerun.out)
+
+
+def _majorant_overshoot_loop(kappa, lam, c1, c2, c3, c4, horizon, bound):
+    # the majorized inequality run with equality as one float loop, the
+    # histories carried as running sums
+    worst = -math.inf
+    geometric = 0.0
+    sum_full = sum_lag = 0.0
+    history = []
+    for n in range(horizon + 1):
+        if n >= 1:
+            geometric += c4**n
+        a_n = c1 + c2 * n + c3 * geometric + kappa * sum_full + lam * sum_lag
+        if n >= 1:
+            sum_lag += history[n - 1]
+        sum_full += a_n
+        history.append(a_n)
+        worst = max(worst, a_n - bound(kappa, lam, c1, c2, c3, c4, n))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [7, 11, 2024])
+def test_majorant_overshoot_matches_float_loop_per_draw(seed, monkeypatch):
+    # every verify-bounds draw, not only the maximum the goldens pin, gives
+    # the float loop's overshoot bit for bit
+    draws = harness_mod._harness_draws(
+        seed, 500, "majorant-params", 6, harness_mod._majorant_parameters
+    )
+
+    def check(bound):
+        for kappa, lam, cs in draws:
+            for horizon in (0, 1, 20):
+                got = harness_mod._gronwall_majorant_overshoot(kappa, lam, *cs, horizon=horizon)
+                want = _majorant_overshoot_loop(kappa, lam, *cs, horizon, bound)
+                assert float(got).hex() == float(want).hex(), (kappa, lam, cs, horizon)
+
+    check(gronwall_bound)
+    # The overshoot of every draw here peaks at n = 0, where only c1 counts.
+    # Against a zero bound it is the maximal solution at the horizon itself,
+    # which every forcing and history term reaches.
+    monkeypatch.setattr(harness_mod, "gronwall_bound", lambda *args: 0.0)
+    check(lambda *args: 0.0)
 
 
 def test_oracle_compare_mode(tmp_path):
@@ -544,6 +588,26 @@ def test_public_api_is_pinned():
         "realize_estimate",
         "simulate_particles",
         "two_step_closed_form",
+    ]
+    assert mlpicard.models.__all__ == [
+        "DriftModel",
+        "LipschitzReport",
+        "PROBLEM_PARAMS",
+        "Problem",
+        "builtin_problem",
+        "lipschitz_selfcheck",
+        "make_drift",
+        "pathwise_value",
+    ]
+    assert harness_mod.__all__ == [
+        "ExperimentConfig",
+        "ExperimentResult",
+        "MODES",
+        "build_config",
+        "direct_gronwall",
+        "direct_two_step",
+        "run",
+        "write_csv",
     ]
 
 

@@ -20,9 +20,25 @@ def test_unknown_problem():
         builtin_problem("surprise")
 
 
+@pytest.mark.parametrize("name, params, needle", [
+    ("law_only_linear", {}, "['b']"),
+    ("full_linear", {"a": 0.5}, "['a', 'b']"),
+    ("zero_drift", {"b": 5.0, "bogus": 1}, "[]"),
+    ("sine_meanfield", {"L": 1.0, "b": 3.0}, "['L']"),
+    ("surprise", {"b": 1.0}, "choose one of"),
+], ids=["missing", "partial", "unexpected", "extra", "unknown-name"])
+def test_builtin_problem_refuses_other_parameters(name, params, needle):
+    # a missing, unexpected or unknown parameter set is refused with the
+    # expected names, never a bare KeyError or a silent default
+    with pytest.raises(ValueError) as info:
+        builtin_problem(name, **params)
+    assert needle in str(info.value)
+
+
 def test_zero_drift_problem():
     prob = builtin_problem("zero_drift", d=2, T=1.0, xi=1.5)
-    assert prob.oracle_kind == "pathwise"
+    assert prob.pathwise is not None
+    assert np.array_equal(prob.mean(0.7), prob.initial)
     assert prob.drift.lipschitz_L == 0.0
     assert np.all(prob.drift.value_at_origin == 0.0)
     assert np.array_equal(pathwise_value(prob, 0.0, np.zeros(2)), prob.initial)
@@ -32,9 +48,9 @@ def test_zero_drift_problem():
 
 def test_law_only_linear_oracle_values():
     prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
-    assert prob.oracle_kind == "pathwise"
+    assert prob.pathwise is not None
     # m'(t) = b m(t), m(0) = xi  =>  m(1) = e^{-1}
-    assert prob.oracle.mean(1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
+    assert prob.mean(1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
     assert pathwise_value(prob, 1.0, np.array([0.3]))[0] == pytest.approx(
         math.exp(-1.0) + 0.3, abs=1e-15
     )
@@ -48,32 +64,25 @@ def test_law_only_linear_fixed_point_property():
     # xi + int_0^t b m(s) ds + w must reproduce m(t) + w on a fine quadrature
     b, xi, t = -1.0, 1.0, 1.0
     prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=xi, b=b)
-    integral, err = quad(lambda s: b * prob.oracle.mean(s)[0], 0.0, t, epsabs=1e-13)
+    integral, err = quad(lambda s: b * prob.mean(s)[0], 0.0, t, epsabs=1e-13)
     lhs = xi + integral
-    rhs = prob.oracle.mean(t)[0]
+    rhs = prob.mean(t)[0]
     assert abs(lhs - rhs) < 1e-12
     assert err < 1e-12
 
 
 def test_full_linear_oracle():
     prob = builtin_problem("full_linear", d=1, T=1.0, xi=1.0, a=0.0, b=1.0)
-    assert prob.oracle_kind == "mean-only"
-    assert prob.oracle.mean(1.0)[0] == pytest.approx(math.e, abs=1e-14)
-    assert prob.oracle.coord_variance(1.0) == pytest.approx(1.0, abs=1e-15)
+    assert prob.pathwise is None
+    assert prob.mean(1.0)[0] == pytest.approx(math.e, abs=1e-14)
     with pytest.raises(ValueError):
         pathwise_value(prob, 1.0, np.zeros(1))
-
-    # a != 0: variance formula vs. quadrature of int_0^t e^{2a(t-s)} ds
-    damped = builtin_problem("full_linear", d=1, T=1.0, xi=1.0, a=-0.7, b=0.2)
-    got = damped.oracle.coord_variance(1.0)
-    want, _ = quad(lambda s: math.exp(2.0 * -0.7 * (1.0 - s)), 0.0, 1.0, epsabs=1e-13)
-    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_sine_meanfield_problem():
     prob = builtin_problem("sine_meanfield", d=3, T=1.0, xi=1.0, L=1.0)
-    assert prob.oracle is None
-    assert prob.oracle_kind == "none"
+    assert prob.mean is None
+    assert prob.pathwise is None
     assert np.all(prob.drift.value_at_origin == 0.0)
     with pytest.raises(ValueError):
         pathwise_value(prob, 1.0, generate((SEED, (0,)), 1, 2, 1.0, 3).values[-1])

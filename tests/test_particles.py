@@ -77,7 +77,7 @@ def test_mean_matches_analytic_oracle():
     prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
     samples = simulate_particles(prob, 2000, 200, SEED)
     stats = ensemble_stats(samples)
-    exact = prob.oracle.mean(1.0)[0]
+    exact = prob.mean(1.0)[0]
     assert abs(stats.mean[0] - exact) <= 3.0 * stats.mean_se[0]
 
 
