@@ -614,16 +614,8 @@ def _mode_verify_bounds(cfg: ExperimentConfig) -> ExperimentResult:
     for name, (_, worst) in zip(names, _closed_form_suites(cfg)):
         rec.add(worst < _CLOSED_FORM_TOL, _check(name, worst, _CLOSED_FORM_TOL))
 
-    worst_gap = -math.inf
-    for n in range(0, 9):
-        for m in range(1, 6):
-            for d in (1, 10):
-                for v in (0, 1):
-                    for f in (0, 1):
-                        worst_gap = max(
-                            worst_gap,
-                            cost_budget(n, m, d, v, f) - cost_bound(n, m, d, v, f),
-                        )
+    grid = itertools.product(range(9), range(1, 6), (1, 10), (0, 1), (0, 1))  # (n, m, d, v, f)
+    worst_gap = max(cost_budget(*case) - cost_bound(*case) for case in grid)
     rec.add(worst_gap <= 0, _check("budget_minus_bound_max", float(worst_gap), 0.0))
 
     worst = -math.inf
@@ -699,17 +691,9 @@ def _mode_recursion_selftest(cfg: ExperimentConfig) -> ExperimentResult:
     for name, (cases, worst) in zip(names, _closed_form_suites(cfg)):
         rec.add(worst < _CLOSED_FORM_TOL, (name, cases, worst, _CLOSED_FORM_TOL))
 
-    worst_int = 0
-    cases = 0
-    for n in range(0, 7):
-        for m in (1, 2, 3):
-            for d in (1, 3):
-                for v in (0, 1):
-                    for f in (0, 1):
-                        gap = abs(cost_budget(n, m, d, v, f) - _brute_force_budget(n, m, d, v, f))
-                        worst_int = max(worst_int, gap)
-                        cases += 1
-    rec.add(worst_int == 0, ("budget_vs_bruteforce", cases, float(worst_int), 0.0))
+    grid = list(itertools.product(range(7), (1, 2, 3), (1, 3), (0, 1), (0, 1)))
+    worst_int = max(abs(cost_budget(*case) - _brute_force_budget(*case)) for case in grid)
+    rec.add(worst_int == 0, ("budget_vs_bruteforce", len(grid), float(worst_int), 0.0))
     return rec
 
 

@@ -5,16 +5,22 @@ N particles start at xi and evolve by the Euler scheme
     X_i <- X_i + (dt/N) * sum_j mu(X_i, X_j) + dW_i,
 
 with the empirical mean taken over all N particles including self.  The
-pairwise drift sum is O(N**2) per step by design (oracle clarity over speed)
-and is reduced in a fixed order so runs are bit-reproducible.  Particle noise
-keys live on a reserved root branch disjoint from the estimator's keys, so
-oracle and estimator stay independent under one master seed; the noise of
-each block of 128 particles is drawn as one key batch, the children
-(seed, (1, i)) of the branch root.
+pairwise drift sum is O(N**2) per step by design (oracle clarity over speed).
+It runs in 64-row blocks, whose 64 x N x d pair array (1.5 MB at N = 3000,
+d = 1) fits a 2 MB L2 cache, and each step splits the blocks into one stripe
+per thread.  Row i's sum over j is the same numpy reduction in any block and
+has one writer, so the bits depend on neither the block size nor the thread
+count.  Particle noise keys live on a reserved root branch disjoint from the
+estimator's keys, so oracle and estimator stay independent under one master
+seed; the noise of each block of 128 particles is drawn as one key batch, the
+children (seed, (1, i)) of the branch root.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 import numpy as np
 
@@ -26,18 +32,24 @@ __all__ = ["EnsembleStats", "ensemble_stats", "simulate_particles"]
 
 _PARTICLE_BRANCH = 1  # root path coordinate reserved for particle noise
 _CEILING = 4 * 10**9  # limit on N*N*M*d pairwise work
-_BLOCK = 128  # row block for the pairwise drift sum and the noise draws
+_ROWS = 64  # row block of the pairwise drift sum
+_KEYS = 128  # particles per noise key batch
 
 
-def _interaction_mean(problem: Problem, state: np.ndarray) -> np.ndarray:
+def _interaction_mean(problem: Problem, state: np.ndarray, pool=None, workers=1) -> np.ndarray:
     n, d = state.shape
     out = np.empty_like(state)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        # broadcastable views: the drift sees every (i, j) pair, numpy just
-        # avoids re-evaluating elementwise terms along degenerate axes
-        pairs = problem.drift.evaluate(state[lo:hi, None, :], state[None, :, :])
-        out[lo:hi] = np.broadcast_to(pairs, (hi - lo, n, d)).sum(axis=1)
+
+    def rows(starts: np.ndarray) -> None:
+        for lo in starts:
+            hi = min(lo + _ROWS, n)
+            # broadcastable views: the drift sees every (i, j) pair, numpy just
+            # avoids re-evaluating elementwise terms along degenerate axes
+            pairs = problem.drift.evaluate(state[lo:hi, None, :], state[None, :, :])
+            out[lo:hi] = np.broadcast_to(pairs, (hi - lo, n, d)).sum(axis=1)
+
+    stripes = np.array_split(np.arange(0, n, _ROWS), workers)
+    list((pool.map if pool else map)(rows, stripes))
     return out / n
 
 
@@ -56,12 +68,18 @@ def simulate_particles(problem: Problem, N: int, M: int, master_seed: int) -> np
     dt = problem.horizon / M
     root = pack([(master_seed, (_PARTICLE_BRANCH,))])
     increments = np.empty((N, M, d))
-    for lo in range(0, N, _BLOCK):
-        keys = children(root, [(i,) for i in range(lo, min(lo + _BLOCK, N))])
-        increments[lo : lo + _BLOCK] = batch_normals(keys, "dw", M * d, dt).reshape(-1, M, d)
+    for lo in range(0, N, _KEYS):
+        keys = children(root, [(i,) for i in range(lo, min(lo + _KEYS, N))])
+        increments[lo : lo + _KEYS] = batch_normals(keys, "dw", M * d, dt).reshape(-1, M, d)
     state = np.tile(problem.initial, (N, 1))
-    for step in range(M):
-        state = state + dt * _interaction_mean(problem, state) + increments[:, step, :]
+    # a thread per CPU this process may run on, at most one per row block;
+    # leaving the block joins every thread, also when a drift raises
+    affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
+    workers = min(len(affinity(0)), -(-N // _ROWS))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for step in range(M):
+            mean = _interaction_mean(problem, state, pool, workers)
+            state = state + dt * mean + increments[:, step, :]
     return state
 
 

@@ -220,10 +220,11 @@ def error_bound(
 
 @dataclass(frozen=True)
 class CertificateResult:
-    """Evaluation of the cost-times-accuracy supremand over 1 <= k <= k_max.
+    """The cost-times-accuracy supremand over 1 <= k <= k_max and its
+    maximum over all k >= 1, which may lie beyond k_max.
 
-    ``attained`` is False when the supremand is still rising at k_max, in
-    which case ``log_sup`` is only a lower bound for the true supremum.
+    ``attained`` is False only when the supremand still rises at k = 2**53,
+    in which case ``argmax_k`` is 2**53 and ``log_sup`` only a lower bound.
     The ``n_eps`` selector maps a target accuracy to the smallest level whose
     error bound (and that of every deeper level up to k_max) is below it.
     """
@@ -262,26 +263,43 @@ def complexity_certificate(
         (4k+4)**(k+1) * [exp(k/2) * (1 + ||xi|| + ||mu(0,0)||*T + sqrt(T*d))
                           * exp(L*T) * (1 + 2*L*T)**k / k**(k/2)]**(2+delta)
 
-    over 1 <= k <= k_max, together with the accuracy-to-level selector."""
+    over 1 <= k <= k_max, its maximum over all k >= 1 and the accuracy-to-level
+    selector.  The log-supremand f is strictly concave, f''(k) = 1/(k+1) -
+    (2+delta)/(2k) < 0, so its argmax is the least k with f(k+1) - f(k) <= 0,
+    found by doubling and bisection on that difference in closed form (the
+    float difference cancels near k = 1e11)."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    k = np.arange(1, k_max + 1, dtype=float)
     inner_const = math.log(1.0 + norm_xi + norm_mu00 * T + math.sqrt(T * d)) + L * T
+    growth = math.log1p(2.0 * L * T)
+
+    def rises(k: int) -> bool:  # f(k+1) - f(k) > 0
+        return math.log(4 * k + 8) + (k + 1) * math.log1p(1 / (k + 1)) + (2.0 + delta) * (
+            0.5 - 0.5 * math.log(k + 1) - 0.5 * k * math.log1p(1 / k) + growth
+        ) > 0.0
+
+    lo, hi = 0, 1  # f rises at lo (or lo = 0); once found, not at hi
+    while hi < 2**53 and rises(hi):
+        lo, hi = hi, 2 * hi
+    attained = not rises(hi)
+    while attained and hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if rises(mid) else (lo, mid)
+    k = np.arange(1, k_max + 2, dtype=float)
+    k[-1] = hi  # the table's k, then the argmax
     log_vals = (k + 1.0) * np.log(4.0 * k + 4.0) + (2.0 + delta) * (
-        0.5 * k - 0.5 * k * np.log(k) + inner_const + k * math.log1p(2.0 * L * T)
+        0.5 * k - 0.5 * k * np.log(k) + inner_const + k * growth
     )
-    argmax = int(np.argmax(log_vals))
-    log_sup = float(log_vals[argmax])
     log_error = np.array(
         [log_error_bound(kk, kk, T, T, d, L, norm_xi, norm_mu00) for kk in range(1, k_max + 1)]
     )
     return CertificateResult(
         k_max=k_max,
-        log_supremand=log_vals,
-        argmax_k=argmax + 1,
-        log_sup=log_sup,
-        attained=argmax + 1 < k_max,
+        log_supremand=log_vals[:-1],
+        argmax_k=hi,
+        log_sup=float(log_vals[-1]),
+        attained=attained,
         _log_error=log_error,
     )

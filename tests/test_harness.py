@@ -21,7 +21,7 @@ from mlpicard.cli import main
 from mlpicard.errors import ConfigError, ResourceLimitError, WorkerCrashError
 from mlpicard.harness import build_config, direct_gronwall, direct_two_step, run
 from mlpicard.mlp import realize_estimate, rep_seed
-from mlpicard.recursions import gronwall_bound
+from mlpicard.recursions import complexity_certificate, gronwall_bound
 
 QUICK_CONVERGENCE = [
     "problem=law_only_linear", "b=-1.0", "d=1", "T=1.0", "xi=1.0",
@@ -275,11 +275,23 @@ def test_certificate_mode_attained(tmp_path):
 
 
 def test_certificate_mode_reports_non_attainment(tmp_path):
-    # delta = 0.5 still rises at k = 200: an honest failure, exit code 1
+    # at delta = 0.5 the supremand peaks at k = 13981, beyond cert_kmax =
+    # 200, which bounds only the n_eps table: the run reports the maximum the
+    # 40000-term scan of acceptance criterion 7 finds, and passes
     extra = ["problem=zero_drift", "xi=0.0", "delta=0.5", "cert_kmax=200"]
-    cfg = _cfg("certificate", tmp_path, extra=extra)
-    res = run(cfg)
+    res = run(_cfg("certificate", tmp_path, extra=extra))
+    scan = complexity_certificate(0.5, 1.0, 1, 0.0, 0.0, 0.0, 40000).log_supremand
+    assert res.ok
+    assert res.footer == [
+        f"argmax_k={int(np.argmax(scan)) + 1}", f"log_sup={scan.max():.17g}", "sup_attained=1",
+    ]
+    assert "argmax_k=13981" in res.footer
+    # only a maximum beyond k = 2**53 (delta = 0.05 puts it near e**95) is
+    # not attained: an honest failure, exit code 1
+    extra[2] = "delta=0.05"
+    res = run(_cfg("certificate", tmp_path, extra=extra, name="far.csv"))
     assert not res.ok
+    assert res.footer[0] == f"argmax_k={2**53}"
     assert "sup_attained=0" in res.footer
 
 
@@ -453,7 +465,7 @@ def test_cli_exit_codes(tmp_path):
 
     failing = main([
         "certificate", "--set", "problem=zero_drift", "--set", "xi=0.0",
-        "--set", "delta=0.5", "--set", "cert_kmax=200", "--out", str(out),
+        "--set", "delta=0.05", "--set", "cert_kmax=200", "--out", str(out),
     ])
     assert failing == 1
 
@@ -474,10 +486,10 @@ def test_certificate_default_config_reports_rows(tmp_path):
     # the default accuracies select n_eps = 75, 77, 78, whose cost bounds
     # leave the 64-bit range; the check runs in log space and the table is
     # written with exact integer bounds.  At the default delta = 0.5 the
-    # supremand still rises at cert_kmax = 200, so the run is an honest
-    # non-attainment (exit 1), not a refusal (exit 3)
+    # supremand peaks at k = 136495375087, far beyond cert_kmax = 200, which
+    # bounds only the table
     out = tmp_path / "cert.csv"
-    assert main(["certificate", "--out", str(out)]) == 1
+    assert main(["certificate", "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()
             if not line.startswith("#")]
     header, body = rows[0], rows[1:]
@@ -489,8 +501,9 @@ def test_certificate_default_config_reports_rows(tmp_path):
         assert int(row[col["cost_bound"]]) == 2 * (4 * n) ** n
         assert float(row[col["log_lhs"]]) < float(row[col["log_rhs"]])
     assert [round(float(r[col["log_lhs"]]), 1) for r in body] == [426.7, 437.9, 442.9]
-    assert round(float(body[0][col["log_rhs"]]), 1) == 1083.2
-    assert "# sup_attained=0" in out.read_text()
+    assert round(float(body[0][col["log_rhs"]]), 1) == 34123843807.2
+    assert "# argmax_k=136495375087\n" in out.read_text()
+    assert "# sup_attained=1" in out.read_text()
 
 
 def test_certificate_refuses_unprintable_cost_bound(tmp_path, capsys):

@@ -1,4 +1,9 @@
 import hashlib
+import itertools
+import os
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +70,7 @@ def test_interaction_symmetry_under_permutation():
     # reduction-order roundoff in the sum over the others
     prob = builtin_problem("sine_meanfield", d=2, T=1.0, xi=0.5, L=1.0)
     rng = np.random.default_rng(SEED)
-    for n in (7, 300):  # 300 spans three row blocks
+    for n in (7, 300):  # 300 spans five row blocks, the last one short
         state = rng.normal(size=(n, 2))
         perm = rng.permutation(n)
         got = _interaction_mean(prob, state[perm])
@@ -121,3 +126,53 @@ def test_particle_outputs_pinned_by_digest():
     assert digest.hexdigest() == (
         "45208349aa15389f3fa6a39993d502507933d65f2493cb24e1d9d1a24911e28e"
     )
+
+
+def _pretend_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 3, 8])
+def test_multi_block_outputs_pinned_by_digest(monkeypatch, cpus):
+    # one SHA-256 over sine_meanfield ensembles of 300 particles at d = 1 and
+    # 4 (five 64-row blocks, the last of 44 rows) and 130 at d = 9 (two full
+    # blocks and one of 2 rows), 7 steps each; the same bytes on this
+    # machine's CPUs, on one CPU (no pool), on three (three stripes) and on
+    # eight (one thread per block), with threads switching every microsecond
+    if cpus is not None:
+        _pretend_cpus(monkeypatch, cpus)
+    digest = hashlib.sha256()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for d, n in ((1, 300), (4, 300), (9, 130)):
+            prob = builtin_problem("sine_meanfield", d=d, T=1.0, xi=1.0, L=1.0)
+            digest.update(simulate_particles(prob, n, 7, SEED).tobytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert digest.hexdigest() == (
+        "dec21096a5c388e2b071e68ab87285b7ff2b18ee828c3c53b8560a4f4bf00055"
+    )
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_drift_error_fails_closed_without_leaking_threads(monkeypatch, cpus):
+    # a drift that raises in the third of five row blocks of the third step
+    # leaves with its own exception, and no pool thread outlives the call,
+    # after a normal return or a raise
+    _pretend_cpus(monkeypatch, cpus)
+    prob = builtin_problem("sine_meanfield", d=1, T=1.0, xi=1.0, L=1.0)
+    calls = itertools.count()
+
+    def evaluate(x, y):
+        if next(calls) == 12:
+            raise FloatingPointError("drift failed")
+        return prob.drift.evaluate(x, y)
+
+    broken = replace(prob, drift=replace(prob.drift, evaluate=evaluate))
+    before = threading.active_count()
+    simulate_particles(prob, 300, 4, SEED)
+    assert threading.active_count() == before
+    with pytest.raises(FloatingPointError, match="drift failed"):
+        simulate_particles(broken, 300, 4, SEED)
+    assert threading.active_count() == before

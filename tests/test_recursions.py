@@ -282,10 +282,22 @@ def test_certificate_trivial_problem():
 
 
 def test_certificate_reports_non_attainment():
-    # with delta = 0.5 the supremand still rises at k = 200
+    # with delta = 0.5 the supremand still rises at k = 200, and its maximum
+    # beyond the table is the one a 40000-term scan finds, to the bit
     cert = complexity_certificate(0.5, 1.0, 1, 0.0, 0.0, 0.0, 200)
-    assert not cert.attained
-    assert cert.argmax_k == 200
+    scan = complexity_certificate(0.5, 1.0, 1, 0.0, 0.0, 0.0, 40000).log_supremand
+    assert np.all(np.diff(cert.log_supremand) > 0.0)
+    assert cert.attained
+    assert cert.argmax_k == int(np.argmax(scan)) + 1 == 13981
+    assert cert.log_sup == scan.max()
+    # the closed-form difference f(k+1) - f(k) finds the root near 1.4e11,
+    # where the float difference cancels (it gives 136390319866)
+    assert complexity_certificate(0.5, 1.0, 1, 2.0, 1.0, 0.0, 10).argmax_k == 136495375087
+    # beyond k = 2**53 (delta = 0.05 puts the maximum near e**95) the search
+    # stops: not attained, and log_sup is the lower bound at 2**53
+    far = complexity_certificate(0.05, 1.0, 1, 0.0, 0.0, 0.0, 10)
+    assert not far.attained
+    assert far.argmax_k == 2**53
 
 
 def test_certificate_validation():
