@@ -17,7 +17,6 @@ from .models import (
     DriftModel,
     Problem,
     builtin_problem,
-    lipschitz_selfcheck,
     make_drift,
     pathwise_value,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "exact_cost_bound",
     "gronwall_bound",
     "gronwall_closed_form",
-    "lipschitz_selfcheck",
     "log_cost_bound",
     "log_error_bound",
     "make_drift",

@@ -8,8 +8,7 @@ generated whole: the caller names each key's largest query time, and only
 the steps up to the last grid index any query at or before that time can
 read are hashed (its *reach*).  The increments are summed sequentially along
 the step axis, so every value of that prefix is bit-identical to the one of
-the whole path, and a read past it is refused.  The ledger is charged the
-logical m**n * d scalar draws per path all the same, once, at creation.
+the whole path, and a read past it is refused.
 
 A :class:`PathBatch` stacks the paths of many keys created at one level, so
 that the estimator generates and queries all sibling paths with one bulk
@@ -21,12 +20,11 @@ without reading: the key count is that of the query times.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .hier_rng import KeyBatch, batch_step_normals
-from .ledger import CostLedger
 
 __all__ = ["PathBatch", "generate_batch"]
 
@@ -120,7 +118,6 @@ def generate_batch(
     branching: int,
     horizon: float,
     dim: int,
-    ledger: Optional[CostLedger] = None,
 ) -> PathBatch:
     """Materialize the paths of key batch ``keys`` at the given level, each
     up to the last grid step a query at a time up to its ``until`` can read.
@@ -131,9 +128,7 @@ def generate_batch(
     steps of all keys are drawn in one bulk call (each key's message prefix
     is hashed once, every digest is mapped in a single vector pass) and
     summed along the step axis, so every generated value is bit-identical to
-    the whole path of its key generated alone, and the ledger charge is
-    exactly branching**level * dim scalar draws per key, however few steps
-    are hashed.
+    the whole path of its key generated alone.
     """
     if level < 1:
         raise ValueError(f"grid level must be at least 1, got {level}")
@@ -155,6 +150,4 @@ def generate_batch(
     np.cumsum(increments, axis=1, out=values[:, 1:])
     values.setflags(write=False)
     filled.setflags(write=False)
-    if ledger is not None:
-        ledger.add_draws(size * steps * dim)
     return PathBatch(keys, level, branching, horizon, filled, values)

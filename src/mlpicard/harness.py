@@ -51,8 +51,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, ResourceLimitError, WorkerCrashError
 from .hier_rng import batch_uniforms, children, derive_seed, pack
-from .ledger import CostLedger
-from .mlp import _realize_batch, realize_estimate, rep_seed, summarize_squared_errors
+from .mlp import _realize_batch, rep_seed
 from .models import PROBLEM_PARAMS, Problem, builtin_problem, pathwise_value
 from .particles import ensemble_stats, simulate_particles
 from .recursions import (
@@ -79,6 +78,7 @@ __all__ = [
     "write_csv",
 ]
 
+_Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _Z95_ONE_SIDED = 1.6448536269514722
 # A batch of realizations peaks at a few bytes of memory per unit of its
 # roots' total cost budget (measured 1.2 to 3.4 at n = m = 4 or 5, d = 1 to
@@ -264,20 +264,12 @@ def _problem(cfg: ExperimentConfig) -> Problem:
         raise ConfigError(f"problem {cfg.problem!r}: {exc}") from None
 
 
-def _worker(task: tuple[ExperimentConfig, int, int, tuple[int, ...]]) -> list[tuple]:
-    """Realizations of (n, m) under each seed, evaluated as one batch: per
-    seed its value at T, W0(T), draws and evaluations, as plain Python
-    numbers, which cross a process boundary cheaply."""
+def _worker(task: tuple[ExperimentConfig, int, int, tuple[int, ...]]) -> tuple:
+    """Realizations of (n, m) under each seed, evaluated as one batch: the
+    values at T and W0(T), one row per seed, and the (draws, evaluations) of
+    one realization, as ``mlp._realize_batch`` returns them."""
     cfg, n, m, seeds = task
-    ledger = CostLedger()
-    values, w0 = _realize_batch(_problem(cfg), n, m, seeds, ledger)
-    draws, evals = ledger.snapshot()
-    # Charges are per query time and every root's tree has the same shape,
-    # so the batch tally is exactly len(seeds) single tallies.
-    count = len(seeds)
-    assert draws % count == 0 and evals % count == 0, (draws, evals, count)
-    tally = (draws // count, evals // count)
-    return [(value, w, *tally) for value, w in zip(values.tolist(), w0.tolist())]
+    return _realize_batch(_problem(cfg), n, m, seeds)
 
 
 @contextmanager
@@ -300,22 +292,24 @@ def _worker_pool(jobs: int, reps: int) -> Iterator[Optional[ProcessPoolExecutor]
 
 def _repetitions(
     cfg: ExperimentConfig, n: int, m: int, pool: Optional[ProcessPoolExecutor]
-) -> list[tuple]:
-    """``cfg.reps`` realizations of (n, m) under the repetition seeds, in
-    order, as returned by ``_worker``.
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """``cfg.reps`` realizations of (n, m) under the repetition seeds: their
+    values at T and W0(T), one row per seed in seed order, and the (draws,
+    evaluations) of one realization, which all of them share.
 
     The seeds go to the worker in chunks of ``reps // (4 * jobs)``, in process
     too, and fewer where the chunk's total cost budget would pass
     ``_CHUNK_BUDGET``; the results, bit-identical to one realization per
-    call, do not depend on the chunking, and their order is kept so that
-    aggregation bytes never depend on the worker count.
+    call, do not depend on the chunking, and the chunks are joined in order
+    so that aggregation bytes never depend on the worker count.
     """
     seeds = [rep_seed(cfg.seed, r) for r in range(cfg.reps)]
     per_chunk = (cfg.reps // (4 * cfg.jobs), _CHUNK_BUDGET // cost_budget(n, m, cfg.d, 1, 1))
     size = max(1, min(per_chunk))
     tasks = [(cfg, n, m, tuple(seeds[i : i + size])) for i in range(0, cfg.reps, size)]
     chunks = map(_worker, tasks) if pool is None else pool.map(_worker, tasks)
-    return [result for chunk in chunks for result in chunk]
+    values, w0, tallies = zip(*chunks)
+    return np.concatenate(values), np.concatenate(w0), tallies[0]
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +480,10 @@ class ExperimentResult:
 
 
 def _require_budget(cfg: ExperimentConfig, n: int, m: int) -> int:
-    budget = cost_budget(n, m, cfg.d, 1, 1)
+    try:
+        budget = cost_budget(n, m, cfg.d, 1, 1)
+    except OverflowError as exc:
+        raise ResourceLimitError(f"(n={n}, m={m}, d={cfg.d}): {exc}") from None
     if budget > cfg.cost_ceiling:
         raise ResourceLimitError(
             f"cost budget {budget} for (n={n}, m={m}, d={cfg.d}) exceeds "
@@ -505,6 +502,32 @@ def _bound_constants(problem: Problem) -> tuple[float, float, float]:
     )
 
 
+@contextmanager
+def _double_range(bound: str, cfg: ExperimentConfig, constants: tuple) -> Iterator[None]:
+    """Refuse a ``bound`` that passes the double range as a ConfigError
+    naming the constants it grows with."""
+    try:
+        yield
+    except OverflowError:
+        L, norm_xi, norm_mu00 = constants
+        raise ConfigError(f"{bound} passes the double range at L={L}, ||xi||={norm_xi}, "
+                          f"||mu(0,0)||={norm_mu00}, T={cfg.T}, d={cfg.d}") from None
+
+
+def _summarize_squared_errors(squared: np.ndarray) -> tuple[float, float, float]:
+    """(rmse, 95% CI half-width, se of the mean square).
+
+    The RMSE interval comes from the delta method applied to the sample mean
+    of the squared errors; a zero mean square yields a degenerate interval.
+    """
+    reps = len(squared)
+    mean_sq = float(np.mean(squared))
+    se_sq = float(math.sqrt(np.var(squared, ddof=1) / reps))
+    rmse = math.sqrt(mean_sq)
+    half = _Z95 * se_sq / (2.0 * rmse) if rmse > 0.0 else 0.0
+    return rmse, half, se_sq
+
+
 def _mode_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     problem = _problem(cfg)
     if problem.pathwise is None:
@@ -514,19 +537,18 @@ def _mode_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     constants = _bound_constants(problem)
     rmses, rmse_ses = [], []
     budgets = [_require_budget(cfg, k, k) for k in cfg.levels()]
+    with _double_range("error_bound", cfg, constants):
+        bounds = [error_bound(k, k, cfg.T, cfg.T, cfg.d, *constants) for k in cfg.levels()]
     with _worker_pool(cfg.jobs, cfg.reps) as pool:
         rec = ExperimentResult(
             cfg, "k", "n", "m", "reps", "rmse", "rmse_ci_half", "rmse_ci_upper", "error_bound",
             "bound_ok", "draws", "evals", "cost_budget", "cost_bound",
         )
-        for k, budget in zip(cfg.levels(), budgets):
-            results = _repetitions(cfg, k, k, pool)
-            w0 = np.array([r[1] for r in results])
-            diffs = np.array([r[0] for r in results]) - pathwise_value(problem, problem.horizon, w0)
+        for k, budget, bound in zip(cfg.levels(), budgets, bounds):
+            values, w0, (draws, evals) = _repetitions(cfg, k, k, pool)
+            diffs = values - pathwise_value(problem, problem.horizon, w0)
             squared = np.array([float(diff @ diff) for diff in diffs])
-            draws, evals = results[0][2:]
-            rmse, half, se_sq = summarize_squared_errors(squared)
-            bound = error_bound(k, k, cfg.T, cfg.T, cfg.d, *constants)
+            rmse, half, se_sq = _summarize_squared_errors(squared)
             ok = rmse + half <= bound
             rmses.append(rmse)
             rmse_ses.append(se_sq / (2.0 * rmse) if rmse > 0 else 0.0)
@@ -580,10 +602,8 @@ def _mode_cost_table(cfg: ExperimentConfig) -> ExperimentResult:
     for n in cfg.levels():
         for m in cfg.levels():
             total_budget = _require_budget(cfg, n, m)
-            result = realize_estimate(
-                problem, n, m, derive_seed(cfg.seed, "cell", n, m)
-            )
-            draws, evals = result.ledger.snapshot()
+            seed = derive_seed(cfg.seed, "cell", n, m)
+            _, _, (draws, evals) = _realize_batch(problem, n, m, (seed,))
             draws_budget = cost_budget(n, m, cfg.d, 1, 0)
             evals_budget = cost_budget(n, m, cfg.d, 0, 1)
             bound = cost_bound(n, m, cfg.d, 1, 1)
@@ -601,10 +621,12 @@ def _mode_cost_table(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _mode_verify_bounds(cfg: ExperimentConfig) -> ExperimentResult:
     problem = _problem(cfg)
+    constants = _bound_constants(problem)
+    with _double_range("moment_bound", cfg, constants):
+        bound = moment_bound(cfg.T, *constants, cfg.d)
     rec = ExperimentResult(cfg, "check", "observed", "limit", "margin")
     samples = simulate_particles(problem, cfg.particles_n, cfg.particles_m, cfg.seed)
     stats = ensemble_stats(samples)
-    bound = moment_bound(cfg.T, *_bound_constants(problem), cfg.d)
     observed = stats.second_moment_root
     limit = bound + 3.0 * stats.second_moment_root_se
     rec.add(observed <= limit, _check("particle_second_moment_root", observed, limit))
@@ -662,7 +684,7 @@ def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
     _require_budget(cfg, cfg.mlp_n, cfg.mlp_m)
     rec = ExperimentResult(cfg, "coord", "mlp_mean", "mlp_se", "particle_mean", "particle_se")
     with _worker_pool(cfg.jobs, cfg.reps) as pool:
-        values = np.array([r[0] for r in _repetitions(cfg, cfg.mlp_n, cfg.mlp_m, pool)])
+        values = _repetitions(cfg, cfg.mlp_n, cfg.mlp_m, pool)[0]
     mlp_mean = values.mean(axis=0)
     mlp_se = np.sqrt(values.var(axis=0, ddof=1) / cfg.reps)
 

@@ -45,8 +45,9 @@ A batch may hold many roots: ``_realize_batch`` evaluates the root keys
 (seed, (_ESTIMATOR_BRANCH,)) of many master seeds in one call, each at
 t = T, and ``realize_estimate`` is its batch of one.  Rows never mix and every key is
 hashed under its own seed, so each root's value is bit-identical to its
-realization alone, and the roots' trees share one shape, so the ledger
-charge is the number of roots times that of one realization.
+realization alone, and the roots' trees share one shape, so the batch's
+charge is the number of roots times one realization's tally, which it
+returns.
 
 Per (key, time) the arithmetic is that of the scalar recursion:
 xi + W(snap) + t*mu(0, 0), then (t / fan) * (mu(x_hi, y_hi) - mu(x_lo,
@@ -57,24 +58,25 @@ whose result does not have the broadcast shape of its inputs would mix the
 rows of sibling keys and is refused with ValueError.  The lower half of
 every level-1 term, mu(0, 0), is evaluated once per call.
 
-Instrumentation: the top-level path generation charges m**n * d draws, each
-node with n >= 1 charges, per query time, one drift evaluation for its
-cached mu(0, 0) read, and each (l, k) term charges, per query time, one
-uniform draw, m**l * d draws for the fresh path, and two drift evaluations.
-These are logical charges: they count what the scalar recursion would draw
-and evaluate, not the hashes actually computed, so the tallies do not depend
-on how the evaluation is batched.  They are dominated by the budget
-recursion (which re-charges path generation for same-index sub-calls) and
-are bounded below by the m**n * d draws of the top path alone.  The digests
-actually hashed are far fewer: each distinct key draws its uniform once and
-its path once, and only up to the last step read, so one k = n = m = 5,
-d = 1 realization charges 156505 draws but hashes about 6745 uniform and
-14.9k path-step digests (58150 for whole paths).
+Instrumentation: this module alone creates, charges and reads cost ledgers;
+path generation charges nothing.  ``_realize_batch`` charges m**n * d draws
+per root for the top-level path, each node with n >= 1 charges, per query
+time, one drift evaluation for its cached mu(0, 0) read, and each (l, k)
+term charges, per query time, one uniform draw, m**l * d draws for the
+fresh path, and two drift evaluations.  These are logical charges: they
+count what the scalar recursion would draw and evaluate, not the hashes
+actually computed, so the tallies do not depend on how the evaluation is
+batched.  They are dominated by the budget recursion (which re-charges
+path generation for same-index sub-calls) and are bounded below by the
+m**n * d draws of the top path alone.  The digests actually hashed are far
+fewer: each distinct key draws its uniform once and its path once, and only
+up to the last step read, so one k = n = m = 5, d = 1 realization charges
+156505 draws but hashes about 6745 uniform and 14.9k path-step digests
+(58150 for whole paths).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -87,14 +89,8 @@ from .hier_rng import batch_uniform, children, concat, derive_seed, pack
 from .ledger import CostLedger
 from .models import DriftModel, Problem
 
-__all__ = [
-    "RealizeResult",
-    "realize_estimate",
-    "rep_seed",
-    "summarize_squared_errors",
-]
+__all__ = ["RealizeResult", "realize_estimate", "rep_seed"]
 
-_Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _ESTIMATOR_BRANCH = 0  # root path coordinate reserved for the estimator's keys
 
 
@@ -263,58 +259,45 @@ class RealizeResult:
 
 
 def _realize_batch(
-    problem: Problem, n: int, m: int, master_seeds: Sequence[int], ledger: CostLedger
-) -> tuple[np.ndarray, np.ndarray]:
+    problem: Problem, n: int, m: int, master_seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
     """Realizations of the root estimator at t = T, one per master seed,
     evaluated as one batch of root keys.
 
-    Returns (values, W0(T)), each of shape (len(master_seeds), d), row r
-    bit-identical to the realization under ``master_seeds[r]`` alone.  The
-    ledger is charged for all of them: every root's tree has the same shape,
-    so the charge is len(master_seeds) times that of one realization.
+    Returns (values, W0(T), tally): values and W0(T) of shape
+    (len(master_seeds), d), row r bit-identical to the realization under
+    ``master_seeds[r]`` alone, and the (draws, evaluations) of one
+    realization.  Charges are per query time and every root's tree has the
+    same shape, so the batch's charge is exactly len(master_seeds) times
+    that tally.
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     roots = pack([(seed, (_ESTIMATOR_BRANCH,)) for seed in master_seeds])
     count = len(master_seeds)
-    paths = generate_batch(
-        roots, np.full(count, problem.horizon), n, m, problem.horizon, problem.dim, ledger
-    )
+    ledger = CostLedger()
+    paths = generate_batch(roots, np.full(count, problem.horizon), n, m, problem.horizon,
+                           problem.dim)
+    ledger.add_draws(count * m**n * problem.dim)
     (values,) = _evaluate(
         problem, paths, m, (n,), np.full(count, problem.horizon), np.arange(count), ledger
     )
-    return values, paths.values[:, -1]
+    draws, evals = ledger.snapshot()
+    assert draws % count == 0 and evals % count == 0, (draws, evals, count)
+    return values, paths.values[:, -1], (draws // count, evals // count)
 
 
 def realize_estimate(problem: Problem, n: int, m: int, master_seed: int) -> RealizeResult:
     """Compute one realization of the root estimator at t = T: the batch of
-    one seed, charged to a fresh ledger.
+    one seed, with its own ledger.
 
     Deterministic in (problem, n, m, master_seed).
     """
-    ledger = CostLedger()
-    values, w0 = _realize_batch(problem, n, m, (master_seed,), ledger)
-    return RealizeResult(value=values[0], ledger=ledger, w0_terminal=w0[0].copy())
+    values, w0, tally = _realize_batch(problem, n, m, (master_seed,))
+    return RealizeResult(value=values[0], ledger=CostLedger(*tally), w0_terminal=w0[0].copy())
 
 
 def rep_seed(master_seed: int, rep: int) -> int:
     """Master seed of repetition ``rep``, independent across repetitions."""
     return derive_seed(master_seed, "rep", rep)
-
-
-def summarize_squared_errors(squared: np.ndarray) -> tuple[float, float, float]:
-    """(rmse, 95% CI half-width, se of the mean square).
-
-    The RMSE interval comes from the delta method applied to the sample mean
-    of the squared errors; a zero mean square yields a degenerate interval.
-    """
-    squared = np.asarray(squared, dtype=float)
-    reps = len(squared)
-    if reps < 2:
-        raise ValueError(f"need at least 2 repetitions, got {reps}")
-    mean_sq = float(np.mean(squared))
-    se_sq = float(math.sqrt(np.var(squared, ddof=1) / reps))
-    rmse = math.sqrt(mean_sq)
-    half = _Z95 * se_sq / (2.0 * rmse) if rmse > 0.0 else 0.0
-    return rmse, half, se_sq
 

@@ -20,22 +20,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonFiniteDriftError
-from .hier_rng import batch_normals, batch_uniforms, pack
 
 __all__ = [
     "DriftModel",
-    "LipschitzReport",
     "PROBLEM_PARAMS",
     "Problem",
     "builtin_problem",
-    "lipschitz_selfcheck",
     "make_drift",
     "pathwise_value",
 ]
 
-# Relative slack for the sampled Lipschitz ratio; exact-equality cases like
-# linear drifts sit on the boundary up to roundoff.
-_RATIO_TOL = 1e-9
 # The parameters each built-in problem takes, all of them required.
 PROBLEM_PARAMS = {
     "zero_drift": (),
@@ -168,53 +162,6 @@ def builtin_problem(name: str, d: int = 1, T: float = 1.0, xi=1.0, **params) -> 
     half = 0.5 * L
     drift = make_drift("sine_meanfield", lambda x, y: half * (np.sin(x) + np.sin(y)), L, d)
     return Problem(d, float(T), initial, drift)
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    passed: bool
-    worst_ratio: float
-    witness: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-
-
-def lipschitz_selfcheck(
-    model: DriftModel, d: int, samples: int, radius: float, key: tuple[int, tuple]
-) -> LipschitzReport:
-    """Randomized check of the declared Lipschitz constant.
-
-    Draws quadruples (x1, y1, x2, y2) under the ``(seed, path)`` pair
-    ``key``, uniformly in the ball of the given radius, and reports the worst
-    observed ratio
-
-        ||mu(x1,y1) - mu(x2,y2)|| / ((L/2)||x1-x2|| + (L/2)||y1-y2||),
-
-    with a zero denominator counting as ratio 0 when the numerator vanishes
-    and as a failure witness otherwise.
-    """
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    keys = pack([key])
-    gauss = batch_normals(keys, "lipschitz-dirs", samples * 4 * d).reshape(samples, 4, d)
-    radial = batch_uniforms(keys, "lipschitz-radii", samples * 4).reshape(samples, 4)
-    norms = np.linalg.norm(gauss, axis=2, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    points = gauss / norms * (radius * radial ** (1.0 / d))[..., None]
-    x1, y1, x2, y2 = points[:, 0], points[:, 1], points[:, 2], points[:, 3]
-
-    num = np.linalg.norm(model.evaluate(x1, y1) - model.evaluate(x2, y2), axis=1)
-    den = 0.5 * model.lipschitz_L * (
-        np.linalg.norm(x1 - x2, axis=1) + np.linalg.norm(y1 - y2, axis=1)
-    )
-    ratio = np.zeros(samples)
-    positive = den > 0.0
-    ratio[positive] = num[positive] / den[positive]
-    ratio[~positive & (num > 0.0)] = np.inf
-
-    worst = int(np.argmax(ratio))
-    worst_ratio = float(ratio[worst])
-    passed = worst_ratio <= 1.0 + _RATIO_TOL
-    witness = None if passed else (x1[worst], y1[worst], x2[worst], y2[worst])
-    return LipschitzReport(passed, worst_ratio, witness)
 
 
 def pathwise_value(problem: Problem, t: float, w_value: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Shared test utilities: one-key draw, path and estimator references, CSV
-normalization and acceptance reporting.  A key is a ``(seed, path)`` pair."""
+"""Shared test utilities: one-key draw, path and estimator references, a
+Lipschitz sampler, CSV normalization and acceptance reporting.  A key is a
+``(seed, path)`` pair."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from mlpicard.brownian import PathBatch, _check_query_level, _snap_indices, generate_batch
-from mlpicard.hier_rng import batch_normals, batch_uniform, pack
+from mlpicard.hier_rng import batch_normals, batch_uniform, batch_uniforms, pack
 from mlpicard.ledger import CostLedger
 from mlpicard.mlp import _evaluate
 
@@ -51,10 +52,10 @@ class GridPath:
         return self.values[:: self.branching ** (self.level - query_level)][idx]
 
 
-def generate(key, level, branching, horizon, dim, ledger=None) -> GridPath:
+def generate(key, level, branching, horizon, dim) -> GridPath:
     """The whole path of ``key``: the batch of one key, generated up to the
     horizon."""
-    batch = generate_batch(pack([key]), [horizon], level, branching, horizon, dim, ledger)
+    batch = generate_batch(pack([key]), [horizon], level, branching, horizon, dim)
     return GridPath(key, level, branching, horizon, dim, batch.values[0])
 
 
@@ -67,6 +68,47 @@ def evaluate_one(problem, key, n, m, t, path, ledger=None) -> np.ndarray:
     (value,) = _evaluate(problem, batch, m, (n,), np.array([t]), np.zeros(1, dtype=np.intp),
                          CostLedger() if ledger is None else ledger)
     return value[0]
+
+
+# Relative slack for the sampled Lipschitz ratio; exact-equality cases like
+# linear drifts sit on the boundary up to roundoff.
+LIPSCHITZ_TOL = 1e-9
+
+
+def lipschitz_selfcheck(model, d, samples, radius, key):
+    """Randomized check of a drift's declared Lipschitz constant: (worst
+    ratio, witness).
+
+    Draws quadruples (x1, y1, x2, y2) under the key, uniformly in the ball of
+    the given radius, and returns the worst observed ratio
+
+        ||mu(x1,y1) - mu(x2,y2)|| / ((L/2)||x1-x2|| + (L/2)||y1-y2||),
+
+    with a zero denominator counting as ratio 0 when the numerator vanishes
+    and as inf otherwise.  The witness is the worst quadruple when its ratio
+    passes 1 + LIPSCHITZ_TOL, else None.
+    """
+    keys = pack([key])
+    gauss = batch_normals(keys, "lipschitz-dirs", samples * 4 * d).reshape(samples, 4, d)
+    radial = batch_uniforms(keys, "lipschitz-radii", samples * 4).reshape(samples, 4)
+    norms = np.linalg.norm(gauss, axis=2, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    points = gauss / norms * (radius * radial ** (1.0 / d))[..., None]
+    x1, y1, x2, y2 = points[:, 0], points[:, 1], points[:, 2], points[:, 3]
+
+    num = np.linalg.norm(model.evaluate(x1, y1) - model.evaluate(x2, y2), axis=1)
+    den = 0.5 * model.lipschitz_L * (
+        np.linalg.norm(x1 - x2, axis=1) + np.linalg.norm(y1 - y2, axis=1)
+    )
+    ratio = np.zeros(samples)
+    positive = den > 0.0
+    ratio[positive] = num[positive] / den[positive]
+    ratio[~positive & (num > 0.0)] = np.inf
+
+    worst = int(np.argmax(ratio))
+    if ratio[worst] <= 1.0 + LIPSCHITZ_TOL:
+        return float(ratio[worst]), None
+    return float(ratio[worst]), (x1[worst], y1[worst], x2[worst], y2[worst])
 
 
 def csv_without_wall(path: str | Path) -> str:

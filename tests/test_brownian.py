@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from helpers import generate, normals, snap
 from mlpicard.brownian import generate_batch
 from mlpicard.hier_rng import children, pack
-from mlpicard.ledger import CostLedger
 
 SEED = 1234
 
@@ -97,11 +96,9 @@ def test_value_at_time_array():
 
 
 def test_generate_counts_and_start():
-    ledger = CostLedger()
-    path = generate((SEED, (0,)), 1, 4, 1.0, 1, ledger)
+    path = generate((SEED, (0,)), 1, 4, 1.0, 1)
     assert path.values.shape == (5, 1)
     assert np.all(path.values[0] == 0.0)
-    assert ledger.scalar_draws == 4
 
 
 @pytest.mark.parametrize("dim", [1, 4, 8, 9, 17])
@@ -200,17 +197,14 @@ def test_terminal_distribution():
 
 
 def test_generate_batch_matches_generate():
-    # every path of a batch equals its key's path generated alone, and the
-    # ledger is charged steps*dim draws per key
+    # every path of a batch equals its key's path generated alone
     parents = [(SEED, (30,)), (SEED, (300, 16384))]
     keys = [(seed, path + (k,)) for seed, path in parents for k in range(3)]
     packed = children(pack(parents), [(k,) for k in range(3)])
     for level, m, dim in ((1, 5, 1), (2, 3, 4), (3, 2, 9)):
-        ledger = CostLedger()
-        batch = generate_batch(packed, np.full(len(keys), 1.5), level, m, 1.5, dim, ledger)
+        batch = generate_batch(packed, np.full(len(keys), 1.5), level, m, 1.5, dim)
         assert batch.values.shape == (len(keys), m**level + 1, dim)
         assert batch.keys == pack(keys)
-        assert ledger.scalar_draws == len(keys) * m**level * dim
         for key, values in zip(keys, batch.values):
             assert values.tobytes() == generate(key, level, m, 1.5, dim).values.tobytes()
         with pytest.raises(ValueError):
@@ -249,8 +243,8 @@ def reach_oracle(until, level, branching, horizon):
 @pytest.mark.parametrize("horizon", [0.05, 0.7, 1.0, 3.0])
 def test_truncated_generation_equals_full_on_every_filled_prefix(dim, horizon):
     # a batch generated up to each key's largest query time holds exactly the
-    # prefix that its reads can touch, byte-equal to the whole path, and is
-    # charged the logical draws of whole paths; dim 9 is two digest blocks
+    # prefix that its reads can touch, byte-equal to the whole path; dim 9 is
+    # two digest blocks
     rng = np.random.default_rng(dim)
     keys = [(seed, path + (k,)) for seed, path in ((SEED, (40,)), (SEED + 1, (400, 16384)))
             for k in range(4)]
@@ -261,9 +255,7 @@ def test_truncated_generation_equals_full_on_every_filled_prefix(dim, horizon):
             until = np.concatenate([[0.0, horizon], rng.choice(grid, 2),
                                     np.nextafter(rng.choice(grid[1:], 2), 0.0),
                                     rng.uniform(0.0, horizon, 2)])
-            ledger = CostLedger()
-            batch = generate_batch(pack(keys), until, level, m, horizon, dim, ledger)
-            assert ledger.scalar_draws == len(keys) * steps * dim
+            batch = generate_batch(pack(keys), until, level, m, horizon, dim)
             want = [reach_oracle(t, level, m, horizon) for t in until]
             assert batch.filled.tolist() == want, (m, level)
             assert batch.values.shape == (len(keys), max(want) + 1, dim)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import math
@@ -301,11 +302,11 @@ def test_repetitions_do_not_depend_on_jobs_or_chunks(monkeypatch, reps):
     # (reps = 64) give each seed's realization, in seed order
     cfg = build_config(None, ["d=2", f"reps={reps}", "seed=5"], mode="convergence")
     problem = harness_mod._problem(cfg)
-    want = []
-    for r in range(reps):
-        single = realize_estimate(problem, 2, 2, rep_seed(cfg.seed, r))
-        want.append((single.value.tolist(), single.w0_terminal.tolist(),
-                     *single.ledger.snapshot()))
+    singles = [realize_estimate(problem, 2, 2, rep_seed(cfg.seed, r)) for r in range(reps)]
+    want = (np.array([single.value for single in singles]).tobytes(),
+            np.array([single.w0_terminal for single in singles]).tobytes(),
+            singles[0].ledger.snapshot())
+    assert all(single.ledger.snapshot() == want[2] for single in singles)
     runs = {}
     for jobs in (1, 2, 3):
         cfg = replace(cfg, jobs=jobs)
@@ -313,8 +314,8 @@ def test_repetitions_do_not_depend_on_jobs_or_chunks(monkeypatch, reps):
             runs[jobs] = harness_mod._repetitions(cfg, 2, 2, pool)
     monkeypatch.setattr(harness_mod, "_CHUNK_BUDGET", 1)  # every chunk one seed
     runs["cap"] = harness_mod._repetitions(cfg, 2, 2, None)
-    for jobs, got in runs.items():
-        assert repr(got) == repr(want), jobs
+    for jobs, (values, w0, tally) in runs.items():
+        assert (values.tobytes(), w0.tobytes(), tally) == want, jobs
 
 
 class CountedPool(ProcessPoolExecutor):
@@ -400,6 +401,34 @@ def test_bad_problem_parameters_exit_code(tmp_path, capsys, mode, sets):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, sets, code, message", [
+    ("oracle-compare", ["mlp_n=30", "mlp_m=30"], 3,
+     "resource refusal: (n=30, m=30, d=1): cost budget for n=10, m=30 exceeds the 64-bit"),
+    ("convergence", ["b=-400", "k_max=2"], 2,
+     "config error: error_bound passes the double range at L=800.0, ||xi||=1.0, "),
+    ("verify-bounds", ["problem=sine_meanfield", "L=800", "particles_n=50", "particles_m=5"], 2,
+     "config error: moment_bound passes the double range at L=800.0, ||xi||=1.0, "),
+])
+def test_out_of_range_budget_or_bound_fails_closed(tmp_path, capsys, monkeypatch, mode, sets,
+                                                   code, message):
+    # a cost budget past 64 bits is a resource refusal (exit 3), and an error
+    # or moment bound past the double range a configuration error (exit 2)
+    # naming its constants: one line on stderr, no traceback and no CSV,
+    # before any estimator or particle work starts
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(harness_mod, "_realize_batch", no_work)
+    monkeypatch.setattr(harness_mod, "simulate_particles", no_work)
+    out = tmp_path / "refused.csv"
+    args = [mode, "--reps", "4", "--out", str(out)]
+    assert main(args + [arg for item in sets for arg in ("--set", item)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message)
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -592,7 +621,6 @@ def test_public_api_is_pinned():
         "exact_cost_bound",
         "gronwall_bound",
         "gronwall_closed_form",
-        "lipschitz_selfcheck",
         "log_cost_bound",
         "log_error_bound",
         "make_drift",
@@ -604,14 +632,13 @@ def test_public_api_is_pinned():
     ]
     assert mlpicard.models.__all__ == [
         "DriftModel",
-        "LipschitzReport",
         "PROBLEM_PARAMS",
         "Problem",
         "builtin_problem",
-        "lipschitz_selfcheck",
         "make_drift",
         "pathwise_value",
     ]
+    assert mlp_mod.__all__ == ["RealizeResult", "realize_estimate", "rep_seed"]
     assert harness_mod.__all__ == [
         "ExperimentConfig",
         "ExperimentResult",
@@ -622,6 +649,41 @@ def test_public_api_is_pinned():
         "run",
         "write_csv",
     ]
+
+
+def test_module_imports_are_pinned():
+    # each module's in-package imports; a new edge between layers (say the
+    # problems drawing randomness, or paths or the harness charging the cost
+    # ledger, which only the estimator does) is a reviewed edit of this table
+    package = Path(mlpicard.__file__).parent
+    imports = {}
+    for path in sorted(package.glob("*.py")):
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found.add(node.module or "__init__")  # from . import name
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                    alias.name for alias in node.names]
+                found.update(name.split(".", 1)[1] if "." in name else "__init__"
+                             for name in names if name.split(".")[0] == "mlpicard")
+        imports[path.stem] = found
+    assert imports == {
+        "__init__": {"errors", "hier_rng", "ledger", "mlp", "models", "particles",
+                     "recursions"},
+        "__main__": {"cli"},
+        "brownian": {"hier_rng"},
+        "cli": {"errors", "harness"},
+        "errors": set(),
+        "harness": {"__init__", "errors", "hier_rng", "mlp", "models", "particles",
+                    "recursions"},
+        "hier_rng": set(),
+        "ledger": set(),
+        "mlp": {"brownian", "errors", "hier_rng", "ledger", "models"},
+        "models": {"errors"},
+        "particles": {"errors", "hier_rng", "models"},
+        "recursions": set(),
+    }
 
 
 def test_root_branches_are_distinct():

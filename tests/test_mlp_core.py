@@ -116,9 +116,9 @@ def test_process_consistency_addresses():
             addresses.update(("u", k, tag) for k in zip(*keys))
             return real_uniform(keys, tag)
 
-        def traced_generate(keys, until, level, m, horizon, dim, ledger=None):
+        def traced_generate(keys, until, level, m, horizon, dim):
             addresses.update(("w", k, level) for k in zip(*keys))
-            return real_generate(keys, until, level, m, horizon, dim, ledger)
+            return real_generate(keys, until, level, m, horizon, dim)
 
         mlp_mod.batch_uniform = traced_uniform
         mlp_mod.generate_batch = traced_generate
@@ -453,30 +453,30 @@ BATCH_SEEDS = (SEED, rep_seed(SEED, 3), 17, rep_seed(99, 0), 2**63 + 5, 1, rep_s
 @pytest.mark.parametrize("size", [1, 3, 8])
 def test_realize_batch_matches_single_realizations(n, m, name, d, params, size):
     # one batch of roots gives each seed's realization bit for bit, whatever
-    # else shares the batch
+    # else shares the batch, and the tally of one realization
     prob = builtin_problem(name, d=d, T=1.0, xi=1.0, **params)
     seeds = BATCH_SEEDS[-size:]
-    ledger = CostLedger()
-    values, w0 = mlp_mod._realize_batch(prob, n, m, seeds, ledger)
+    values, w0, tally = mlp_mod._realize_batch(prob, n, m, seeds)
     assert values.shape == w0.shape == (size, d)
     singles = [realize_estimate(prob, n, m, seed) for seed in seeds]
     for row, single in enumerate(singles):
         assert values[row].tobytes() == single.value.tobytes(), (seeds[row], row)
         assert w0[row].tobytes() == single.w0_terminal.tobytes(), (seeds[row], row)
-    draws, evals = singles[0].ledger.snapshot()
-    assert ledger.snapshot() == (size * draws, size * evals)
+        assert tally == single.ledger.snapshot(), (seeds[row], row)
+    if n == 1:
+        assert tally == (m * d, 1)  # the root path's draws and mu(0, 0) alone
 
 
 @pytest.mark.parametrize("n, d, tally", [(5, 1, (156505, 81031)), (4, 1, (4372, 2745)),
                                          (4, 4, (15508, 2745))])
-def test_batch_tally_is_batch_size_times_single_tally(n, d, tally):
-    # the pinned one-realization tallies at n = m, times the number of roots
+def test_realize_batch_returns_each_seeds_tally(n, d, tally):
+    # a batch of several roots returns the pinned one-realization tally at
+    # n = m, which is each seed's own realize_estimate ledger
     prob = builtin_problem("law_only_linear", d=d, T=1.0, xi=1.0, b=-1.0)
-    sizes = (1, 3) if n == 5 else (1, 5)
-    for size in sizes:
-        ledger = CostLedger()
-        mlp_mod._realize_batch(prob, n, n, BATCH_SEEDS[:size], ledger)
-        assert ledger.snapshot() == (size * tally[0], size * tally[1]), size
+    seeds = BATCH_SEEDS[:3] if n == 5 else BATCH_SEEDS[:5]
+    assert mlp_mod._realize_batch(prob, n, n, seeds)[2] == tally
+    for seed in seeds:
+        assert realize_estimate(prob, n, n, seed).ledger.snapshot() == tally, seed
 
 
 def test_non_finite_drift_fails_closed():
