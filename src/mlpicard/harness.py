@@ -494,24 +494,34 @@ def _require_budget(cfg: ExperimentConfig, n: int, m: int) -> int:
 
 def _bound_constants(problem: Problem) -> tuple[float, float, float]:
     """(L, ||xi||, ||mu(0, 0)||), the problem's constants in the error,
-    moment and cost-times-accuracy bounds."""
-    return (
-        problem.drift.lipschitz_L,
-        float(np.linalg.norm(problem.initial)),
-        float(np.linalg.norm(problem.drift.value_at_origin)),
-    )
+    moment and cost-times-accuracy bounds; one that is not finite, a norm
+    whose square passes the double range included, is a ConfigError."""
+    with np.errstate(over="ignore"):
+        constants = (
+            problem.drift.lipschitz_L,
+            float(np.linalg.norm(problem.initial)),
+            float(np.linalg.norm(problem.drift.value_at_origin)),
+        )
+    if not all(map(math.isfinite, constants)):
+        raise ConfigError("bound constants must be finite, got L={}, ||xi||={}, "
+                          "||mu(0,0)||={}".format(*constants))
+    return constants
 
 
-@contextmanager
-def _double_range(bound: str, cfg: ExperimentConfig, constants: tuple) -> Iterator[None]:
-    """Refuse a ``bound`` that passes the double range as a ConfigError
-    naming the constants it grows with."""
+def _finite_bound(bound: str, cfg: ExperimentConfig, constants: tuple, fn: Callable,
+                  *args) -> float:
+    """``fn(*args)``, the value of ``bound``; one that passes the double
+    range, by an OverflowError or as inf, is a ConfigError naming the
+    constants it grows with."""
     try:
-        yield
+        value = fn(*args)
     except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
         L, norm_xi, norm_mu00 = constants
         raise ConfigError(f"{bound} passes the double range at L={L}, ||xi||={norm_xi}, "
-                          f"||mu(0,0)||={norm_mu00}, T={cfg.T}, d={cfg.d}") from None
+                          f"||mu(0,0)||={norm_mu00}, T={cfg.T}, d={cfg.d}")
+    return value
 
 
 def _summarize_squared_errors(squared: np.ndarray) -> tuple[float, float, float]:
@@ -537,8 +547,11 @@ def _mode_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     constants = _bound_constants(problem)
     rmses, rmse_ses = [], []
     budgets = [_require_budget(cfg, k, k) for k in cfg.levels()]
-    with _double_range("error_bound", cfg, constants):
-        bounds = [error_bound(k, k, cfg.T, cfg.T, cfg.d, *constants) for k in cfg.levels()]
+    bounds = [
+        _finite_bound("error_bound", cfg, constants, error_bound, k, k, cfg.T, cfg.T, cfg.d,
+                      *constants)
+        for k in cfg.levels()
+    ]
     with _worker_pool(cfg.jobs, cfg.reps) as pool:
         rec = ExperimentResult(
             cfg, "k", "n", "m", "reps", "rmse", "rmse_ci_half", "rmse_ci_upper", "error_bound",
@@ -622,8 +635,7 @@ def _mode_cost_table(cfg: ExperimentConfig) -> ExperimentResult:
 def _mode_verify_bounds(cfg: ExperimentConfig) -> ExperimentResult:
     problem = _problem(cfg)
     constants = _bound_constants(problem)
-    with _double_range("moment_bound", cfg, constants):
-        bound = moment_bound(cfg.T, *constants, cfg.d)
+    bound = _finite_bound("moment_bound", cfg, constants, moment_bound, cfg.T, *constants, cfg.d)
     rec = ExperimentResult(cfg, "check", "observed", "limit", "margin")
     samples = simulate_particles(problem, cfg.particles_n, cfg.particles_m, cfg.seed)
     stats = ensemble_stats(samples)

@@ -20,16 +20,18 @@ of :func:`children` and the counter suffixes live in small bounded LRU
 tables, which start empty.
 
 Keys come in *key batches* only: :func:`pack` makes one from plain
-``(seed, path)`` pairs, :func:`children` extends every key of one and
-:func:`concat` joins several, and every draw takes one and returns one row
-per key.  The batch's layout is private to this module; no other module
-builds, indexes or unpacks it.  A child's encoding in :func:`children` is
-one concatenation: its own length header, its parent's encoded coordinates
-and the extension's.  The hashing forms copy each key's hasher from one
-keyed hasher per seed (a one-block uniform is one copy absorbing its
-message; a multi-block key primes a copy with its path and copies it per
-block but the last) and map all digests in one vector pass;
-:func:`batch_step_normals` hashes only the steps its caller asks for.
+``(seed, path)`` pairs and :func:`children` extends every key of one, and
+every draw takes one and returns one row per key.  The batch's layout is
+private to this module; no other module builds, indexes or unpacks it.
+:func:`children` takes parents of one depth and extensions of one length,
+so every child shares one length header: it cuts the first parent's header
+once, and each child's encoding is one concatenation of that shared header,
+its parent's encoded coordinates and the extension's.  The hashing forms
+copy each key's hasher from one keyed hasher per seed (a one-block draw is
+one copy absorbing its whole message; a multi-block key primes a copy with
+its path and copies it per block but the last) and map all digests in one
+vector pass; :func:`batch_step_normals` hashes only the steps its caller
+asks for.
 """
 
 from __future__ import annotations
@@ -45,10 +47,8 @@ from scipy.special import ndtri
 __all__ = [
     "batch_normals",
     "batch_step_normals",
-    "batch_uniform",
     "batch_uniforms",
     "children",
-    "concat",
     "derive_seed",
     "pack",
 ]
@@ -103,30 +103,30 @@ def pack(pairs: Iterable[tuple[int, Sequence[int]]]) -> KeyBatch:
     return seeds, paths
 
 
-def concat(batches: Iterable[KeyBatch]) -> KeyBatch:
-    """The key batch of all keys of ``batches``, in order."""
-    seeds, paths = [], []
-    for batch_seeds, batch_paths in batches:
-        seeds += batch_seeds
-        paths += batch_paths
-    return seeds, paths
-
-
 def children(keys: KeyBatch, extensions: Sequence[Sequence[int]]) -> KeyBatch:
     """The key batch of every key of ``keys`` with its path extended by
     every extension, key-major; the parents are never mutated.
 
-    Parents may differ in depth: each child's length header comes from its
-    parent's own coordinate count, read off the parent's header.
+    The parents must share one depth and the extensions one length, else
+    ValueError: every child then has the same length header, built once
+    from the first parent's.
     """
     encoded = _extension_coords(tuple(map(tuple, extensions)))
+    seeds, paths = keys
+    if not paths or not encoded:
+        return [], []
     lengths = {length for length, _ in encoded}
-    out = []
-    for path in keys[1]:
-        depth, coords = _unframe(path)
-        heads = {length: _frame(depth + length, coords) for length in lengths}
-        out += [heads[length] + ext for length, ext in encoded]
-    return [seed for seed in keys[0] for _ in encoded], out
+    if len(lengths) != 1:
+        raise ValueError(f"extensions must share one length, got lengths {sorted(lengths)}")
+    depth, cut = _header(paths[0])
+    # LEB128 is prefix-free: a parent starts with the first one's header
+    # exactly when it has the first one's depth
+    if not all(map(bytes.startswith, paths, repeat(paths[0][:cut]))):
+        raise ValueError("parent keys must share one depth")
+    head = _frame(depth + lengths.pop(), b"")
+    exts = [ext for _, ext in encoded]
+    coords = [path[cut:] for path in paths]
+    return [seed for seed in seeds for _ in exts], [head + c + ext for c in coords for ext in exts]
 
 
 @lru_cache(maxsize=_SUFFIX_TABLES)
@@ -136,12 +136,12 @@ def _extension_coords(extensions: tuple[tuple[int, ...], ...]) -> tuple[tuple[in
     return tuple((len(ext), _coord_bytes(tuple(map(int, ext)))) for ext in extensions)
 
 
-def _unframe(path: bytes) -> tuple[int, bytes]:
-    """(coordinate count, encoded coordinates) of an encoded path."""
+def _header(path: bytes) -> tuple[int, int]:
+    """(coordinate count, header length) of an encoded path."""
     end = 1  # past the domain byte, the count's LEB128 bytes run to path[end]
     while path[end] > 0x7F:
         end += 1
-    return sum((byte & 0x7F) << 7 * i for i, byte in enumerate(path[1 : end + 1])), path[end + 1 :]
+    return sum((byte & 0x7F) << 7 * i for i, byte in enumerate(path[1 : end + 1])), end + 1
 
 
 def _coord_bytes(path: tuple[int, ...]) -> bytes:
@@ -187,15 +187,22 @@ def _hash_suffixes(
     then in suffix order; key i takes the first ``counts[i]`` suffixes, all
     of them when ``counts`` is None.
 
-    Each key with a suffix to take copies its seed's keyed hasher, which
+    Each key with one suffix to take copies its seed's keyed hasher, which
+    absorbs the whole message in one update.  Each key with more copies it,
     absorbs its path and the shared prefix once, is copied per suffix but
     the last and absorbs the last itself.
     """
     if counts is None:
         counts = repeat(len(suffixes))
     hashers = _seed_hashers(keys[0])
+    single = prefix + suffixes[0] if suffixes else b""
     digests = bytearray()
     for seed, path, count in zip(*keys, counts):
+        if count == 1:
+            hasher = hashers[seed].copy()
+            hasher.update(path + single)
+            digests += hasher.digest()
+            continue
         if not count:
             continue
         primed = hashers[seed].copy()
@@ -227,25 +234,9 @@ def _gaussians(words: np.ndarray, variance: float) -> np.ndarray:
     return ndtri(u) * np.sqrt(variance)
 
 
-def batch_uniform(keys: KeyBatch, tag: Tag) -> np.ndarray:
-    """One uniform draw in [0, 1) per key of the batch, deterministic in
-    (key, tag), as one array; each key's one-block message is absorbed by
-    one hasher copy."""
-    hashers = _seed_hashers(keys[0])
-    tail = _tag_bytes(tag) + _block_suffixes(1)[0]
-    digests = bytearray()
-    for seed, path in zip(*keys):
-        hasher = hashers[seed].copy()
-        hasher.update(path + tail)
-        digests += hasher.digest()
-    words = np.frombuffer(digests, dtype="<u8")
-    return (words[::_WORDS_PER_BLOCK] >> np.uint64(11)).astype(np.float64) * _INV_2_53
-
-
 def batch_uniforms(keys: KeyBatch, tag: Tag, count: int) -> np.ndarray:
     """``count`` i.i.d. uniform draws in [0, 1) per key of the batch, for
-    its (key, tag) stream, in shape (number of keys, count); the first
-    column is :func:`batch_uniform`, bit for bit."""
+    its (key, tag) stream, in shape (number of keys, count)."""
     return (_words(keys, tag, count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 

@@ -28,12 +28,13 @@ key group, and one evaluator call serves a batch of key groups whose tops
 share a level: their keys, as one key batch of :mod:`mlpicard.hier_rng`
 (whose layout only that module reads), their paths stacked along a leading
 batch axis, and one flat vector of query times, each with the index of the
-key it belongs to.  The times are gathered top-down, j = top..1: term
-(j, l) makes its sub keys, for all keys of the batch, from its extension
-list (built once per (j, fan, l)), draws their uniforms in one bulk hash
-and appends s = u*t to the same-key nodes (theta, l) and (theta, l-1).  The
-sub keys of the level-l terms of every node and key form one sub-batch,
-joined by one ``concat``: their fresh paths are generated together at level l right
+key it belongs to.  Per term level l, one ``children`` call makes the sub
+keys (j, k, l) of every node j > l and key of the batch as one sub-batch,
+and one ``batch_uniforms`` call draws their uniforms, so a call whose top is
+L makes L-1 of each.  The times are then gathered top-down, j = top..1:
+term (j, l) reads node j's columns of the level-l uniforms and appends
+s = u*t to the same-key nodes (theta, l) and (theta, l-1) and to its sub
+keys.  Sub-batch l's fresh paths are generated together at level l right
 before one recursive call evaluates the X_eta nodes l and l-1 at all their
 times, and are dropped when it returns.  A sub key's path, and those of its
 same-key nodes below, is read only at times up to its largest s, so it is
@@ -56,7 +57,7 @@ term axis, which adds sequentially.  A drift acts on each row alone, so
 every value is bit-identical to evaluating one key at one time; a drift
 whose result does not have the broadcast shape of its inputs would mix the
 rows of sibling keys and is refused with ValueError.  The lower half of
-every level-1 term, mu(0, 0), is evaluated once per call.
+every level-1 term is the drift's cached mu(0, 0), ``value_at_origin``.
 
 Instrumentation: this module alone creates, charges and reads cost ledgers;
 path generation charges nothing.  ``_realize_batch`` charges m**n * d draws
@@ -78,26 +79,19 @@ up to the last step read, so one k = n = m = 5, d = 1 realization charges
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .brownian import PathBatch, generate_batch
 from .errors import NonFiniteDriftError
-from .hier_rng import batch_uniform, children, concat, derive_seed, pack
+from .hier_rng import batch_uniforms, children, derive_seed, pack
 from .ledger import CostLedger
 from .models import DriftModel, Problem
 
 __all__ = ["RealizeResult", "realize_estimate", "rep_seed"]
 
 _ESTIMATOR_BRANCH = 0  # root path coordinate reserved for the estimator's keys
-
-
-@lru_cache(maxsize=64)  # a realization uses n*(n-1)/2 extension lists
-def _term_extensions(j: int, fan: int, level: int) -> tuple[tuple[int, int, int], ...]:
-    """The extensions (j, k, level), k = 1..fan, of the sub keys of a term."""
-    return tuple((j, k, level) for k in range(1, fan + 1))
 
 
 def _joined(chunks: list) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +142,6 @@ def _evaluate(
     (len(times), d), row i answering query i.
     """
     d = problem.dim
-    keys = paths.keys
     top = levels[0]
     # Chunks of (times, owners) asked of each node, and its rows so far.
     asked: list[list] = [[] for _ in range(top + 1)]
@@ -156,18 +149,25 @@ def _evaluate(
     for j in levels:
         asked[j].append((times, owner))
         rows[j] = len(times)
-    # Per term level l: the parts of the sub-key batch of every node's level-l
-    # terms, its key count so far, and the chunks of (times, owners) they are
-    # asked at.
-    sub_keys: list = [[] for _ in range(top)]
-    sub_count = [0] * top
+    # Per term level l: the sub keys (j, k, l) of every key, j = top..l+1 and
+    # k = 1..m**(j-l), key-major, as one key batch; their uniforms, one row
+    # of columns per key, node j's columns right after node j+1's; the next
+    # node's first column; and the chunks of (times, owners) they are asked
+    # at.
+    subs: list = [None] * top
+    uniforms: list = [None] * top
+    cols = [0] * top
     sub_asked: list = [[] for _ in range(top)]
     sub_rows = [0] * top
+    for level in range(1, top):
+        extensions = [(j, k, level) for j in range(top, level, -1)
+                      for k in range(1, m ** (j - level) + 1)]
+        subs[level] = children(paths.keys, extensions)
+        uniforms[level] = batch_uniforms(subs[level], "u", 1).reshape(-1, len(extensions))
 
-    # Top-down: gather every node's times; each sub key's uniform is drawn
-    # once.  A node keeps its terms as (l, fan, row of its s in node l, in
-    # node l-1, in sub-batch l); the s of a term are laid out k-major, so
-    # row k*size + i holds s = u_k * t_i.
+    # Top-down: gather every node's times.  A node keeps its terms as (l,
+    # fan, row of its s in node l, in node l-1, in sub-batch l); the s of a
+    # term are laid out k-major, so row k*size + i holds s = u_k * t_i.
     nodes: list = [None] * (top + 1)
     for j in range(top, 0, -1):
         t, o = _joined(asked[j])
@@ -176,15 +176,13 @@ def _evaluate(
         terms = []
         for level in range(1, j):
             fan = m ** (j - level)
-            subs = children(keys, _term_extensions(j, fan, level))
-            u = batch_uniform(subs, "u").reshape(-1, fan)
-            s = (u[o].T * t).ravel()
+            width = uniforms[level].shape[1]
+            first = cols[level]  # sub key (g, k) sits at g*width + first + k
+            cols[level] += fan
+            s = (uniforms[level][o, first : first + fan].T * t).ravel()
             same = np.broadcast_to(o, (fan, size)).ravel()  # owners in nodes l, l-1
-            base = sub_count[level]  # sub key (g, k) sits at base + g*fan + k
-            sub_owner = (np.arange(fan)[:, None] + (o * fan + base)).ravel()
+            sub_owner = (np.arange(fan)[:, None] + (o * width + first)).ravel()
             terms.append((level, fan, rows[level], rows[level - 1], sub_rows[level]))
-            sub_keys[level].append(subs)
-            sub_count[level] += u.size
             sub_asked[level].append((s, sub_owner))
             sub_rows[level] += len(s)
             asked[level].append((s, same))
@@ -206,16 +204,15 @@ def _evaluate(
     drift = problem.drift
     values: list = [None] * (top + 1)
     sub_values: list = [None] * top
-    origin = None  # mu(0, 0) on one row: the lower half of every level-1 term
     for j in range(1, top + 1):
         if j >= 2:
             level = j - 1
             s, o = _joined(sub_asked[level])
             # each sub key's path is read at its s and at the u*s below them
-            until = np.zeros(sub_count[level])
+            until = np.zeros(uniforms[level].size)
             np.maximum.at(until, o, s)
-            fresh = generate_batch(concat(sub_keys[level]), until, level, m, problem.horizon, d)
-            sub_keys[level] = sub_asked[level] = None
+            fresh = generate_batch(subs[level], until, level, m, problem.horizon, d)
+            subs[level] = sub_asked[level] = None
             sub_levels = (level, level - 1) if level >= 2 else (level,)
             sub_values[level] = _evaluate(problem, fresh, m, sub_levels, s, o, ledger)
             del fresh, s
@@ -234,10 +231,7 @@ def _evaluate(
                                 y[1][at_sub : at_sub + end])
                 else:
                     # Level-0 estimator is identically zero: no query, no charge.
-                    if origin is None:
-                        zero = np.zeros((1, d))
-                        origin = _drift(drift, zero, zero)
-                    lo = origin
+                    lo = drift.value_at_origin
                 parts.append((t[:, None] / fan) * (hi - lo).reshape(fan, size, d))
             # Sequential sums along the term axis: value + term (1, 1) + ...,
             # in (l, k) order, as with one += per term.

@@ -11,14 +11,14 @@ from pathlib import Path
 import numpy as np
 
 from mlpicard.brownian import PathBatch, _check_query_level, _snap_indices, generate_batch
-from mlpicard.hier_rng import batch_normals, batch_uniform, batch_uniforms, pack
+from mlpicard.hier_rng import batch_normals, batch_uniforms, pack
 from mlpicard.ledger import CostLedger
 from mlpicard.mlp import _evaluate
 
 
 def uniform(key, tag) -> float:
     """The uniform draw of one key under ``tag``: its batch of one."""
-    return float(batch_uniform(pack([key]), tag)[0])
+    return float(batch_uniforms(pack([key]), tag, 1)[0, 0])
 
 
 def normals(key, tag, count, variance=1.0) -> np.ndarray:

@@ -197,10 +197,15 @@ def test_terminal_distribution():
 
 
 def test_generate_batch_matches_generate():
-    # every path of a batch equals its key's path generated alone
+    # every path of a batch equals its key's path generated alone; the keys
+    # differ in depth, so pack builds the batch, as children refuses parents
+    # of mixed depth
     parents = [(SEED, (30,)), (SEED, (300, 16384))]
     keys = [(seed, path + (k,)) for seed, path in parents for k in range(3)]
-    packed = children(pack(parents), [(k,) for k in range(3)])
+    packed = pack(keys)
+    with pytest.raises(ValueError, match="one depth"):
+        children(pack(parents), [(k,) for k in range(3)])
+    assert children(pack(parents[1:]), [(k,) for k in range(3)]) == pack(keys[3:])
     for level, m, dim in ((1, 5, 1), (2, 3, 4), (3, 2, 9)):
         batch = generate_batch(packed, np.full(len(keys), 1.5), level, m, 1.5, dim)
         assert batch.values.shape == (len(keys), m**level + 1, dim)

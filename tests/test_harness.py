@@ -370,13 +370,14 @@ def test_dead_worker_fails_closed(tmp_path, monkeypatch, capfd):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_drift_exit_code(tmp_path, capsys):
-    # b * y overflows for y near xi = 10: refused mid-recursion (exit 2)
-    # instead of a nan RMSE row, in process and from a worker
+    # L = 2e155 and the bounds are finite at T = 1e-155, but b * y overflows
+    # for y near xi = 1e154: refused mid-recursion (exit 2) instead of a nan
+    # RMSE row, in process and from a worker
     out = tmp_path / "inf.csv"
     for jobs in ("1", "2"):
-        code = main(["convergence", "--set", "b=1e308", "--set", "xi=10",
-                     "--set", "k_min=2", "--set", "k_max=2", "--reps", "4",
-                     "--jobs", jobs, "--out", str(out)])
+        code = main(["convergence", "--set", "T=1e-155", "--set", "b=1e155",
+                     "--set", "xi=1e154", "--set", "k_min=2", "--set", "k_max=2",
+                     "--reps", "4", "--jobs", jobs, "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: drift 'law_only_linear' returned a non-finite")
@@ -412,13 +413,25 @@ def test_bad_problem_parameters_exit_code(tmp_path, capsys, mode, sets):
      "config error: error_bound passes the double range at L=800.0, ||xi||=1.0, "),
     ("verify-bounds", ["problem=sine_meanfield", "L=800", "particles_n=50", "particles_m=5"], 2,
      "config error: moment_bound passes the double range at L=800.0, ||xi||=1.0, "),
+    # L = 2|b| overflows to inf
+    ("convergence", ["b=1e308", "k_max=1"], 2,
+     "config error: bound constants must be finite, got L=inf, ||xi||=1.0, "),
+    ("certificate", ["b=1e308"], 2,
+     "config error: bound constants must be finite, got L=inf, ||xi||=1.0, "),
+    # ||xi|| overflows to inf
+    ("verify-bounds", ["problem=sine_meanfield", "xi=1e308", "particles_n=20", "particles_m=2"],
+     2, "config error: bound constants must be finite, got L=1.0, ||xi||=inf, "),
+    # finite constants, but the moment bound's product overflows to inf
+    ("verify-bounds", ["problem=sine_meanfield", "xi=1e154", "L=200", "T=2"], 2,
+     "config error: moment_bound passes the double range at L=200.0, ||xi||=1e+154, "),
 ])
 def test_out_of_range_budget_or_bound_fails_closed(tmp_path, capsys, monkeypatch, mode, sets,
                                                    code, message):
-    # a cost budget past 64 bits is a resource refusal (exit 3), and an error
-    # or moment bound past the double range a configuration error (exit 2)
-    # naming its constants: one line on stderr, no traceback and no CSV,
-    # before any estimator or particle work starts
+    # a cost budget past 64 bits is a resource refusal (exit 3), and a bound
+    # constant that is not finite, or an error or moment bound past the
+    # double range (by an OverflowError or as inf), a configuration error
+    # (exit 2) naming the constants: one line on stderr, no traceback and no
+    # CSV, before any estimator or particle work starts
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the refusal")
 
@@ -639,6 +652,14 @@ def test_public_api_is_pinned():
         "pathwise_value",
     ]
     assert mlp_mod.__all__ == ["RealizeResult", "realize_estimate", "rep_seed"]
+    assert mlpicard.hier_rng.__all__ == [
+        "batch_normals",
+        "batch_step_normals",
+        "batch_uniforms",
+        "children",
+        "derive_seed",
+        "pack",
+    ]
     assert harness_mod.__all__ == [
         "ExperimentConfig",
         "ExperimentResult",

@@ -11,14 +11,12 @@ from scipy.special import ndtri
 from scipy.stats import kstest, kstwobign
 
 from helpers import normals, uniform
-from mlpicard import brownian, hier_rng, mlp
+from mlpicard import brownian, hier_rng
 from mlpicard.hier_rng import (
     batch_normals,
     batch_step_normals,
-    batch_uniform,
     batch_uniforms,
     children,
-    concat,
     derive_seed,
     pack,
 )
@@ -56,29 +54,31 @@ def test_key_validation():
     assert pack([(2**64 + 3, ())]) == pack([(3, ())])
     assert pack([(-1, ())]) == pack([(2**64 - 1, ())])
     assert pack([(np.uint64(3), (np.int64(4), np.int32(300)))]) == pack([(3, (4, 300))])
-    assert pack([]) == concat([]) == ([], [])
+    assert pack([]) == ([], [])
 
 
 def test_determinism():
     keys = pack([(SEED, (1, 2, 3)), (SEED + 1, ())])
-    assert np.array_equal(batch_uniform(keys, "u"), batch_uniform(keys, "u"))
+    assert np.array_equal(batch_uniforms(keys, "u", 1), batch_uniforms(keys, "u", 1))
     assert np.array_equal(batch_normals(keys, 7, 5, 2.0), batch_normals(keys, 7, 5, 2.0))
     assert np.array_equal(batch_uniforms(keys, "block", 100),
                           batch_uniforms(keys, "block", 100))
 
 
 def test_uniform_range_and_batch_consistency():
+    # the one-block draw absorbs its message in one update, the 64-word draw
+    # primes a hasher with the path: the first column agrees bit for bit
     keys = pack([(SEED, (9,)), (SEED, (9, 0))])
     batch = batch_uniforms(keys, "u", 64)
     assert batch.shape == (2, 64)
     assert np.all((0.0 <= batch) & (batch < 1.0))
-    assert batch[:, 0].tobytes() == batch_uniform(keys, "u").tobytes()
+    assert batch[:, :1].tobytes() == batch_uniforms(keys, "u", 1).tobytes()
 
 
 def test_uniform_distribution_ks():
     # empirical CDF over 1e5 distinct keys vs the uniform CDF at the 1% level
     n = 10**5
-    samples = batch_uniform(pack((SEED, (i,)) for i in range(n)), "ks")
+    samples = batch_uniforms(pack((SEED, (i,)) for i in range(n)), "ks", 1)[:, 0]
     stat = kstest(samples, "uniform").statistic
     critical = kstwobign.ppf(0.99) / np.sqrt(n)
     assert stat < critical, (stat, critical)
@@ -114,7 +114,7 @@ def test_prefix_freeness():
     # perturbing one suffix coordinate must change the draw
     bases = pack((SEED, (4, i)) for i in range(10**4))
     bumped = children(bases, [(0,)])
-    assert np.all(batch_uniform(bases, "p") != batch_uniform(bumped, "p"))
+    assert np.all(batch_uniforms(bases, "p", 1) != batch_uniforms(bumped, "p", 1))
     assert uniform((SEED, (4, 0)), "p") != uniform((SEED, (4, 1)), "p")
 
 
@@ -253,7 +253,7 @@ def test_cached_tables_match_uncached_hashing(path):
 
 def test_suffix_caches_bounded_and_empty_after_import():
     tables = (hier_rng._block_suffixes, hier_rng._step_suffixes, hier_rng._extension_coords,
-              mlp._term_extensions, brownian._grid)
+              brownian._grid)
     for table in tables:
         assert table.cache_info().maxsize is not None
     for steps in range(1, 200):
@@ -261,11 +261,10 @@ def test_suffix_caches_bounded_and_empty_after_import():
     info = hier_rng._step_suffixes.cache_info()
     assert info.currsize <= info.maxsize
     probe = (
-        "import mlpicard; from mlpicard import brownian, hier_rng, mlp; "
+        "import mlpicard; from mlpicard import brownian, hier_rng; "
         "print(hier_rng._block_suffixes.cache_info().currsize, "
         "hier_rng._step_suffixes.cache_info().currsize, "
         "hier_rng._extension_coords.cache_info().currsize, "
-        "mlp._term_extensions.cache_info().currsize, "
         "brownian._grid.cache_info().currsize)"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -275,32 +274,50 @@ def test_suffix_caches_bounded_and_empty_after_import():
 
 
 def test_children_extend_the_encoded_path():
-    # a packed child's encoding is one concatenation of its own length
+    # a packed child's encoding is one concatenation of the shared length
     # header, its parent's encoded coordinates and the extension's, but must
     # equal the length-prefixed LEB128 encoding of the whole path: parents of
-    # mixed depth and seed in one batch, single- and multi-byte coordinates,
-    # extensions of mixed length, and length headers that cross 128 (a
-    # 126-deep parent with a 3-long extension) or start beyond it
-    parents = [(SEED + i, p) for i, p in enumerate(
-        ((), (0,), (127, 128), (300, 16383, 16384, 2**40), tuple(range(126)),
-         tuple(range(130))))]
-    extensions = [(), (0,), (2, 1, 1), (128, 16384), (2**40, 5, 127)]
-    seeds, paths = children(pack(parents), extensions)
-    assert len(seeds) == len(paths) == len(parents) * len(extensions)
-    for i, (seed, path) in enumerate(parents):
-        for j, ext in enumerate(extensions):
-            at = i * len(extensions) + j  # key-major
-            assert (seeds[at], paths[at]) == (seed, leb128_path(path + ext))
-            assert pack([(seed, path + ext)]) == ([seeds[at]], [paths[at]])
-    # grandchildren are built from the children's own encodings
-    grand = children((seeds, paths), [(3, 129)])
-    assert grand == (seeds, [leb128_path(path + ext + (3, 129))
-                             for _, path in parents for ext in extensions])
-    assert children(pack(parents), []) == ([], [])
-    assert children(([], []), extensions) == ([], [])
-    # concat joins batches in order, whatever made them
-    halves = [pack(parents[:2]), children(pack(parents[2:]), [()]), pack([])]
-    assert concat(halves) == pack(parents)
+    # one depth and mixed seeds, single- and multi-byte coordinates, and
+    # length headers that cross 128 (a 126-deep parent with a 3-long
+    # extension) or start beyond it
+    groups = (
+        [(), ()],
+        [(0,), (127,), (16384,)],
+        [(127, 128), (300, 16383), (2**40, 0)],
+        [tuple(range(126)), tuple(range(1, 127))],
+        [tuple(range(130)), tuple(range(200, 330))],
+    )
+    for length in (0, 1, 3):
+        extensions = [tuple(range(k * 128, k * 128 + length)) for k in range(4)]
+        extensions[-1] = (2**40,) * length
+        for group in groups:
+            parents = [(SEED + i, p) for i, p in enumerate(group)]
+            seeds, paths = children(pack(parents), extensions)
+            assert len(seeds) == len(paths) == len(parents) * len(extensions)
+            for i, (seed, path) in enumerate(parents):
+                for j, ext in enumerate(extensions):
+                    at = i * len(extensions) + j  # key-major
+                    assert (seeds[at], paths[at]) == (seed, leb128_path(path + ext))
+                    assert pack([(seed, path + ext)]) == ([seeds[at]], [paths[at]])
+            # grandchildren are built from the children's own encodings
+            grand = children((seeds, paths), [(3, 129)])
+            assert grand == (seeds, [leb128_path(path + ext + (3, 129))
+                                     for _, path in parents for ext in extensions])
+    assert children(pack([(SEED, (1,))]), []) == ([], [])
+    assert children(([], []), [(0,)]) == ([], [])
+
+
+def test_children_refuse_mixed_depths_and_lengths():
+    # parents of mixed depth, or extensions of mixed length, would need one
+    # length header per child: refused, whichever parent differs
+    for depths in [((), (0,)), ((0,), (1, 2)), ((1, 2), (1, 2), (3,)),
+                   (tuple(range(127)), tuple(range(128)))]:
+        with pytest.raises(ValueError, match="one depth"):
+            children(pack((SEED, p) for p in depths), [(0,)])
+    with pytest.raises(ValueError, match="one length"):
+        children(pack([(SEED, (1,))]), [(0,), (1, 2)])
+    with pytest.raises(ValueError, match="one length"):
+        children(pack([(SEED, (1,))]), [(), (0,)])
 
 
 def test_children_validate_the_extension():
@@ -308,7 +325,7 @@ def test_children_validate_the_extension():
     with pytest.raises(ValueError):
         children(key, [(3, -1)])
     with pytest.raises(ValueError):
-        children(concat([key, key]), [(0,), (-5,)])
+        children(pack([(SEED, (1, 2)), (SEED + 1, (3, 4))]), [(0,), (-5,)])
     with pytest.raises(ValueError):  # a refused list is not cached
         children(key, [(0,), (-5,)])
     # integer-valued coordinates are normalized like pack's
@@ -319,18 +336,18 @@ def test_children_validate_the_extension():
 @pytest.mark.parametrize("dim", [1, 4, 9])
 def test_batch_draws_equal_one_key_draws(dim):
     # every row of every batched draw equals the uncached hashlib reference
-    # of its key alone, bit for bit, over one mixed batch: two seeds, depths
-    # 0 to 4, coordinates >= 128 and >= 16384, part of it made by children,
-    # joined by concat
-    pairs = [(SEED, ()), (SEED + 1, (300,)), (SEED, (0, 16384)), (SEED + 1, (129, 2, 7)),
-             (SEED, (0, 4, 2, 1))]
+    # of its key alone, bit for bit, over one mixed batch packed from pairs:
+    # two seeds, depths 0 to 4, coordinates >= 128 and >= 16384, and keys
+    # that children makes alike
     parent = (SEED + 1, (16384, 128))
     extensions = [(k, 1) for k in range(3)]
-    packed = concat([pack(pairs), children(pack([parent]), extensions)])
-    keys = pairs + [(parent[0], parent[1] + ext) for ext in extensions]
-    u = batch_uniform(packed, "u")
+    made = [(parent[0], parent[1] + ext) for ext in extensions]
+    assert children(pack([parent]), extensions) == pack(made)
+    keys = [(SEED, ()), (SEED + 1, (300,)), (SEED, (0, 16384)), (SEED + 1, (129, 2, 7)),
+            (SEED, (0, 4, 2, 1))] + made
+    packed = pack(keys)
+    u = batch_uniforms(packed, "u", 1)
     assert u.tobytes() == np.concatenate([uncached_uniforms(k, "u", 1) for k in keys]).tobytes()
-    assert u.tobytes() == batch_uniforms(packed, "u", 1)[:, 0].tobytes()
     for count in (0, 1, 8, 9, 17):
         size = count * dim
         got = batch_uniforms(packed, "v", size)
@@ -347,7 +364,6 @@ def test_batch_draws_equal_one_key_draws(dim):
         want = np.array([[uncached_normals(k, step, dim, 0.25) for step in range(steps)]
                          for k in keys])
         assert got.tobytes() == want.tobytes(), (steps, dim)
-    assert batch_uniform(([], []), "u").shape == (0,)
     assert batch_uniforms(([], []), "u", 3).shape == (0, 3)
     assert batch_normals(([], []), "g", 3).shape == (0, 3)
     assert batch_step_normals(([], []), 5, dim).shape == (0, 5, dim)

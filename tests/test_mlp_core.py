@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -106,31 +107,38 @@ def test_process_consistency_addresses():
     key = (SEED, (0,))
     path = generate(key, 3, 2, 1.0, 1)
 
-    real_uniform = mlp_mod.batch_uniform
+    real_uniform = mlp_mod.batch_uniforms
     real_generate = mlp_mod.generate_batch
 
     def trace(t):
         addresses = set()
 
-        def traced_uniform(keys, tag):
-            addresses.update(("u", k, tag) for k in zip(*keys))
-            return real_uniform(keys, tag)
+        def traced_uniform(keys, tag, count):
+            addresses.update(("u", k, tag, count) for k in zip(*keys))
+            return real_uniform(keys, tag, count)
 
         def traced_generate(keys, until, level, m, horizon, dim):
             addresses.update(("w", k, level) for k in zip(*keys))
             return real_generate(keys, until, level, m, horizon, dim)
 
-        mlp_mod.batch_uniform = traced_uniform
+        mlp_mod.batch_uniforms = traced_uniform
         mlp_mod.generate_batch = traced_generate
         try:
             evaluate_one(prob, key, 3, 2, t, path)
         finally:
-            mlp_mod.batch_uniform = real_uniform
+            mlp_mod.batch_uniforms = real_uniform
             mlp_mod.generate_batch = real_generate
         return addresses
 
     assert trace(0.3) == trace(0.9)
     assert len(trace(0.5)) > 0
+
+
+# A key's uniform and whole path are pure functions of their arguments; the
+# scalar reference re-reads them at every node and time, so it reads them
+# through these memos.
+cached_uniform = functools.cache(uniform)
+cached_generate = functools.cache(generate)
 
 
 def reference_estimator(problem, key, n, m, t, path):
@@ -143,8 +151,8 @@ def reference_estimator(problem, key, n, m, t, path):
         fan = m ** (n - level)
         for k in range(1, fan + 1):
             sub = (key[0], key[1] + (n, k, level))
-            s = uniform(sub, "u") * t
-            fresh = generate(sub, level, m, problem.horizon, problem.dim)
+            s = cached_uniform(sub, "u") * t
+            fresh = cached_generate(sub, level, m, problem.horizon, problem.dim)
             hi = mu(
                 reference_estimator(problem, key, level, m, s, path),
                 reference_estimator(problem, sub, level, m, s, fresh),
@@ -197,7 +205,7 @@ def test_time_vector_matches_per_time_reference():
                 assert values.shape == (len(times), d)
                 want = []
                 for t, o in zip(times, owner):
-                    path = generate(keys[o], n, m, prob.horizon, d)
+                    path = cached_generate(keys[o], n, m, prob.horizon, d)
                     want.append(reference_estimator(prob, keys[o], level, m, t, path))
                     evaluate_one(prob, keys[o], level, m, float(t), path, scalar)
                 assert values.tobytes() == np.array(want).tobytes(), (name, d, n, m, level)
@@ -227,6 +235,44 @@ def test_evaluator_calls_depend_on_n_only():
         mlp_mod._evaluate = real
     assert seen[4, 2] == seen[4, 4] == 8
     assert seen[5, 2] == seen[5, 3] == 16 <= 21
+
+
+def test_one_sub_key_batch_per_term_level(monkeypatch):
+    # an evaluator call whose top level is L makes exactly L - 1 children
+    # calls and L - 1 one-column uniform draws, one of each per term level,
+    # over the sub keys of all its nodes and keys; its sub-calls count their
+    # own
+    real_evaluate = mlp_mod._evaluate
+    real_children = mlp_mod.children
+    real_uniforms = mlp_mod.batch_uniforms
+    stack, seen = [], []
+
+    def evaluate(problem, paths, m, levels, *args):
+        stack.append([levels[0], 0, 0])
+        try:
+            return real_evaluate(problem, paths, m, levels, *args)
+        finally:
+            seen.append(tuple(stack.pop()))
+
+    def children(*args):
+        stack[-1][1] += 1
+        return real_children(*args)
+
+    def uniforms(keys, tag, count):
+        assert count == 1
+        stack[-1][2] += 1
+        return real_uniforms(keys, tag, count)
+
+    monkeypatch.setattr(mlp_mod, "_evaluate", evaluate)
+    monkeypatch.setattr(mlp_mod, "children", children)
+    monkeypatch.setattr(mlp_mod, "batch_uniforms", uniforms)
+    prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
+    for n, m in ((1, 3), (2, 2), (4, 1), (4, 3), (5, 2)):
+        seen.clear()
+        realize_estimate(prob, n, m, SEED)
+        assert len(seen) == 2 ** (n - 1), (n, m)
+        assert max(top for top, _, _ in seen) == n
+        assert all(made == drawn == top - 1 for top, made, drawn in seen), (n, m, seen)
 
 
 @pytest.mark.parametrize(
@@ -292,7 +338,7 @@ def test_term_memo_call_counts_and_scope():
     # ledger keeps charging the logical draws per query time; a second
     # realization repeats the counts, so nothing outlives its call
     prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
-    real_uniform = mlp_mod.batch_uniform
+    real_uniform = mlp_mod.batch_uniforms
     real_generate = mlp_mod.generate_batch
     calls = {"uniform": 0, "generate": 0}
     keys = {"uniform": set(), "generate": set()}
@@ -309,7 +355,7 @@ def test_term_memo_call_counts_and_scope():
         keys["generate"].update(zip(*batch))
         return real_generate(batch, *args)
 
-    mlp_mod.batch_uniform = counted_uniform
+    mlp_mod.batch_uniforms = counted_uniform
     mlp_mod.generate_batch = counted_generate
     try:
         results = []
@@ -321,7 +367,7 @@ def test_term_memo_call_counts_and_scope():
             assert {name: len(seen) for name, seen in keys.items()} == calls
             assert results[-1].ledger.snapshot() == (4372, 2745)
     finally:
-        mlp_mod.batch_uniform = real_uniform
+        mlp_mod.batch_uniforms = real_uniform
         mlp_mod.generate_batch = real_generate
     assert results[0].value.tobytes() == results[1].value.tobytes()
     # the logical charge scales the path draws with d; evaluations do not
@@ -401,7 +447,7 @@ def test_path_step_digests_pinned_at_k5(monkeypatch):
         return counted
 
     monkeypatch.setattr(mlp_mod, "generate_batch", under("step", mlp_mod.generate_batch))
-    monkeypatch.setattr(mlp_mod, "batch_uniform", under("other", mlp_mod.batch_uniform))
+    monkeypatch.setattr(mlp_mod, "batch_uniforms", under("other", mlp_mod.batch_uniforms))
     prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
     res = realize_estimate(prob, 5, 5, SEED)
     assert tally == {"step": 14275, "other": 6745}
@@ -439,6 +485,27 @@ def test_unbiased_at_level_one():
     target = 1.0 + 1.0 * 0.3
     se = math.sqrt(1.0 / reps)  # sd of W(1) over sqrt(reps)
     assert abs(values.mean() - target) < 4.0 * se
+
+
+@pytest.mark.parametrize("n, m, reps", [(2, 2, 4000), (3, 3, 4000), (3, 1, 4000), (4, 2, 4000),
+                                        (4, 4, 1000)])
+@pytest.mark.parametrize("name, params", [("law_only_linear", {"b": 1.0}),
+                                          ("full_linear", {"a": 0.5, "b": 0.5})])
+def test_mean_is_the_picard_iterate(name, params, n, m, reps):
+    # for an affine drift mu(x, y) = a*x + b*y, E W(snap) = 0 and
+    # E_u[t*f(u*t)] is the integral of f over [0, t], so the level-n mean
+    # solves E U_n(t) = xi + (a + b) * integral of E U_{n-1} over [0, t] with
+    # U_0 = 0, for every m: the n-th Picard iterate of the mean ODE,
+    # xi * sum_{k<n} ((a + b) t)**k / k!, here with a + b = 1, not the exact
+    # mean xi * e**t.  The seed mean is checked against it within |z| <= 4.5,
+    # a nominal two-sided false-alarm rate of about 7e-6 per case (the
+    # standard error is the sample's own, over thousands of seeds).
+    prob = builtin_problem(name, d=1, T=1.0, xi=1.0, **params)
+    seeds = [rep_seed(SEED, r) for r in range(reps)]
+    values = mlp_mod._realize_batch(prob, n, m, seeds)[0][:, 0]
+    picard = sum(1.0 / math.factorial(k) for k in range(n))
+    z = (values.mean() - picard) / (values.std(ddof=1) / math.sqrt(reps))
+    assert abs(z) <= 4.5, (name, n, m, z)
 
 
 # Master seeds of a batch: unrelated, unordered and not all derived alike.
