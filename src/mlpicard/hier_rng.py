@@ -20,18 +20,17 @@ of :func:`children` and the counter suffixes live in small bounded LRU
 tables, which start empty.
 
 Keys come in *key batches* only: :func:`pack` makes one from plain
-``(seed, path)`` pairs and :func:`children` extends every key of one, and
-every draw takes one and returns one row per key.  The batch's layout is
-private to this module; no other module builds, indexes or unpacks it.
-:func:`children` takes parents of one depth and extensions of one length,
-so every child shares one length header: it cuts the first parent's header
-once, and each child's encoding is one concatenation of that shared header,
-its parent's encoded coordinates and the extension's.  The hashing forms
-copy each key's hasher from one keyed hasher per seed (a one-block draw is
-one copy absorbing its whole message; a multi-block key primes a copy with
-its path and copies it per block but the last) and map all digests in one
-vector pass; :func:`batch_step_normals` hashes only the steps its caller
-asks for.
+``(seed, path)`` pairs of one depth and :func:`children` extends every key
+of one, and every draw takes one and returns one row per key.  A batch is
+a :class:`KeyBatch`: the master seeds, the one path length of all its keys
+(in the estimator every sample below an index is that index extended by
+one triple), and each key's LEB128 coordinates.  Only this module reads its
+fields.  The batch's one length header is absorbed once per seed into a
+keyed hasher, and each key's hasher is a copy of its seed's (a one-block
+draw is one copy absorbing the rest of its message; a multi-block key
+primes a copy with its coordinates and copies it per block but the last);
+all digests are mapped in one vector pass, and :func:`batch_step_normals`
+hashes only the steps its caller asks for.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 from itertools import islice, repeat
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtri
@@ -54,7 +53,15 @@ __all__ = [
 ]
 
 Tag = Union[int, str]
-KeyBatch = tuple[list[int], list[bytes]]  # master seeds and encoded paths, in parallel
+
+
+class KeyBatch(NamedTuple):
+    """Keys of one depth: master seeds and encoded coordinates, in parallel."""
+
+    seeds: list[int]
+    depth: int  # the path length of every key
+    coords: list[bytes]  # LEB128 coordinates of each path, no length header
+
 
 _SEED_MASK = (1 << 64) - 1
 _WORDS_PER_BLOCK = 8  # 64-byte digest -> eight little-endian u64 words
@@ -88,75 +95,45 @@ def _tag_bytes(tag: Tag) -> bytes:
 
 
 def pack(pairs: Iterable[tuple[int, Sequence[int]]]) -> KeyBatch:
-    """The key batch of ``(seed, path)`` pairs, in order.
+    """The key batch of ``(seed, path)`` pairs of one depth, in order.
 
     Equal pairs address bit-identical streams for the same purpose tag and
     distinct pairs statistically independent ones; extending a path with
     :func:`children` never perturbs the streams of its parent.  Seeds are
-    reduced mod 2**64, integer-valued coordinates are normalized, and a
-    negative coordinate raises ValueError.
+    reduced mod 2**64 and integer-valued coordinates are normalized; paths
+    of mixed length or a negative coordinate raise ValueError.
     """
-    seeds, paths = [], []
-    for seed, path in pairs:
-        seeds.append(int(seed) & _SEED_MASK)
-        paths.append(_path_bytes(tuple(map(int, path))))
-    return seeds, paths
+    pairs = list(pairs)
+    depth, coords = _encode([path for _, path in pairs], "keys")
+    return KeyBatch([int(seed) & _SEED_MASK for seed, _ in pairs], depth, list(coords))
 
 
 def children(keys: KeyBatch, extensions: Sequence[Sequence[int]]) -> KeyBatch:
     """The key batch of every key of ``keys`` with its path extended by
     every extension, key-major; the parents are never mutated.
 
-    The parents must share one depth and the extensions one length, else
-    ValueError: every child then has the same length header, built once
-    from the first parent's.
+    The extensions must share one length, else ValueError, so the children
+    share one depth too.
     """
-    encoded = _extension_coords(tuple(map(tuple, extensions)))
-    seeds, paths = keys
-    if not paths or not encoded:
-        return [], []
-    lengths = {length for length, _ in encoded}
-    if len(lengths) != 1:
-        raise ValueError(f"extensions must share one length, got lengths {sorted(lengths)}")
-    depth, cut = _header(paths[0])
-    # LEB128 is prefix-free: a parent starts with the first one's header
-    # exactly when it has the first one's depth
-    if not all(map(bytes.startswith, paths, repeat(paths[0][:cut]))):
-        raise ValueError("parent keys must share one depth")
-    head = _frame(depth + lengths.pop(), b"")
-    exts = [ext for _, ext in encoded]
-    coords = [path[cut:] for path in paths]
-    return [seed for seed in seeds for _ in exts], [head + c + ext for c in coords for ext in exts]
+    length, exts = _extension_coords(tuple(map(tuple, extensions)))
+    coords = [c + ext for c in keys.coords for ext in exts]
+    return KeyBatch([seed for seed in keys.seeds for _ in exts], keys.depth + length, coords)
 
 
 @lru_cache(maxsize=_SUFFIX_TABLES)
-def _extension_coords(extensions: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, bytes], ...]:
-    """(coordinate count, encoded coordinates) of each extension; a negative
-    coordinate raises ValueError (in ``_varint``)."""
-    return tuple((len(ext), _coord_bytes(tuple(map(int, ext)))) for ext in extensions)
+def _extension_coords(extensions: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[bytes, ...]]:
+    """``_encode`` of an extension list, cached."""
+    return _encode(extensions, "extensions")
 
 
-def _header(path: bytes) -> tuple[int, int]:
-    """(coordinate count, header length) of an encoded path."""
-    end = 1  # past the domain byte, the count's LEB128 bytes run to path[end]
-    while path[end] > 0x7F:
-        end += 1
-    return sum((byte & 0x7F) << 7 * i for i, byte in enumerate(path[1 : end + 1])), end + 1
-
-
-def _coord_bytes(path: tuple[int, ...]) -> bytes:
-    return b"".join(map(_varint, path))
-
-
-def _frame(length: int, coords: bytes) -> bytes:
-    # Length-prefixed varints make the encoding prefix-free: paths like
-    # (1, 23) and (12, 3) can never collide.  The leading domain byte keeps
-    # draw messages disjoint from seed-derivation messages.
-    return b"W" + _varint(length) + coords
-
-
-def _path_bytes(path: tuple[int, ...]) -> bytes:
-    return _frame(len(path), _coord_bytes(path))
+def _encode(paths: Sequence[Sequence[int]], what: str) -> tuple[int, tuple[bytes, ...]]:
+    """(the one length of ``paths``, the LEB128 coordinates of each); mixed
+    lengths or a negative coordinate (in ``_varint``) raise ValueError."""
+    paths = [tuple(map(int, path)) for path in paths]
+    lengths = sorted(set(map(len, paths)))
+    if len(lengths) > 1:
+        raise ValueError(f"{what} must share one length, got lengths {lengths}")
+    return (lengths[0] if lengths else 0), tuple(b"".join(map(_varint, p)) for p in paths)
 
 
 @lru_cache(maxsize=_SUFFIX_TABLES)
@@ -172,9 +149,17 @@ def _step_suffixes(steps: int, blocks: int) -> tuple[bytes, ...]:
     return tuple(_varint(k) + blk for k in range(steps) for blk in per_step)
 
 
-def _seed_hashers(seeds: Sequence[int]) -> dict:
-    """One keyed hasher per distinct seed, nothing absorbed yet."""
-    return {s: hashlib.blake2b(key=s.to_bytes(8, "little"), digest_size=64) for s in set(seeds)}
+def _seed_hashers(keys: KeyBatch) -> dict:
+    """One keyed hasher per distinct seed of ``keys``, primed with the
+    batch's length header.
+
+    Length-prefixed varints make the encoding prefix-free: paths like
+    (1, 23) and (12, 3) can never collide.  The leading domain byte keeps
+    draw messages disjoint from seed-derivation messages.
+    """
+    header = b"W" + _varint(keys.depth)
+    return {seed: hashlib.blake2b(header, key=seed.to_bytes(8, "little"), digest_size=64)
+            for seed in set(keys.seeds)}
 
 
 def _hash_suffixes(
@@ -187,26 +172,26 @@ def _hash_suffixes(
     then in suffix order; key i takes the first ``counts[i]`` suffixes, all
     of them when ``counts`` is None.
 
-    Each key with one suffix to take copies its seed's keyed hasher, which
-    absorbs the whole message in one update.  Each key with more copies it,
-    absorbs its path and the shared prefix once, is copied per suffix but
-    the last and absorbs the last itself.
+    Each key with one suffix to take copies its seed's primed hasher, which
+    absorbs the rest of the message in one update.  Each key with more
+    copies it, absorbs its coordinates and the shared prefix once, is copied
+    per suffix but the last and absorbs the last itself.
     """
     if counts is None:
         counts = repeat(len(suffixes))
-    hashers = _seed_hashers(keys[0])
+    hashers = _seed_hashers(keys)
     single = prefix + suffixes[0] if suffixes else b""
     digests = bytearray()
-    for seed, path, count in zip(*keys, counts):
+    for seed, coords, count in zip(keys.seeds, keys.coords, counts):
         if count == 1:
             hasher = hashers[seed].copy()
-            hasher.update(path + single)
+            hasher.update(coords + single)
             digests += hasher.digest()
             continue
         if not count:
             continue
         primed = hashers[seed].copy()
-        primed.update(path + prefix)
+        primed.update(coords + prefix)
         for suffix in islice(suffixes, count - 1):
             hasher = primed.copy()
             hasher.update(suffix)
@@ -222,7 +207,8 @@ def _words(keys: KeyBatch, tag: Tag, count: int) -> np.ndarray:
         raise ValueError(f"word count must be non-negative, got {count}")
     blocks = -(-count // _WORDS_PER_BLOCK)
     digests = _hash_suffixes(keys, _tag_bytes(tag), _block_suffixes(blocks))
-    words = np.frombuffer(digests, dtype="<u8").reshape(len(keys[1]), blocks * _WORDS_PER_BLOCK)
+    words = np.frombuffer(digests, dtype="<u8")
+    words = words.reshape(len(keys.coords), blocks * _WORDS_PER_BLOCK)
     return words[:, :count]
 
 
@@ -270,7 +256,7 @@ def batch_step_normals(
     if steps < 0 or dim < 0:
         raise ValueError(f"steps and dim must be non-negative, got {steps}, {dim}")
     blocks = -(-dim // _WORDS_PER_BLOCK)
-    size = len(keys[1])
+    size = len(keys.coords)
     filled = np.full(size, steps) if counts is None else np.asarray(counts, dtype=np.intp)
     if len(filled) != size or not np.all((filled >= 0) & (filled <= steps)):
         raise ValueError(f"need one step count in [0, {steps}] per key, got {counts}")

@@ -273,9 +273,9 @@ def _realize_batch(
     paths = generate_batch(roots, np.full(count, problem.horizon), n, m, problem.horizon,
                            problem.dim)
     ledger.add_draws(count * m**n * problem.dim)
-    (values,) = _evaluate(
-        problem, paths, m, (n,), np.full(count, problem.horizon), np.arange(count), ledger
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # _drift refuses overflows
+        (values,) = _evaluate(problem, paths, m, (n,), np.full(count, problem.horizon),
+                              np.arange(count), ledger)
     draws, evals = ledger.snapshot()
     assert draws % count == 0 and evals % count == 0, (draws, evals, count)
     return values, paths.values[:, -1], (draws // count, evals // count)

@@ -24,7 +24,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import NonFiniteDriftError, ResourceLimitError
 from .hier_rng import batch_normals, children, pack
 from .models import Problem
 
@@ -55,7 +55,8 @@ def _interaction_mean(problem: Problem, state: np.ndarray, pool=None, workers=1)
 
 def simulate_particles(problem: Problem, N: int, M: int, master_seed: int) -> np.ndarray:
     """N samples of X(T) from the M-step interacting Euler scheme; particle i
-    is driven by the noise key (master_seed, (1, i))."""
+    is driven by the noise key (master_seed, (1, i)).  An ensemble that
+    overflows (inf and nan stay non-finite) is refused once, at the end."""
     if N < 2:
         raise ValueError(f"need at least 2 particles, got {N}")
     if M < 1:
@@ -73,13 +74,21 @@ def simulate_particles(problem: Problem, N: int, M: int, master_seed: int) -> np
         increments[lo : lo + _KEYS] = batch_normals(keys, "dw", M * d, dt).reshape(-1, M, d)
     state = np.tile(problem.initial, (N, 1))
     # a thread per CPU this process may run on, at most one per row block;
-    # leaving the block joins every thread, also when a drift raises
+    # leaving the block joins every thread, also when a drift raises.  numpy's
+    # error state is per thread, so each pool thread sets its own.
     affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
     workers = min(len(affinity(0)), -(-N // _ROWS))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    quiet = {"over": "ignore", "invalid": "ignore"}
+    pool = (ThreadPoolExecutor(workers, initializer=lambda: np.seterr(**quiet))
+            if workers > 1 else nullcontext())
+    with pool as pool, np.errstate(**quiet):
         for step in range(M):
             mean = _interaction_mean(problem, state, pool, workers)
             state = state + dt * mean + increments[:, step, :]
+    if not np.isfinite(state).all():
+        raise NonFiniteDriftError(
+            f"drift {problem.drift.name!r} drove the particle ensemble to a non-finite value"
+        )
     return state
 
 

@@ -197,15 +197,12 @@ def test_terminal_distribution():
 
 
 def test_generate_batch_matches_generate():
-    # every path of a batch equals its key's path generated alone; the keys
-    # differ in depth, so pack builds the batch, as children refuses parents
-    # of mixed depth
-    parents = [(SEED, (30,)), (SEED, (300, 16384))]
+    # every path of a batch equals its key's path generated alone, whether
+    # pack or children builds the batch
+    parents = [(SEED, (30, 1)), (SEED + 1, (300, 16384))]
     keys = [(seed, path + (k,)) for seed, path in parents for k in range(3)]
     packed = pack(keys)
-    with pytest.raises(ValueError, match="one depth"):
-        children(pack(parents), [(k,) for k in range(3)])
-    assert children(pack(parents[1:]), [(k,) for k in range(3)]) == pack(keys[3:])
+    assert children(pack(parents), [(k,) for k in range(3)]) == packed
     for level, m, dim in ((1, 5, 1), (2, 3, 4), (3, 2, 9)):
         batch = generate_batch(packed, np.full(len(keys), 1.5), level, m, 1.5, dim)
         assert batch.values.shape == (len(keys), m**level + 1, dim)
@@ -251,7 +248,7 @@ def test_truncated_generation_equals_full_on_every_filled_prefix(dim, horizon):
     # prefix that its reads can touch, byte-equal to the whole path; dim 9 is
     # two digest blocks
     rng = np.random.default_rng(dim)
-    keys = [(seed, path + (k,)) for seed, path in ((SEED, (40,)), (SEED + 1, (400, 16384)))
+    keys = [(seed, path + (k,)) for seed, path in ((SEED, (40, 1)), (SEED + 1, (400, 16384)))
             for k in range(4)]
     for m in (1, 2, 3, 5):
         for level in (1, 2, 3):

@@ -5,6 +5,8 @@ import math
 import multiprocessing
 import os
 import pkgutil
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -368,20 +370,37 @@ def test_dead_worker_fails_closed(tmp_path, monkeypatch, capfd):
     assert issubclass(WorkerCrashError, ResourceLimitError)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_non_finite_drift_exit_code(tmp_path, capsys):
-    # L = 2e155 and the bounds are finite at T = 1e-155, but b * y overflows
-    # for y near xi = 1e154: refused mid-recursion (exit 2) instead of a nan
-    # RMSE row, in process and from a worker
+def run_cli(args):
+    """(exit code, stderr) of the command line run in a fresh interpreter, so
+    numpy's warnings print as they do for a user, also from worker processes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "mlpicard", *args], capture_output=True,
+                          text=True, env=env)
+    return done.returncode, done.stderr
+
+
+def test_non_finite_drift_exit_code(tmp_path):
+    # convergence: L = 2e155 and the bounds are finite at T = 1e-155, but
+    # b * y overflows for y near xi = 1e154 mid-recursion; oracle-compare:
+    # xi = 1e307 keeps the estimator finite, but the particles' drift sum
+    # over 20 partners passes the double range.  Each is refused (exit 2)
+    # instead of a nan row, in process and from a worker, with one line on
+    # stderr and no numpy warning
     out = tmp_path / "inf.csv"
-    for jobs in ("1", "2"):
-        code = main(["convergence", "--set", "T=1e-155", "--set", "b=1e155",
-                     "--set", "xi=1e154", "--set", "k_min=2", "--set", "k_max=2",
-                     "--reps", "4", "--jobs", jobs, "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: drift 'law_only_linear' returned a non-finite")
-        assert not out.exists()
+    cases = [
+        (["convergence", "--set", "T=1e-155", "--set", "b=1e155", "--set", "xi=1e154",
+          "--set", "k_min=2", "--set", "k_max=2"],
+         "returned a non-finite value mid-recursion"),
+        (["oracle-compare", "--set", "problem=law_only_linear", "--set", "b=1",
+          "--set", "xi=1e307", "--set", "particles_n=20", "--set", "particles_m=2",
+          "--set", "mlp_n=2", "--set", "mlp_m=2"],
+         "drove the particle ensemble to a non-finite value"),
+    ]
+    for args, reason in cases:
+        for jobs in ("1", "2"):
+            code, err = run_cli(args + ["--reps", "4", "--jobs", jobs, "--out", str(out)])
+            assert (code, err) == (2, f"config error: drift 'law_only_linear' {reason}\n")
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("mode, sets", [

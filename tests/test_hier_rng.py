@@ -54,21 +54,22 @@ def test_key_validation():
     assert pack([(2**64 + 3, ())]) == pack([(3, ())])
     assert pack([(-1, ())]) == pack([(2**64 - 1, ())])
     assert pack([(np.uint64(3), (np.int64(4), np.int32(300)))]) == pack([(3, (4, 300))])
-    assert pack([]) == ([], [])
+    assert pack([]) == ([], 0, [])
 
 
 def test_determinism():
-    keys = pack([(SEED, (1, 2, 3)), (SEED + 1, ())])
-    assert np.array_equal(batch_uniforms(keys, "u", 1), batch_uniforms(keys, "u", 1))
-    assert np.array_equal(batch_normals(keys, 7, 5, 2.0), batch_normals(keys, 7, 5, 2.0))
-    assert np.array_equal(batch_uniforms(keys, "block", 100),
-                          batch_uniforms(keys, "block", 100))
+    for keys in (pack([(SEED, (1, 2, 3)), (SEED + 1, (4, 5, 6))]),
+                 pack([(SEED, ()), (SEED + 1, ())])):
+        assert np.array_equal(batch_uniforms(keys, "u", 1), batch_uniforms(keys, "u", 1))
+        assert np.array_equal(batch_normals(keys, 7, 5, 2.0), batch_normals(keys, 7, 5, 2.0))
+        assert np.array_equal(batch_uniforms(keys, "block", 100),
+                              batch_uniforms(keys, "block", 100))
 
 
 def test_uniform_range_and_batch_consistency():
     # the one-block draw absorbs its message in one update, the 64-word draw
     # primes a hasher with the path: the first column agrees bit for bit
-    keys = pack([(SEED, (9,)), (SEED, (9, 0))])
+    keys = pack([(SEED, (9, 0)), (SEED + 1, (9, 300))])
     batch = batch_uniforms(keys, "u", 64)
     assert batch.shape == (2, 64)
     assert np.all((0.0 <= batch) & (batch < 1.0))
@@ -191,15 +192,21 @@ def leb128_path(path):
     return b"W" + leb128(len(path)) + b"".join(leb128(c) for c in path)
 
 
+def encoded(batch):
+    """Each key's hashed path: the batch's one length header, then its
+    coordinates."""
+    return [b"W" + leb128(batch.depth) + coords for coords in batch.coords]
+
+
 def test_cached_path_encoding():
     # a packed path and a child made from a cached extension list carry the
     # length-prefixed LEB128 encoding, single- and multi-byte coordinates
     # (>= 128, >= 16384) and long paths alike
     for path in ((), (0,), (0, 4, 2, 1), (127, 128), (300, 16383, 16384, 2**40),
                  tuple(range(130))):
-        want = leb128_path(path)
-        assert pack([(SEED, path)]) == ([SEED], [want])
-        assert children(pack([(SEED, ())]), [path]) == ([SEED], [want])
+        for batch in (pack([(SEED, path)]), children(pack([(SEED, ())]), [path])):
+            assert (batch.seeds, batch.depth) == ([SEED], len(path))
+            assert encoded(batch) == [leb128_path(path)]
     # the encoded extension list is cached and is no part of the output
     first = hier_rng._extension_coords(((300, 1),))
     assert hier_rng._extension_coords(((300, 1),)) is first
@@ -274,12 +281,11 @@ def test_suffix_caches_bounded_and_empty_after_import():
 
 
 def test_children_extend_the_encoded_path():
-    # a packed child's encoding is one concatenation of the shared length
-    # header, its parent's encoded coordinates and the extension's, but must
-    # equal the length-prefixed LEB128 encoding of the whole path: parents of
-    # one depth and mixed seeds, single- and multi-byte coordinates, and
-    # length headers that cross 128 (a 126-deep parent with a 3-long
-    # extension) or start beyond it
+    # a child's coordinates are its parent's followed by the extension's,
+    # under the batch's one length header, and must give the length-prefixed
+    # LEB128 encoding of the whole path: parents of one depth and mixed
+    # seeds, single- and multi-byte coordinates, and length headers that
+    # cross 128 (a 126-deep parent with a 3-long extension) or start beyond it
     groups = (
         [(), ()],
         [(0,), (127,), (16384,)],
@@ -292,28 +298,33 @@ def test_children_extend_the_encoded_path():
         extensions[-1] = (2**40,) * length
         for group in groups:
             parents = [(SEED + i, p) for i, p in enumerate(group)]
-            seeds, paths = children(pack(parents), extensions)
+            batch = children(pack(parents), extensions)
+            seeds, paths = batch.seeds, encoded(batch)
             assert len(seeds) == len(paths) == len(parents) * len(extensions)
+            assert batch.depth == len(group[0]) + length
             for i, (seed, path) in enumerate(parents):
                 for j, ext in enumerate(extensions):
                     at = i * len(extensions) + j  # key-major
                     assert (seeds[at], paths[at]) == (seed, leb128_path(path + ext))
-                    assert pack([(seed, path + ext)]) == ([seeds[at]], [paths[at]])
+                    assert pack([(seed, path + ext)]) == (
+                        [seeds[at]], batch.depth, [batch.coords[at]])
             # grandchildren are built from the children's own encodings
-            grand = children((seeds, paths), [(3, 129)])
-            assert grand == (seeds, [leb128_path(path + ext + (3, 129))
-                                     for _, path in parents for ext in extensions])
-    assert children(pack([(SEED, (1,))]), []) == ([], [])
-    assert children(([], []), [(0,)]) == ([], [])
+            grand = children(batch, [(3, 129)])
+            assert (grand.seeds, encoded(grand)) == (
+                seeds, [leb128_path(path + ext + (3, 129))
+                        for _, path in parents for ext in extensions])
+    assert children(pack([(SEED, (1,))]), []) == ([], 1, [])
+    assert children(pack([]), [(0,)]) == ([], 1, [])
 
 
 def test_children_refuse_mixed_depths_and_lengths():
-    # parents of mixed depth, or extensions of mixed length, would need one
-    # length header per child: refused, whichever parent differs
+    # a key batch has one depth, so one length header: pack refuses paths of
+    # mixed depth, whichever key differs, and children extensions of mixed
+    # length
     for depths in [((), (0,)), ((0,), (1, 2)), ((1, 2), (1, 2), (3,)),
                    (tuple(range(127)), tuple(range(128)))]:
-        with pytest.raises(ValueError, match="one depth"):
-            children(pack((SEED, p) for p in depths), [(0,)])
+        with pytest.raises(ValueError, match="one length"):
+            pack((SEED, p) for p in depths)
     with pytest.raises(ValueError, match="one length"):
         children(pack([(SEED, (1,))]), [(0,), (1, 2)])
     with pytest.raises(ValueError, match="one length"):
@@ -336,15 +347,25 @@ def test_children_validate_the_extension():
 @pytest.mark.parametrize("dim", [1, 4, 9])
 def test_batch_draws_equal_one_key_draws(dim):
     # every row of every batched draw equals the uncached hashlib reference
-    # of its key alone, bit for bit, over one mixed batch packed from pairs:
-    # two seeds, depths 0 to 4, coordinates >= 128 and >= 16384, and keys
-    # that children makes alike
+    # of its key alone, bit for bit, over batches packed from pairs of mixed
+    # seeds, one batch per depth 0 to 4, with coordinates >= 128 and
+    # >= 16384, and keys that children makes alike
     parent = (SEED + 1, (16384, 128))
     extensions = [(k, 1) for k in range(3)]
     made = [(parent[0], parent[1] + ext) for ext in extensions]
     assert children(pack([parent]), extensions) == pack(made)
-    keys = [(SEED, ()), (SEED + 1, (300,)), (SEED, (0, 16384)), (SEED + 1, (129, 2, 7)),
-            (SEED, (0, 4, 2, 1))] + made
+    for keys in ([(SEED, ()), (SEED + 1, ())],
+                 [(SEED + 1, (300,)), (SEED, (16384,))],
+                 [(SEED, (0, 16384)), (SEED + 1, (128, 2))],
+                 [(SEED + 1, (129, 2, 7))],
+                 [(SEED, (0, 4, 2, 1))] + made):
+        check_batch_draws(keys, dim)
+    assert batch_uniforms(pack([]), "u", 3).shape == (0, 3)
+    assert batch_normals(pack([]), "g", 3).shape == (0, 3)
+    assert batch_step_normals(pack([]), 5, dim).shape == (0, 5, dim)
+
+
+def check_batch_draws(keys, dim):
     packed = pack(keys)
     u = batch_uniforms(packed, "u", 1)
     assert u.tobytes() == np.concatenate([uncached_uniforms(k, "u", 1) for k in keys]).tobytes()
@@ -364,16 +385,13 @@ def test_batch_draws_equal_one_key_draws(dim):
         want = np.array([[uncached_normals(k, step, dim, 0.25) for step in range(steps)]
                          for k in keys])
         assert got.tobytes() == want.tobytes(), (steps, dim)
-    assert batch_uniforms(([], []), "u", 3).shape == (0, 3)
-    assert batch_normals(([], []), "g", 3).shape == (0, 3)
-    assert batch_step_normals(([], []), 5, dim).shape == (0, 5, dim)
 
 
 @pytest.mark.parametrize("dim", [1, 9])
 def test_batch_step_normals_hash_only_the_counted_rows(dim, monkeypatch):
     # key i's first counts[i] rows are its step normals, the rest are zero,
     # and only the counted (step, block) digests are hashed
-    keys = [(SEED, p) for p in ((0, 4, 2, 1), (300, 1), (), (7,))]
+    keys = [(SEED, p) for p in ((0, 4, 2, 1), (300, 1, 0, 0), (7, 7, 7, 7), (16384, 2, 1, 0))]
     counts = [0, 3, 130, 1]
     hashed = []
     real = hier_rng._hash_suffixes

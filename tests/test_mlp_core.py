@@ -114,11 +114,11 @@ def test_process_consistency_addresses():
         addresses = set()
 
         def traced_uniform(keys, tag, count):
-            addresses.update(("u", k, tag, count) for k in zip(*keys))
+            addresses.update(("u", k, tag, count) for k in zip(keys.seeds, keys.coords))
             return real_uniform(keys, tag, count)
 
         def traced_generate(keys, until, level, m, horizon, dim):
-            addresses.update(("w", k, level) for k in zip(*keys))
+            addresses.update(("w", k, level) for k in zip(keys.seeds, keys.coords))
             return real_generate(keys, until, level, m, horizon, dim)
 
         mlp_mod.batch_uniforms = traced_uniform
@@ -343,16 +343,16 @@ def test_term_memo_call_counts_and_scope():
     calls = {"uniform": 0, "generate": 0}
     keys = {"uniform": set(), "generate": set()}
 
-    # the batched evaluator draws through these two, many keys per call, each
-    # batch two parallel lists: seeds and encoded paths
+    # the batched evaluator draws through these two, many keys per call; a
+    # key is its seed and its encoded coordinates, which fix its depth
     def counted_uniform(batch, *args):
-        calls["uniform"] += len(batch[1])
-        keys["uniform"].update(zip(*batch))
+        calls["uniform"] += len(batch.coords)
+        keys["uniform"].update(zip(batch.seeds, batch.coords))
         return real_uniform(batch, *args)
 
     def counted_generate(batch, *args):
-        calls["generate"] += len(batch[1])
-        keys["generate"].update(zip(*batch))
+        calls["generate"] += len(batch.coords)
+        keys["generate"].update(zip(batch.seeds, batch.coords))
         return real_generate(batch, *args)
 
     mlp_mod.batch_uniforms = counted_uniform
@@ -385,15 +385,15 @@ def test_each_path_is_generated_up_to_its_last_read(monkeypatch):
 
     def recording_generate(*args):
         batch = real_generate(*args)
-        filled.update(zip(zip(*batch.keys), batch.filled.tolist()))
+        filled.update(zip(zip(batch.keys.seeds, batch.keys.coords), batch.filled.tolist()))
         return batch
 
     def recording_value_at(self, t, owner, query_level):
         out = real_value_at(self, t, owner, query_level)
         idx = _snap_indices(t, query_level, self.branching, self.horizon)
-        most = np.full(len(self.keys[1]), -1)
+        most = np.full(len(self.keys.coords), -1)
         np.maximum.at(most, owner, idx * self.branching ** (self.level - query_level))
-        for key, index in zip(zip(*self.keys), most.tolist()):
+        for key, index in zip(zip(self.keys.seeds, self.keys.coords), most.tolist()):
             read[key] = max(read.get(key, -1), index)
         return out
 

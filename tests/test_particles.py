@@ -3,6 +3,7 @@ import itertools
 import os
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import mlpicard.particles as particles_mod
 from helpers import normals
-from mlpicard.errors import ResourceLimitError
+from mlpicard.errors import NonFiniteDriftError, ResourceLimitError
 from mlpicard.models import builtin_problem
 from mlpicard.particles import _interaction_mean, ensemble_stats, simulate_particles
 from mlpicard.recursions import moment_bound
@@ -153,6 +154,22 @@ def test_multi_block_outputs_pinned_by_digest(monkeypatch, cpus):
     assert digest.hexdigest() == (
         "dec21096a5c388e2b071e68ab87285b7ff2b18ee828c3c53b8560a4f4bf00055"
     )
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_non_finite_ensemble_fails_closed(monkeypatch, cpus):
+    # the drift sum over 300 partners overflows in every row block: refused
+    # once at the end, with no numpy warning from the caller's thread or from
+    # a pool thread (a warning raised as an error would surface here instead)
+    _pretend_cpus(monkeypatch, cpus)
+    prob = builtin_problem("law_only_linear", d=2, T=1.0, xi=1e307, b=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteDriftError, match="drove the particle ensemble"):
+            simulate_particles(prob, 300, 2, SEED)
+        # a finite ensemble near the top of the range is returned
+        big = builtin_problem("law_only_linear", d=2, T=1.0, xi=1e305, b=1.0)
+        assert np.isfinite(simulate_particles(big, 300, 2, SEED)).all()
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
