@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, ResourceLimitError
 from .hier_rng import derive_seed
-from .ledger import CostLedger
-from .mlp import realize_estimate
+from .mlp import CostLedger, realize_estimate
 from .models import (
     DriftModel,
     Problem,
@@ -26,11 +25,8 @@ from .recursions import (
     cost_bound,
     cost_budget,
     error_bound,
-    exact_cost_bound,
     gronwall_bound,
     gronwall_closed_form,
-    log_cost_bound,
-    log_error_bound,
     moment_bound,
     two_step_closed_form,
 )
@@ -48,11 +44,8 @@ __all__ = [
     "derive_seed",
     "ensemble_stats",
     "error_bound",
-    "exact_cost_bound",
     "gronwall_bound",
     "gronwall_closed_form",
-    "log_cost_bound",
-    "log_error_bound",
     "make_drift",
     "moment_bound",
     "pathwise_value",

@@ -2,8 +2,8 @@
 
 Exit codes: 0 all assertions pass, 1 statistical assertion failure,
 2 configuration error (including a non-finite parameter and a drift that
-turns non-finite mid-recursion), 3 resource refusal or a worker process
-that died.
+turns non-finite mid-recursion), 3 resource refusal (including a worker
+process that died).  Exit codes 2 and 3 print one line on stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from .errors import ConfigError, ResourceLimitError, WorkerCrashError
+from .errors import ConfigError, ResourceLimitError
 from .harness import MODES, build_config, run
 
 _DEFAULT_OUT = "mlpicard_{mode}.csv"
@@ -65,9 +65,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except WorkerCrashError as exc:
-        print(f"worker failure: {exc}", file=sys.stderr)
-        return 3
     except ResourceLimitError as exc:
         print(f"resource refusal: {exc}", file=sys.stderr)
         return 3

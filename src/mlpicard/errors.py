@@ -1,8 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: one per refusal exit code.
 
-The two subclasses are not exported on their own: callers that handle the
-exported :class:`ConfigError` and :class:`ResourceLimitError` handle them
-too, and the command line gives each its own message.
+A drift that turns non-finite is a :class:`ConfigError`, the configured
+problem not being numerically well posed; a worker process that dies is a
+:class:`ResourceLimitError`, as it most often runs out of memory.
 """
 
 from __future__ import annotations
@@ -15,15 +15,5 @@ class ConfigError(Exception):
 
 
 class ResourceLimitError(RuntimeError):
-    """Work refused because a configured cost ceiling would be exceeded
-    (CLI exit code 3)."""
-
-
-class NonFiniteDriftError(ConfigError, ArithmeticError):
-    """The drift returned a non-finite value mid-recursion: the configured
-    problem is not numerically well posed (CLI exit code 2)."""
-
-
-class WorkerCrashError(ResourceLimitError):
-    """A worker process died before returning its repetitions, for example
-    killed for memory (CLI exit code 3)."""
+    """Work refused because a configured cost ceiling would be exceeded, or
+    lost because a worker process died (CLI exit code 3)."""

@@ -29,8 +29,8 @@ Repetitions run in chunks of seeds, one estimator batch per chunk, across
 one pool of ``jobs`` worker processes per run.
 
 The exit-code contract lives in :mod:`mlpicard.cli`: 0 all assertions pass,
-1 statistical assertion failure, 2 configuration error, 3 resource refusal or
-a dead worker process.
+1 statistical assertion failure, 2 configuration error, 3 resource refusal,
+a dead worker process included.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ResourceLimitError, WorkerCrashError
+from .errors import ConfigError, ResourceLimitError
 from .hier_rng import batch_uniforms, children, derive_seed, pack
 from .mlp import _realize_batch, rep_seed
 from .models import PROBLEM_PARAMS, Problem, builtin_problem, pathwise_value
@@ -59,7 +59,6 @@ from .recursions import (
     cost_bound,
     cost_budget,
     error_bound,
-    exact_cost_bound,
     gronwall_bound,
     gronwall_closed_form,
     log_cost_bound,
@@ -276,7 +275,7 @@ def _worker(task: tuple[ExperimentConfig, int, int, tuple[int, ...]]) -> tuple:
 def _worker_pool(jobs: int, reps: int) -> Iterator[Optional[ProcessPoolExecutor]]:
     """One pool of ``min(jobs, reps)`` worker processes for a whole run, as a
     level never has more tasks than repetitions, or None to run in process;
-    a worker that dies fails the run with WorkerCrashError."""
+    a worker that dies fails the run with ResourceLimitError."""
     workers = min(jobs, reps)
     if workers <= 1:
         yield None
@@ -285,7 +284,7 @@ def _worker_pool(jobs: int, reps: int) -> Iterator[Optional[ProcessPoolExecutor]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield pool
     except BrokenProcessPool as exc:
-        raise WorkerCrashError(
+        raise ResourceLimitError(
             f"a worker process died before returning its results: {exc}"
         ) from exc
 
@@ -608,27 +607,26 @@ def _slope_footer(ks: list[int], rmses: list[float], ses: list[float]) -> list[s
 
 def _mode_cost_table(cfg: ExperimentConfig) -> ExperimentResult:
     problem = _problem(cfg)
+    cells = [(n, m, _require_budget(cfg, n, m)) for n in cfg.levels() for m in cfg.levels()]
     rec = ExperimentResult(
         cfg, "n", "m", "d", "draws", "evals", "draws_budget", "evals_budget", "cost_budget",
         "cost_bound", "draws_ok", "evals_ok", "budget_le_bound", "draws_ge_top_path",
     )
-    for n in cfg.levels():
-        for m in cfg.levels():
-            total_budget = _require_budget(cfg, n, m)
-            seed = derive_seed(cfg.seed, "cell", n, m)
-            _, _, (draws, evals) = _realize_batch(problem, n, m, (seed,))
-            draws_budget = cost_budget(n, m, cfg.d, 1, 0)
-            evals_budget = cost_budget(n, m, cfg.d, 0, 1)
-            bound = cost_bound(n, m, cfg.d, 1, 1)
-            draws_ok = draws <= draws_budget
-            evals_ok = evals <= evals_budget
-            budget_le_bound = total_budget <= bound
-            top_path_ok = draws >= m**n * cfg.d
-            ok = draws_ok and evals_ok and budget_le_bound and top_path_ok
-            rec.add(ok, (
-                n, m, cfg.d, draws, evals, draws_budget, evals_budget, total_budget,
-                bound, draws_ok, evals_ok, budget_le_bound, top_path_ok,
-            ))
+    for n, m, total_budget in cells:
+        seed = derive_seed(cfg.seed, "cell", n, m)
+        _, _, (draws, evals) = _realize_batch(problem, n, m, (seed,))
+        draws_budget = cost_budget(n, m, cfg.d, 1, 0)
+        evals_budget = cost_budget(n, m, cfg.d, 0, 1)
+        bound = cost_bound(n, m, cfg.d, 1, 1)
+        draws_ok = draws <= draws_budget
+        evals_ok = evals <= evals_budget
+        budget_le_bound = total_budget <= bound
+        top_path_ok = draws >= m**n * cfg.d
+        ok = draws_ok and evals_ok and budget_le_bound and top_path_ok
+        rec.add(ok, (
+            n, m, cfg.d, draws, evals, draws_budget, evals_budget, total_budget,
+            bound, draws_ok, evals_ok, budget_le_bound, top_path_ok,
+        ))
     return rec
 
 
@@ -745,15 +743,15 @@ def _mode_certificate(cfg: ExperimentConfig) -> ExperimentResult:
         except ValueError:
             rec.add(False, (eps, -1, 0, math.nan, log_rhs))
             continue
-        # Checked in log space and written exactly: no tally is involved, so the
-        # 64-bit range of cost_bound does not apply.
+        # Checked in log space and written exactly: no tally is involved, so no
+        # 64-bit range applies.
         log_bound = log_cost_bound(n_eps, n_eps, cfg.d, 1, 1)
         if log_bound >= _MAX_INT_DIGITS * math.log(10):
             raise ResourceLimitError(
                 f"certificate at eps={eps}: cost bound for n={n_eps} has more than "
                 f"{_MAX_INT_DIGITS} digits"
             )
-        bound = exact_cost_bound(n_eps, n_eps, cfg.d, 1, 1)
+        bound = cost_bound(n_eps, n_eps, cfg.d, 1, 1)
         log_lhs = log_bound + (2.0 + cfg.delta) * math.log(eps)
         rec.add(log_lhs <= log_rhs, (eps, n_eps, bound, log_lhs, log_rhs))
     rec.footer = [

@@ -59,21 +59,25 @@ whose result does not have the broadcast shape of its inputs would mix the
 rows of sibling keys and is refused with ValueError.  The lower half of
 every level-1 term is the drift's cached mu(0, 0), ``value_at_origin``.
 
-Instrumentation: this module alone creates, charges and reads cost ledgers;
-path generation charges nothing.  ``_realize_batch`` charges m**n * d draws
-per root for the top-level path, each node with n >= 1 charges, per query
-time, one drift evaluation for its cached mu(0, 0) read, and each (l, k)
-term charges, per query time, one uniform draw, m**l * d draws for the
-fresh path, and two drift evaluations.  These are logical charges: they
-count what the scalar recursion would draw and evaluate, not the hashes
-actually computed, so the tallies do not depend on how the evaluation is
-batched.  They are dominated by the budget recursion (which re-charges
-path generation for same-index sub-calls) and are bounded below by the
-m**n * d draws of the top path alone.  The digests actually hashed are far
-fewer: each distinct key draws its uniform once and its path once, and only
-up to the last step read, so one k = n = m = 5, d = 1 realization charges
-156505 draws but hashes about 6745 uniform and 14.9k path-step digests
-(58150 for whole paths).
+Instrumentation: a :class:`CostLedger` tallies scalar random draws and
+drift evaluations as plain non-decreasing integers; this module alone
+creates, charges and reads one, and path generation charges nothing.  The
+binary cost switches v and f of the budget recursion in
+:mod:`mlpicard.recursions` select its components: a budget with v = 1, f = 0
+bounds the draws, one with v = 0, f = 1 the evaluations.  ``_realize_batch``
+charges m**n * d draws per root for the top-level path, each node with
+n >= 1 charges, per query time, one drift evaluation for its cached mu(0, 0)
+read, and each (l, k) term charges, per query time, one uniform draw,
+m**l * d draws for the fresh path, and two drift evaluations.  These are
+logical charges: they count what the scalar recursion would draw and
+evaluate, not the hashes actually computed, so the tallies do not depend on
+how the evaluation is batched.  They are dominated by the budget recursion
+(which re-charges path generation for same-index sub-calls) and are bounded
+below by the m**n * d draws of the top path alone.  The digests actually
+hashed are far fewer: each distinct key draws its uniform once and its path
+once, and only up to the last step read, so one k = n = m = 5, d = 1
+realization charges 156505 draws but hashes about 6745 uniform and 14.9k
+path-step digests (58150 for whole paths).
 """
 
 from __future__ import annotations
@@ -84,14 +88,29 @@ from typing import Sequence
 import numpy as np
 
 from .brownian import PathBatch, generate_batch
-from .errors import NonFiniteDriftError
+from .errors import ConfigError
 from .hier_rng import batch_uniforms, children, derive_seed, pack
-from .ledger import CostLedger
 from .models import DriftModel, Problem
 
-__all__ = ["RealizeResult", "realize_estimate", "rep_seed"]
+__all__ = ["CostLedger", "RealizeResult", "realize_estimate", "rep_seed"]
 
 _ESTIMATOR_BRANCH = 0  # root path coordinate reserved for the estimator's keys
+
+
+@dataclass
+class CostLedger:
+    scalar_draws: int = 0
+    drift_evals: int = 0
+
+    def add_draws(self, n: int) -> None:
+        self.scalar_draws += n
+
+    def add_evals(self, n: int) -> None:
+        self.drift_evals += n
+
+    def snapshot(self) -> tuple[int, int]:
+        """(scalar draws, drift evaluations) at this point."""
+        return self.scalar_draws, self.drift_evals
 
 
 def _joined(chunks: list) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +137,7 @@ def _drift(drift: DriftModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             f"broadcast shape {want}; a drift must act on each (..., d) row alone"
         )
     if not np.isfinite(out).all():
-        raise NonFiniteDriftError(
+        raise ConfigError(
             f"drift {drift.name!r} returned a non-finite value mid-recursion"
         )
     return out

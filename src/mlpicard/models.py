@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteDriftError
+from .errors import ConfigError
 
 __all__ = [
     "DriftModel",
@@ -76,7 +76,7 @@ def make_drift(
     if origin.shape != (dim,):
         raise ValueError(f"drift returned shape {origin.shape}, expected ({dim},)")
     if not np.isfinite(origin).all():
-        raise NonFiniteDriftError(f"drift {name!r} is not finite at the origin")
+        raise ConfigError(f"drift {name!r} is not finite at the origin")
     origin.setflags(write=False)
     return DriftModel(name, evaluate, float(lipschitz_L), origin)
 

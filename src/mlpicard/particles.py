@@ -24,7 +24,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import NonFiniteDriftError, ResourceLimitError
+from .errors import ConfigError, ResourceLimitError
 from .hier_rng import batch_normals, children, pack
 from .models import Problem
 
@@ -86,7 +86,7 @@ def simulate_particles(problem: Problem, N: int, M: int, master_seed: int) -> np
             mean = _interaction_mean(problem, state, pool, workers)
             state = state + dt * mean + increments[:, step, :]
     if not np.isfinite(state).all():
-        raise NonFiniteDriftError(
+        raise ConfigError(
             f"drift {problem.drift.name!r} drove the particle ensemble to a non-finite value"
         )
     return state

@@ -21,8 +21,8 @@ inequality a(n) <= c1 + c2*n + c3*sum_{k=1..n} c4**k + sum_{k<n} [kappa*a(k)
 4*lambda))/2 > 1.  ``cost_budget`` canonicalizes the estimator's operation
 count recursion as an equality (the defining relation is an inequality; a
 single well-defined integer per (n, m) is what instrumentation can be checked
-against), ``cost_bound`` is its closed bound (v*d + f)*(4m)**n (guarded to
-the 64-bit tally range; ``exact_cost_bound`` is unguarded), and
+against) and refuses one beyond the 64-bit tally range, ``cost_bound`` is
+its closed bound (v*d + f)*(4m)**n as an exact integer of any size, and
 ``error_bound`` / ``moment_bound`` are the L2 error and second-moment-root
 majorants.  Log-space variants are provided because the complexity
 certificate's supremand overflows doubles near its maximum.
@@ -42,7 +42,6 @@ __all__ = [
     "cost_bound",
     "cost_budget",
     "error_bound",
-    "exact_cost_bound",
     "gronwall_beta",
     "gronwall_bound",
     "gronwall_closed_form",
@@ -163,7 +162,7 @@ def cost_budget(n: int, m: int, d: int, v: int, f: int) -> int:
     return costs[n]
 
 
-def exact_cost_bound(n: int, m: int, d: int, v: int, f: int) -> int:
+def cost_bound(n: int, m: int, d: int, v: int, f: int) -> int:
     """Closed bound (v*d + f) * (4*m)**n dominating the budget recursion, as an
     exact integer of any size."""
     _check_cost_args(n, m, d, v, f)
@@ -171,20 +170,12 @@ def exact_cost_bound(n: int, m: int, d: int, v: int, f: int) -> int:
 
 
 def log_cost_bound(n: int, m: int, d: int, v: int, f: int) -> float:
-    """Natural log of ``exact_cost_bound``; -inf when v*d + f = 0."""
+    """Natural log of ``cost_bound``; -inf when v*d + f = 0."""
     _check_cost_args(n, m, d, v, f)
     base = v * d + f
     if base == 0:
         return -math.inf
     return math.log(base) + n * math.log(4 * m)
-
-
-def cost_bound(n: int, m: int, d: int, v: int, f: int) -> int:
-    """``exact_cost_bound``, refused beyond the 64-bit tally range."""
-    value = exact_cost_bound(n, m, d, v, f)
-    if value > _COST_LIMIT:
-        raise OverflowError(f"cost bound for n={n}, m={m} exceeds the 64-bit tally range")
-    return value
 
 
 def moment_bound(t: float, L: float, norm_xi: float, norm_mu00: float, d: int) -> float:

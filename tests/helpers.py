@@ -12,8 +12,7 @@ import numpy as np
 
 from mlpicard.brownian import PathBatch, _check_query_level, _snap_indices, generate_batch
 from mlpicard.hier_rng import batch_normals, batch_uniforms, pack
-from mlpicard.ledger import CostLedger
-from mlpicard.mlp import _evaluate
+from mlpicard.mlp import CostLedger, _evaluate
 
 
 def uniform(key, tag) -> float:

@@ -21,7 +21,7 @@ import mlpicard.mlp as mlp_mod
 import mlpicard.particles as particles_mod
 from helpers import csv_without_wall
 from mlpicard.cli import main
-from mlpicard.errors import ConfigError, ResourceLimitError, WorkerCrashError
+from mlpicard.errors import ConfigError, ResourceLimitError
 from mlpicard.harness import build_config, direct_gronwall, direct_two_step, run
 from mlpicard.mlp import realize_estimate, rep_seed
 from mlpicard.recursions import complexity_certificate, gronwall_bound
@@ -356,7 +356,7 @@ def _dying_worker(task):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched worker reaches the pool through fork")
 def test_dead_worker_fails_closed(tmp_path, monkeypatch, capfd):
-    # a worker killed mid-run is a worker failure (exit 3) with one line on
+    # a worker killed mid-run is a resource refusal (exit 3) with one line on
     # stderr, not a BrokenProcessPool traceback, and no CSV
     monkeypatch.setattr(harness_mod, "_worker", _dying_worker)
     out = tmp_path / "dead.csv"
@@ -364,10 +364,9 @@ def test_dead_worker_fails_closed(tmp_path, monkeypatch, capfd):
                  "--out", str(out)])
     err = capfd.readouterr().err
     assert code == 3
-    assert err.startswith("worker failure: a worker process died")
+    assert err.startswith("resource refusal: a worker process died")
     assert "Traceback" not in err
     assert not out.exists()
-    assert issubclass(WorkerCrashError, ResourceLimitError)
 
 
 def run_cli(args):
@@ -410,14 +409,35 @@ def test_non_finite_drift_exit_code(tmp_path):
     ("convergence", ["xi=nan"]),
     ("convergence", ["xi=inf"]),
     ("verify-bounds", ["problem=sine_meanfield", "L=-1"]),
+    ("convergence", ["problem=nope"]),
+    ("convergence", ["d=0"]),
+    ("convergence", ["T=0"]),
+    ("cost-table", ["k_min=3", "k_max=2"]),
+    ("convergence", ["--jobs=0"]),
+    ("certificate", ["cert_kmax=0"]),
+    ("verify-bounds", ["particles_n=1"]),
+    ("oracle-compare", ["mlp_n=0"]),
+    ("certificate", ["eps_list=0.5,abc"]),
+    ("cost-table", ["T=nan"]),
+    ("convergence", ["extended=maybe"]),
+    ("convergence", ["--config={tmp}/missing.cfg"]),
+    ("convergence", ["--config={tmp}/no_equals.cfg"]),
 ])
 def test_bad_problem_parameters_exit_code(tmp_path, capsys, mode, sets):
-    # a non-finite parameter, or one the built-in problem rejects, is a
-    # configuration error (exit 2) with one line on stderr and no CSV; at
-    # k = 1 no drift is evaluated mid-recursion to catch it later
+    # a non-finite parameter, one the built-in problem rejects, or any other
+    # configuration the harness refuses (an unknown problem, an empty grid, a
+    # count below its minimum, an unparsable value, a missing config file or
+    # a config line without '=') is a configuration error (exit 2) with one
+    # line on stderr and no CSV; at k = 1 no drift is evaluated
+    # mid-recursion to catch it later.  An item starting with -- is a flag,
+    # any other a --set pair
+    (tmp_path / "no_equals.cfg").write_text("seed=3\nreps 4\n")
     out = tmp_path / "bad.csv"
     args = [mode, "--reps", "4", "--set", "k_max=1", "--out", str(out)]
-    code = main(args + [arg for item in sets for arg in ("--set", item)])
+    for item in sets:
+        item = item.format(tmp=tmp_path)
+        args += [item] if item.startswith("--") else ["--set", item]
+    code = main(args)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: ")
@@ -567,6 +587,23 @@ def test_certificate_default_config_reports_rows(tmp_path):
     assert "# sup_attained=1" in out.read_text()
 
 
+def test_certificate_rows_for_unreached_levels(tmp_path):
+    # no level up to cert_kmax = 3 brings the error bound below 0.5, let
+    # alone 1e-300: each accuracy gets a FAIL row with n_eps = -1, a zero
+    # cost bound and a nan log_lhs, and the run exits 1
+    out = tmp_path / "cert.csv"
+    assert main(["certificate", "--set", "eps_list=0.5,1e-300", "--set", "cert_kmax=3",
+                 "--out", str(out)]) == 1
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if not line.startswith("#")]
+    header, body = rows[0], rows[1:]
+    columns = [header.index(name) for name in ("eps", "n_eps", "cost_bound", "log_lhs",
+                                               "status")]
+    assert [[row[i] for i in columns] for row in body] == [
+        ["0.5", "-1", "0", "nan", "FAIL"], ["1e-300", "-1", "0", "nan", "FAIL"],
+    ]
+
+
 def test_certificate_refuses_unprintable_cost_bound(tmp_path, capsys):
     # L*T = 25 pushes n_eps past 7000, where (4n)**n has more digits than a
     # CSV cell may hold: a refusal (exit 3), not a traceback
@@ -605,17 +642,30 @@ BUDGETED_MODES = {
 
 
 @pytest.mark.parametrize("mode", list(BUDGETED_MODES))
-def test_budget_refusal_in_every_caller(tmp_path, capsys, mode):
+def test_budget_refusal_in_every_caller(tmp_path, capsys, monkeypatch, mode):
     # the cost budget at n = m = 2, d = 1 is 27: one below refuses (exit 3)
-    # before any output, the budget itself runs
+    # before any output or realization, also where (2, 2) is a later cell of
+    # a grid whose first cells fit; the budget itself runs
+    calls = []
+    realize = harness_mod._realize_batch
+
+    def counted(*args):
+        calls.append(args)
+        return realize(*args)
+
+    monkeypatch.setattr(harness_mod, "_realize_batch", counted)
     out = tmp_path / "out.csv"
     sets = [arg for item in BUDGETED_MODES[mode] for arg in ("--set", item)]
     args = [mode, "--out", str(out)] + sets
-    assert main(args + ["--set", "cost_ceiling=26"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("resource refusal: cost budget 27 for (n=2, m=2, d=1)")
-    assert "ceiling 26" in err
-    assert not out.exists()
+    grids = [[]] if mode == "oracle-compare" else [[], ["--set", "k_min=1"]]
+    for grid in grids:
+        assert main(args + grid + ["--set", "cost_ceiling=26"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource refusal: cost budget 27 for (n=2, m=2, d=1)")
+        assert "ceiling 26" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+        assert calls == []
     assert main(args + ["--set", "cost_ceiling=27"]) == 0
     assert out.exists()
 
@@ -629,7 +679,7 @@ def test_public_names_resolve():
         for info in pkgutil.iter_modules(mlpicard.__path__)
         if not info.name.startswith("_")
     ]
-    assert len(modules) >= 11
+    assert len(modules) >= 10
     for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
@@ -650,11 +700,8 @@ def test_public_api_is_pinned():
         "derive_seed",
         "ensemble_stats",
         "error_bound",
-        "exact_cost_bound",
         "gronwall_bound",
         "gronwall_closed_form",
-        "log_cost_bound",
-        "log_error_bound",
         "make_drift",
         "moment_bound",
         "pathwise_value",
@@ -670,7 +717,22 @@ def test_public_api_is_pinned():
         "make_drift",
         "pathwise_value",
     ]
-    assert mlp_mod.__all__ == ["RealizeResult", "realize_estimate", "rep_seed"]
+    assert mlp_mod.__all__ == ["CostLedger", "RealizeResult", "realize_estimate", "rep_seed"]
+    assert mlpicard.recursions.__all__ == [
+        "CertificateResult",
+        "complexity_certificate",
+        "cost_bound",
+        "cost_budget",
+        "error_bound",
+        "gronwall_beta",
+        "gronwall_bound",
+        "gronwall_closed_form",
+        "log_cost_bound",
+        "log_error_bound",
+        "moment_bound",
+        "two_step_closed_form",
+        "two_step_roots",
+    ]
     assert mlpicard.hier_rng.__all__ == [
         "batch_normals",
         "batch_step_normals",
@@ -709,8 +771,7 @@ def test_module_imports_are_pinned():
                              for name in names if name.split(".")[0] == "mlpicard")
         imports[path.stem] = found
     assert imports == {
-        "__init__": {"errors", "hier_rng", "ledger", "mlp", "models", "particles",
-                     "recursions"},
+        "__init__": {"errors", "hier_rng", "mlp", "models", "particles", "recursions"},
         "__main__": {"cli"},
         "brownian": {"hier_rng"},
         "cli": {"errors", "harness"},
@@ -718,8 +779,7 @@ def test_module_imports_are_pinned():
         "harness": {"__init__", "errors", "hier_rng", "mlp", "models", "particles",
                     "recursions"},
         "hier_rng": set(),
-        "ledger": set(),
-        "mlp": {"brownian", "errors", "hier_rng", "ledger", "models"},
+        "mlp": {"brownian", "errors", "hier_rng", "models"},
         "models": {"errors"},
         "particles": {"errors", "hier_rng", "models"},
         "recursions": set(),
