@@ -382,9 +382,13 @@ def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
 def _closed_form_suites(cfg: ExperimentConfig):
     """Per suite of ``_CLOSED_FORMS``, in order: (cases, worst relative gap of
     the closed form against its direct recursion)."""
+    # the suites of one parameter kind (real or complex) share its draws
+    words = 4 + _CLOSED_FORM_HORIZON + 1
+    draws_of = {kind: _harness_draws(cfg.seed, cfg.rec_draws, "params", words,
+                                     lambda u, kind=kind: _recursion_parameters(u, kind))
+                for kind in (False, True)}
     for solver, direct, complex_params in _CLOSED_FORMS:
-        draws = _harness_draws(cfg.seed, cfg.rec_draws, "params", 4 + _CLOSED_FORM_HORIZON + 1,
-                               lambda u: _recursion_parameters(u, complex_params))
+        draws = draws_of[complex_params]
         worst = max(0.0, *(_relative_error(solver(*draw), direct(*draw)) for draw in draws))
         yield len(draws), worst
 

@@ -6,14 +6,19 @@ N particles start at xi and evolve by the Euler scheme
 
 with the empirical mean taken over all N particles including self.  The
 pairwise drift sum is O(N**2) per step by design (oracle clarity over speed).
-It runs in 64-row blocks, whose 64 x N x d pair array (1.5 MB at N = 3000,
-d = 1) fits a 2 MB L2 cache, and each step splits the blocks into one stripe
-per thread.  Row i's sum over j is the same numpy reduction in any block and
-has one writer, so the bits depend on neither the block size nor the thread
-count.  Particle noise keys live on a reserved root branch disjoint from the
-estimator's keys, so oracle and estimator stay independent under one master
-seed; the noise of each block of 128 particles is drawn as one key batch, the
-children (seed, (1, i)) of the branch root.
+With the drift's split mu(x, y) = h(f(x), g(y)) (see ``DriftModel``), each
+step first evaluates f and g on all N particles, once each (once in all when
+g is f), on the calling thread.  The pairs then run in 64-row blocks, whose
+64 x N x d pair array (1.5 MB at N = 3000, d = 1) fits a 2 MB L2 cache, and
+each step splits the blocks into one stripe per thread; a block evaluates
+only h, on its rows of f(X) against all of g(X).  A drift without a declared
+split has the identity one, so its ``evaluate`` runs once per block on the
+particles themselves.  Row i's sum over j is the same numpy reduction in any
+block and has one writer, so the bits depend on neither the block size nor
+the thread count.  Particle noise keys live on a reserved root branch
+disjoint from the estimator's keys, so oracle and estimator stay independent
+under one master seed; the noise of each block of 128 particles is drawn as
+one key batch, the children (seed, (1, i)) of the branch root.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
 from .hier_rng import batch_normals, children, pack
-from .models import Problem
+from .models import Problem, _halves
 
 __all__ = ["EnsembleStats", "ensemble_stats", "simulate_particles"]
 
@@ -38,14 +43,17 @@ _KEYS = 128  # particles per noise key batch
 
 def _interaction_mean(problem: Problem, state: np.ndarray, pool=None, workers=1) -> np.ndarray:
     n, d = state.shape
+    f, g, h = _halves(problem.drift.evaluate)
+    fx = f(state)
+    gy = fx if g is f else g(state)
     out = np.empty_like(state)
 
     def rows(starts: np.ndarray) -> None:
         for lo in starts:
             hi = min(lo + _ROWS, n)
-            # broadcastable views: the drift sees every (i, j) pair, numpy just
+            # broadcastable views: h sees every (i, j) pair, numpy just
             # avoids re-evaluating elementwise terms along degenerate axes
-            pairs = problem.drift.evaluate(state[lo:hi, None, :], state[None, :, :])
+            pairs = h(fx[lo:hi, None, :], gy[None, :, :])
             out[lo:hi] = np.broadcast_to(pairs, (hi - lo, n, d)).sum(axis=1)
 
     stripes = np.array_split(np.arange(0, n, _ROWS), workers)

@@ -88,7 +88,7 @@ def two_step_closed_form(kappa: complex, lam: complex, forcing: Sequence) -> np.
     j = np.arange(1, len(b) + 1)
     kernel = (np.power(x2, j) - np.power(x1, j)) / (x2 - x1)
     out = np.convolve(b.astype(complex), kernel)[: len(b)]
-    return _maybe_real(out, kappa, lam, *b)
+    return _maybe_real(out, kappa, lam, b)
 
 
 def gronwall_closed_form(kappa: complex, lam: complex, forcing: Sequence) -> np.ndarray:

@@ -89,6 +89,51 @@ def test_value_at_origin_cached_exactly():
         assert np.array_equal(prob.drift.value_at_origin, prob.drift.evaluate(zero, zero))
 
 
+# each built-in drift as the one formula that defined it before its split
+_WRITTEN_OUT = [
+    ("zero_drift", {}, lambda p: lambda x, y: np.zeros_like(x)),
+    ("law_only_linear", {"b": -1.5}, lambda p: lambda x, y: p["b"] * y + 0.0 * x),
+    ("law_only_linear", {"b": 0.0}, lambda p: lambda x, y: p["b"] * y + 0.0 * x),
+    ("full_linear", {"a": 0.7, "b": -1.3}, lambda p: lambda x, y: p["a"] * x + p["b"] * y),
+    ("full_linear", {"a": -0.0, "b": 2.0}, lambda p: lambda x, y: p["a"] * x + p["b"] * y),
+    ("sine_meanfield", {"L": 1.0},
+     lambda p: lambda x, y: 0.5 * p["L"] * (np.sin(x) + np.sin(y))),
+    ("sine_meanfield", {"L": 3.0},
+     lambda p: lambda x, y: 0.5 * p["L"] * (np.sin(x) + np.sin(y))),
+]
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -5e-324, 1.5])
+
+
+@pytest.mark.parametrize("name, params, formula", _WRITTEN_OUT,
+                         ids=[f"{n}-{sorted(p.items())}" for n, p, _ in _WRITTEN_OUT])
+@pytest.mark.parametrize("d", [1, 3])
+def test_split_drift_equals_written_out_formula_bit_for_bit(name, params, formula, d):
+    # the split evaluate h(f(x), g(y)) does the formula's numpy operations in
+    # its order: the same bits on random and special values (signed zeros,
+    # infinities, nan, the largest and a subnormal double) in the shapes the
+    # estimator and the particle blocks use, and the same cached mu(0, 0)
+    prob = builtin_problem(name, d=d, T=1.0, xi=1.0, **params)
+    want = formula(params)
+    zero = np.zeros(d)
+    assert prob.drift.value_at_origin.tobytes() == np.asarray(want(zero, zero), float).tobytes()
+    rng = np.random.default_rng(SEED)
+
+    def sample(*shape):
+        values = rng.normal(scale=4.0, size=shape)
+        special = rng.random(shape) < 0.3
+        values[special] = rng.choice(_SPECIALS, size=int(special.sum()))
+        return values
+
+    shapes = [((d,), (d,)), ((9, d), (9, d)), ((5, 1, d), (1, 7, d)), ((4, 6, d), (6, d)),
+              ((1, d), (8, d))]
+    with np.errstate(all="ignore"):
+        for x_shape, y_shape in shapes:
+            x, y = sample(*x_shape), sample(*y_shape)
+            got, expected = prob.drift.evaluate(x, y), want(x, y)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), (x_shape, y_shape)
+
+
 def _builtin_suite():
     return [
         builtin_problem("zero_drift", d=2, T=1.0, xi=1.0),

@@ -12,7 +12,7 @@ import pytest
 import mlpicard.particles as particles_mod
 from helpers import normals
 from mlpicard.errors import ConfigError, ResourceLimitError
-from mlpicard.models import builtin_problem
+from mlpicard.models import _Split, builtin_problem, make_drift
 from mlpicard.particles import _interaction_mean, ensemble_stats, simulate_particles
 from mlpicard.recursions import moment_bound
 
@@ -193,3 +193,55 @@ def test_drift_error_fails_closed_without_leaking_threads(monkeypatch, cpus):
     with pytest.raises(FloatingPointError, match="drift failed"):
         simulate_particles(broken, 300, 4, SEED)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("shared", [False, True], ids=["f-and-g", "g-is-f"])
+def test_split_halves_run_once_per_step(monkeypatch, cpus, shared):
+    # 300 particles make five row blocks: f and g run once per step on all
+    # particles (once in all when g is f), h once per block on its rows
+    _pretend_cpus(monkeypatch, cpus)
+    calls = []  # list.append is atomic across the pool threads
+
+    def counted(label, fn):
+        def wrapped(*args):
+            calls.append((label, tuple(np.shape(a) for a in args)))
+            return fn(*args)
+        return wrapped
+
+    f = counted("f", np.sin)
+    g = f if shared else counted("g", np.cos)
+    split = _Split(f, g, counted("h", lambda fx, gy: 0.5 * (fx + gy)))
+    prob = replace(builtin_problem("sine_meanfield", d=2, T=1.0, xi=1.0, L=1.0),
+                   drift=make_drift("counted", split, 1.0, 2))
+    calls.clear()  # make_drift evaluated mu(0, 0) once
+    simulate_particles(prob, 300, 4, SEED)
+    labels = [label for label, _ in calls]
+    assert labels.count("f") == 4 and labels.count("g") == (0 if shared else 4)
+    assert labels.count("h") == 4 * 5
+    assert {shapes for label, shapes in calls if label != "h"} == {((300, 2),)}
+    assert sorted({shapes for label, shapes in calls if label == "h"}) == [
+        ((44, 1, 2), (1, 300, 2)), ((64, 1, 2), (1, 300, 2))]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("name, params", [("sine_meanfield", {"L": 1.0}),
+                                          ("full_linear", {"a": 0.5, "b": -0.75})])
+def test_plain_evaluate_matches_split_twin(monkeypatch, cpus, d, name, params):
+    # replacing evaluate by a plain function drops the split: the ensemble is
+    # the same bytes, with evaluate called on the particles once per block
+    # (300 particles: five blocks, the last of 44 rows) as a traced drift is
+    _pretend_cpus(monkeypatch, cpus)
+    prob = builtin_problem(name, d=d, T=1.0, xi=1.0, **params)
+    calls = []
+
+    def evaluate(x, y):
+        calls.append(np.shape(x)[0])
+        return prob.drift.evaluate(x, y)
+
+    plain = replace(prob, drift=replace(prob.drift, evaluate=evaluate))
+    split = simulate_particles(prob, 300, 3, SEED)
+    assert not calls
+    assert simulate_particles(plain, 300, 3, SEED).tobytes() == split.tobytes()
+    assert sorted(calls) == sorted([64, 64, 64, 64, 44] * 3)

@@ -78,6 +78,21 @@ def test_two_step_complex_parameters():
     assert np.iscomplexobj(got)
 
 
+def test_complex_forcing_term_keeps_the_solution_complex():
+    # real parameters with one complex forcing term, anywhere in a list or
+    # array, give the complex solution; real data gives the real part
+    for at in (0, 3, 5):
+        forcing = [1.0, -0.5, 2.0, 0.25, 1.0, -1.0]
+        forcing[at] = complex(forcing[at], 0.5)
+        got = two_step_closed_form(0.5, 1.0, forcing)
+        assert np.iscomplexobj(got)
+        assert np.allclose(got, direct_two_step(0.5, 1.0, forcing), rtol=1e-10)
+        assert np.iscomplexobj(gronwall_closed_form(0.5, 1.0, np.array(forcing)))
+    real = two_step_closed_form(0.5, 1.0, [1.0, -0.5, 2.0])
+    assert not np.iscomplexobj(real)
+    assert np.iscomplexobj(two_step_closed_form(0.5, 1.0 + 0.0j, [1.0, -0.5, 2.0]))
+
+
 def test_gronwall_frozen_example():
     # kappa=2, lambda=2, b_n = n, horizons up to 30
     forcing = np.arange(31, dtype=float)
