@@ -130,10 +130,6 @@ def generate_batch(
     summed along the step axis, so every generated value is bit-identical to
     the whole path of its key generated alone.
     """
-    if level < 1:
-        raise ValueError(f"grid level must be at least 1, got {level}")
-    if branching < 1:
-        raise ValueError(f"branching must be at least 1, got {branching}")
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if dim < 1:

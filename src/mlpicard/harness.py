@@ -1,13 +1,13 @@
 """Batch experiment runner: configuration, orchestration, CSV reporting.
 
-Configuration is a flat key=value text file plus ``--set key=value``
-overrides; no nesting.  Every mode is deterministic given its configuration:
-all randomness flows through the keyed generator from the single master
-seed, repetition fan-out across a worker pool preserves ordering before any
-aggregation, and CSV numbers are printed with 17 significant digits.  A
-mode's result ends every row with ``status`` and ``wall_s``, the seconds
-of the row's own work (the rows of oracle-compare share one span); wall
-times are the only non-reproducible columns.
+Configuration is flat ``key=value`` text, typed once by :func:`build_config`
+and checked by :meth:`ExperimentConfig.validate`.  Every mode is
+deterministic given its configuration: all randomness flows through the keyed
+generator from the single master seed, repetition fan-out across a worker
+pool preserves ordering before any aggregation, and CSV numbers are printed
+with 17 significant digits.  A mode's result ends every row with ``status``
+and ``wall_s``, the seconds of the row's own work (the rows of oracle-compare
+share one span); wall times are the only non-reproducible columns.
 
 Modes
 -----
@@ -89,6 +89,12 @@ _HARNESS_BRANCH = 2  # root path coordinate reserved for harness parameter draws
 # Longest exact integer a CSV cell holds: CPython's default int-to-str limit,
 # fixed here so the output does not depend on interpreter settings.
 _MAX_INT_DIGITS = 4300
+# The least value of each count, and the most levels the certificate tables
+# hold (a Python list of error bounds among them: 10**6 levels take about 2 s
+# and 120 MB).
+_COUNT_MINIMUMS = {"d": 1, "jobs": 1, "cert_kmax": 1, "mlp_n": 1, "mlp_m": 1, "particles_m": 1,
+                   "particles_n": 2, "rec_draws": 1, "bound_draws": 1}
+_CERT_KMAX_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +140,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown problem {self.problem!r}; choose one of {sorted(PROBLEM_PARAMS)}"
             )
-        if self.d < 1:
-            raise ConfigError(f"d must be at least 1, got {self.d}")
+        for name, low in _COUNT_MINIMUMS.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if self.cert_kmax > _CERT_KMAX_CAP:
+            raise ConfigError(f"cert_kmax={self.cert_kmax} beyond the cap {_CERT_KMAX_CAP}")
         if self.T <= 0:
             raise ConfigError(f"T must be positive, got {self.T}")
         if not 1 <= self.k_min <= self.k_max:
@@ -148,21 +157,8 @@ class ExperimentConfig:
             )
         if self.mode in ("convergence", "oracle-compare") and self.reps < 2:
             raise ConfigError(f"mode {self.mode} needs reps >= 2, got {self.reps}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
-        if self.rec_draws < 1 or self.bound_draws < 1:
-            raise ConfigError(
-                f"need rec_draws >= 1 and bound_draws >= 1, got {self.rec_draws}, "
-                f"{self.bound_draws}"
-            )
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.cert_kmax < 1:
-            raise ConfigError(f"cert_kmax must be at least 1, got {self.cert_kmax}")
-        if self.particles_n < 2 or self.particles_m < 1:
-            raise ConfigError("need particles_n >= 2 and particles_m >= 1")
-        if self.mlp_n < 1 or self.mlp_m < 1:
-            raise ConfigError("need mlp_n >= 1 and mlp_m >= 1")
         try:
             eps = self.eps_values()
         except ValueError as exc:
@@ -200,50 +196,40 @@ _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False
 def _convert(name: str, text: str, kind: type):
     try:
         if kind is bool:
-            return _BOOL_VALUES[text.strip().lower()]
+            return _BOOL_VALUES[text.lower()]
         return kind(text)
     except (ValueError, KeyError):
         raise ConfigError(f"cannot parse {name}={text!r} as {kind.__name__}") from None
 
 
-def parse_config_file(path: str) -> dict[str, str]:
-    """Read a flat key=value file; '#' starts a comment, blank lines ignored."""
-    mapping: dict[str, str] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        mapping[key.strip()] = value.strip()
-    return mapping
+def _split(item: str, where: str) -> tuple[str, str]:
+    """The stripped key and value of one ``key=value`` item."""
+    key, sep, value = item.partition("=")
+    if not sep:
+        raise ConfigError(f"{where}: expected key=value, got {item!r}")
+    return key.strip(), value.strip()
 
 
-def build_config(
-    config_path: Optional[str] = None,
-    sets: Sequence[str] = (),
-    **overrides,
-) -> ExperimentConfig:
-    """Assemble a validated config from file, --set pairs, and CLI overrides."""
+def build_config(config_path: Optional[str] = None, sets: Sequence[str] = ()) -> ExperimentConfig:
+    """A validated config from the ``key=value`` lines of the file at
+    ``config_path`` ('#' starts a comment, blank lines are skipped), then the
+    ``sets`` items; the last item of a key wins, and its value alone is typed.
+    A caller holding typed values uses ``replace`` and ``validate`` instead."""
+    items = []
+    if config_path:
+        try:
+            text = Path(config_path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {config_path}: {exc}") from None
+        lines = enumerate((raw.split("#", 1)[0].strip() for raw in text.splitlines()), 1)
+        items = [(f"{config_path}:{lineno}", line) for lineno, line in lines if line]
+    items += [("--set", item) for item in sets]
+    pending = dict(_split(item, where) for where, item in items)
     types = {f.name: type(f.default) for f in fields(ExperimentConfig)}
-    pending = parse_config_file(config_path) if config_path else {}
-    for item in sets:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        pending[key.strip()] = value.strip()
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    # one check of the keys, from the file, --set pairs and CLI shorthands alike
-    for key in [*pending, *clean]:
+    for key in pending:
         if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
-    typed = {key: _convert(key, text, types[key]) for key, text in pending.items()}
-    cfg = replace(ExperimentConfig(), **typed | clean)
+    cfg = replace(ExperimentConfig(), **{k: _convert(k, v, types[k]) for k, v in pending.items()})
     cfg.validate()
     return cfg
 
@@ -542,6 +528,7 @@ def _summarize_squared_errors(squared: np.ndarray) -> tuple[float, float, float]
 
 
 def _mode_convergence(cfg: ExperimentConfig) -> ExperimentResult:
+    budgets = [_require_budget(cfg, k, k) for k in cfg.levels()]
     problem = _problem(cfg)
     if problem.pathwise is None:
         raise ConfigError(
@@ -549,7 +536,6 @@ def _mode_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         )
     constants = _bound_constants(problem)
     rmses, rmse_ses = [], []
-    budgets = [_require_budget(cfg, k, k) for k in cfg.levels()]
     bounds = [
         _finite_bound("error_bound", cfg, constants, error_bound, k, k, cfg.T, cfg.T, cfg.d,
                       *constants)
@@ -610,8 +596,8 @@ def _slope_footer(ks: list[int], rmses: list[float], ses: list[float]) -> list[s
 
 
 def _mode_cost_table(cfg: ExperimentConfig) -> ExperimentResult:
-    problem = _problem(cfg)
     cells = [(n, m, _require_budget(cfg, n, m)) for n in cfg.levels() for m in cfg.levels()]
+    problem = _problem(cfg)
     rec = ExperimentResult(
         cfg, "n", "m", "d", "draws", "evals", "draws_budget", "evals_budget", "cost_budget",
         "cost_bound", "draws_ok", "evals_ok", "budget_le_bound", "draws_ge_top_path",
@@ -694,8 +680,8 @@ def _gronwall_majorant_overshoot(
 
 
 def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
-    problem = _problem(cfg)
     _require_budget(cfg, cfg.mlp_n, cfg.mlp_m)
+    problem = _problem(cfg)
     rec = ExperimentResult(cfg, "coord", "mlp_mean", "mlp_se", "particle_mean", "particle_se")
     with _worker_pool(cfg.jobs, cfg.reps) as pool:
         values = _repetitions(cfg, cfg.mlp_n, cfg.mlp_m, pool)[0]

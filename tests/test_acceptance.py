@@ -163,7 +163,7 @@ def test_criterion_4_error_bound_desk_scale():
     # than the harness's L = 2|b|) and the monotonicity are recomputed here
     sets = ["problem=law_only_linear", "b=-1.0", "d=1", "T=1.0", "xi=1.0", "k_min=1",
             "k_max=4", "reps=200", f"seed={SEED}"]
-    res = run(build_config(None, sets, mode="convergence", jobs=2))
+    res = run(build_config(None, [*sets, "mode=convergence", "jobs=2"]))
     rows = {row["k"]: row for row in (dict(zip(res.columns, r)) for r in res.rows)}
     rmse = {k: row["rmse"] for k, row in rows.items()}
     half = {k: row["rmse_ci_half"] for k, row in rows.items()}
@@ -317,12 +317,12 @@ def test_criterion_9_harness_determinism(tmp_path):
             sets += ["problem=zero_drift", "xi=0.0"]
         first = tmp_path / f"{mode}-1.csv"
         second = tmp_path / f"{mode}-2.csv"
-        run(build_config(None, sets, mode=mode, out=str(first), jobs=1))
-        run(build_config(None, sets, mode=mode, out=str(second), jobs=1))
+        run(build_config(None, [*sets, f"mode={mode}", f"out={first}", "jobs=1"]))
+        run(build_config(None, [*sets, f"mode={mode}", f"out={second}", "jobs=1"]))
         all_same &= csv_without_wall(first) == csv_without_wall(second)
         if mode in ("convergence", "oracle-compare"):
             pooled = tmp_path / f"{mode}-jobs2.csv"
-            run(build_config(None, sets, mode=mode, out=str(pooled), jobs=2))
+            run(build_config(None, [*sets, f"mode={mode}", f"out={pooled}", "jobs=2"]))
             all_same &= csv_without_wall(first) == csv_without_wall(pooled)
     elapsed = time.perf_counter() - started
     report_criterion(9, "byte-identical CSV across reruns and --jobs settings",

@@ -35,7 +35,7 @@ QUICK_PARTICLES = ["particles_n=80", "particles_m=8"]
 
 def _cfg(mode, tmp_path, extra=(), name="out.csv", jobs=1):
     sets = list(QUICK_CONVERGENCE) + list(extra)
-    return build_config(None, sets, mode=mode, out=str(tmp_path / name), jobs=jobs)
+    return build_config(None, [*sets, f"mode={mode}", f"out={tmp_path / name}", f"jobs={jobs}"])
 
 
 # Masked SHA-256 of each mode's CSV at a small config.  Any change to these
@@ -73,41 +73,52 @@ GOLDEN_CSV = {
 def test_mode_csv_golden(tmp_path, mode, jobs):
     extra, want = GOLDEN_CSV[mode]
     out = tmp_path / f"{mode}.csv"
-    run(build_config(None, GOLDEN_BASE + extra, mode=mode, out=str(out), jobs=jobs))
+    run(build_config(None, [*GOLDEN_BASE, *extra, f"mode={mode}", f"out={out}", f"jobs={jobs}"]))
     assert hashlib.sha256(csv_without_wall(out).encode()).hexdigest() == want
 
 
 def test_config_file_and_sets(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("# comment\nproblem=sine_meanfield\nL=1.0\nreps=12\n\nseed=3 # inline\n")
-    cfg = build_config(str(path), ["reps=20"], mode="convergence")
+    cfg = build_config(str(path), ["reps=20", "mode=convergence"])
     assert cfg.problem == "sine_meanfield"
     assert cfg.reps == 20  # --set overrides the file
     assert cfg.seed == 3
 
 
+def test_shorthands_win_over_sets(tmp_path):
+    # file < --set < shorthand < subcommand: a shorthand is the item after
+    # every --set item, and the subcommand is the last item of all
+    out = tmp_path / "self.csv"
+    assert main(["recursion-selftest", "--set", "seed=3", "--seed", "5", "--set", "rec_draws=40",
+                 "--set", "extended=false", "--extended", "--set", "mode=convergence",
+                 "--out", str(out)]) == 0
+    echo = out.read_text().splitlines()[2].split()
+    assert {"mode=recursion-selftest", "seed=5", "extended=true"} <= set(echo)
+
+
 def test_config_errors():
     with pytest.raises(ConfigError):
-        build_config(None, ["nonsense=1"], mode="convergence")
+        build_config(None, ["nonsense=1", "mode=convergence"])
     with pytest.raises(ConfigError):
-        build_config(None, ["reps=abc"], mode="convergence")
+        build_config(None, ["reps=abc", "mode=convergence"])
     with pytest.raises(ConfigError):
-        build_config(None, ["reps"], mode="convergence")
+        build_config(None, ["reps", "mode=convergence"])
     with pytest.raises(ConfigError):
-        build_config(None, [], mode="no-such-mode")
+        build_config(None, ["mode=no-such-mode"])
     with pytest.raises(ConfigError):
-        build_config(None, ["k_max=5"], mode="convergence")  # needs --extended
-    build_config(None, ["k_max=5", "extended=true"], mode="convergence")
+        build_config(None, ["k_max=5", "mode=convergence"])  # needs --extended
+    build_config(None, ["k_max=5", "extended=true", "mode=convergence"])
     with pytest.raises(ConfigError):
-        build_config(None, ["delta=1.5"], mode="certificate")
+        build_config(None, ["delta=1.5", "mode=certificate"])
     with pytest.raises(ConfigError):
-        build_config(None, ["eps_list=0.5,-1"], mode="certificate")
+        build_config(None, ["eps_list=0.5,-1", "mode=certificate"])
     for count in ("rec_draws", "bound_draws"):
         for bad in (0, -3):
             with pytest.raises(ConfigError, match=count):
-                build_config(None, [f"{count}={bad}"], mode="verify-bounds")
+                build_config(None, [f"{count}={bad}", "mode=verify-bounds"])
     # a problem without a pathwise solution cannot drive the coupled-error mode
-    cfg = build_config(None, ["problem=full_linear"], mode="convergence")
+    cfg = build_config(None, ["problem=full_linear", "mode=convergence"])
     with pytest.raises(ConfigError):
         run(cfg)
 
@@ -129,13 +140,10 @@ def test_convergence_mode_rows_and_determinism(tmp_path):
 
 def test_convergence_slope_negative_full_grid(tmp_path):
     # log-RMSE trend over k = 1..4 is negative at 95% for the linear problem
-    cfg = build_config(
-        None,
-        ["problem=law_only_linear", "b=-1.0", "k_min=1", "k_max=4", "reps=50", "seed=7"],
-        mode="convergence",
-        out=str(tmp_path / "slope.csv"),
-        jobs=2,
-    )
+    cfg = build_config(None, [
+        "problem=law_only_linear", "b=-1.0", "k_min=1", "k_max=4", "reps=50", "seed=7",
+        "mode=convergence", f"out={tmp_path / 'slope.csv'}", "jobs=2",
+    ])
     res = run(cfg)
     assert res.ok
     assert "slope_negative_95=1" in res.footer
@@ -150,8 +158,8 @@ def test_convergence_slope_negative_full_grid(tmp_path):
 def test_convergence_slope_footer_without_two_positive_levels(tmp_path, problem, levels, want):
     # a single level shows no trend, whatever its RMSE; errors that vanish on
     # every one of two or more levels are trivially converged
-    cfg = build_config(None, problem + levels + ["reps=20", "seed=7"], mode="convergence",
-                       out=str(tmp_path / "one.csv"))
+    cfg = build_config(None, problem + levels + ["reps=20", "seed=7", "mode=convergence",
+                                                 f"out={tmp_path / 'one.csv'}"])
     res = run(cfg)
     assert "slope=nan" in res.footer
     assert f"slope_negative_95={want}" in res.footer
@@ -302,7 +310,7 @@ def test_certificate_mode_reports_non_attainment(tmp_path):
 def test_repetitions_do_not_depend_on_jobs_or_chunks(monkeypatch, reps):
     # chunks of 1 (reps = 7) and of 16, 8 and 5 with a short last one
     # (reps = 64) give each seed's realization, in seed order
-    cfg = build_config(None, ["d=2", f"reps={reps}", "seed=5"], mode="convergence")
+    cfg = build_config(None, ["d=2", f"reps={reps}", "seed=5", "mode=convergence"])
     problem = harness_mod._problem(cfg)
     singles = [realize_estimate(problem, 2, 2, rep_seed(cfg.seed, r)) for r in range(reps)]
     want = (np.array([single.value for single in singles]).tobytes(),
@@ -422,15 +430,19 @@ def test_non_finite_drift_exit_code(tmp_path):
     ("convergence", ["extended=maybe"]),
     ("convergence", ["--config={tmp}/missing.cfg"]),
     ("convergence", ["--config={tmp}/no_equals.cfg"]),
+    ("convergence", ["--seed=abc"]),
+    ("convergence", ["--reps=x"]),
+    ("convergence", ["--jobs=two"]),
+    ("certificate", ["cert_kmax=1000001"]),
 ])
 def test_bad_problem_parameters_exit_code(tmp_path, capsys, mode, sets):
     # a non-finite parameter, one the built-in problem rejects, or any other
     # configuration the harness refuses (an unknown problem, an empty grid, a
-    # count below its minimum, an unparsable value, a missing config file or
-    # a config line without '=') is a configuration error (exit 2) with one
-    # line on stderr and no CSV; at k = 1 no drift is evaluated
-    # mid-recursion to catch it later.  An item starting with -- is a flag,
-    # any other a --set pair
+    # count below its minimum, cert_kmax above its cap, an unparsable value,
+    # the shorthands' included, a missing config file or a config line
+    # without '=') is a configuration error (exit 2) with one line on stderr
+    # and no CSV; at k = 1 no drift is evaluated mid-recursion to catch it
+    # later.  An item starting with -- is a flag, any other a --set pair
     (tmp_path / "no_equals.cfg").write_text("seed=3\nreps 4\n")
     out = tmp_path / "bad.csv"
     args = [mode, "--reps", "4", "--set", "k_max=1", "--out", str(out)]
@@ -629,7 +641,7 @@ def test_empty_suites_fail_closed(tmp_path, capsys, mode, count):
         arg for item in QUICK_PARTICLES for arg in ("--set", item)
     ])
     assert code == 2
-    assert capsys.readouterr().err.startswith("config error: need rec_draws >= 1")
+    assert capsys.readouterr().err == f"config error: {count} must be at least 1, got 0\n"
     assert not out.exists()
 
 
@@ -668,6 +680,37 @@ def test_budget_refusal_in_every_caller(tmp_path, capsys, monkeypatch, mode):
         assert calls == []
     assert main(args + ["--set", "cost_ceiling=27"]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("mode", [*BUDGETED_MODES, "verify-bounds", "certificate"])
+def test_huge_dimension_fails_closed(tmp_path, capsys, monkeypatch, mode):
+    # d = 4e9 asks for 30 GB per state vector: the budgeted modes refuse its
+    # cost budget before the problem is built, and an allocation that fails
+    # in the other modes is a resource refusal too (exit 3), with one line on
+    # stderr and no CSV.  No test allocates: the problem's builder is
+    # replaced, by one that must not run or by one that runs out of memory
+    def unbuilt(cfg):
+        raise AssertionError("problem built before the budget check")
+
+    def out_of_memory(cfg):
+        raise MemoryError("Unable to allocate 29.8 GiB for an array with shape (4000000000,)")
+
+    budgeted = mode in BUDGETED_MODES
+    monkeypatch.setattr(harness_mod, "_problem", unbuilt if budgeted else out_of_memory)
+    out = tmp_path / "huge.csv"
+    assert main([mode, "--set", "d=4000000000", "--reps", "4", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    if budgeted:
+        assert err.startswith("resource refusal: cost budget ")
+        assert "d=4000000000) exceeds the ceiling 1000000000" in err
+    else:
+        assert err.startswith("resource refusal: out of memory: Unable to allocate 29.8 GiB")
+    assert err.count("\n") == 1
+    assert not out.exists()
+    if mode == "certificate":
+        # the one mode that reads no d runs as usual
+        assert main(["recursion-selftest", "--set", "d=4000000000", "--set", "rec_draws=40",
+                     "--out", str(out)]) == 0
 
 
 def test_public_names_resolve():

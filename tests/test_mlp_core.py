@@ -576,8 +576,7 @@ def l2_error_rows(problem, k_max, reps, *extra):
     cfg = build_config(
         None,
         [f"problem={problem}", "d=1", "T=1.0", "xi=1.0", "k_min=1", f"k_max={k_max}",
-         f"reps={reps}", f"seed={SEED}", *extra],
-        mode="convergence",
+         f"reps={reps}", f"seed={SEED}", *extra, "mode=convergence"],
     )
     res = run(cfg)
     return [dict(zip(res.columns, row)) for row in res.rows]
