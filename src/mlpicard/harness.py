@@ -25,8 +25,11 @@ recursion-selftest closed forms vs direct recursions, budget vs a brute-force
 certificate        cost-times-accuracy supremand evaluation and the
                    accuracy-to-level table.
 
-Repetitions run in chunks of seeds, one estimator batch per chunk, across
-one pool of ``jobs`` worker processes per run.
+Repetitions run in chunks of seeds, one estimator batch per chunk: each
+(n, m) cell of a run is cut into one chunk per worker, and every chunk of the
+run is queued at once on one pool of ``jobs`` worker processes, costliest
+cell first, so no cell waits for the one before it.  A convergence row's
+``wall_s`` is the summed seconds of its level's chunks, timed where they run.
 
 The exit-code contract lives in :mod:`mlpicard.cli`: 0 all assertions pass,
 1 statistical assertion failure, 2 configuration error, 3 resource refusal,
@@ -38,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -82,8 +85,9 @@ _Z95_ONE_SIDED = 1.6448536269514722
 # A batch of realizations peaks at a few bytes of memory per unit of its
 # roots' total cost budget (measured 1.2 to 3.4 at n = m = 4 or 5, d = 1 to
 # 64), so a chunk of repetition seeds stays under this many units, about ten
-# megabytes; batching saves per-call overhead, which matters only at small
-# budgets.
+# megabytes.  Larger batches save per-call overhead at every budget: 64
+# realizations at n = m = d = 4 took 142 ms in 8-seed batches and 124 ms in
+# 32-seed ones.
 _CHUNK_BUDGET = 1 << 22
 _HARNESS_BRANCH = 2  # root path coordinate reserved for harness parameter draws
 # Longest exact integer a CSV cell holds: CPython's default int-to-str limit,
@@ -252,49 +256,69 @@ def _problem(cfg: ExperimentConfig) -> Problem:
 def _worker(task: tuple[ExperimentConfig, int, int, tuple[int, ...]]) -> tuple:
     """Realizations of (n, m) under each seed, evaluated as one batch: the
     values at T and W0(T), one row per seed, and the (draws, evaluations) of
-    one realization, as ``mlp._realize_batch`` returns them."""
+    one realization, as ``mlp._realize_batch`` returns them, then the
+    seconds the batch took."""
     cfg, n, m, seeds = task
-    return _realize_batch(_problem(cfg), n, m, seeds)
+    started = time.perf_counter()
+    return (*_realize_batch(_problem(cfg), n, m, seeds), time.perf_counter() - started)
 
 
 @contextmanager
 def _worker_pool(jobs: int, reps: int) -> Iterator[Optional[ProcessPoolExecutor]]:
     """One pool of ``min(jobs, reps)`` worker processes for a whole run, as a
-    level never has more tasks than repetitions, or None to run in process;
-    a worker that dies fails the run with ResourceLimitError."""
+    cell never has more chunks than repetitions, or None to run in process.
+    A worker that dies fails the run with ResourceLimitError; on any error
+    the chunks still queued are cancelled, not run."""
     workers = min(jobs, reps)
     if workers <= 1:
         yield None
         return
+    pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield pool
+        yield pool
     except BrokenProcessPool as exc:
         raise ResourceLimitError(
             f"a worker process died before returning its results: {exc}"
         ) from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _repetitions(
-    cfg: ExperimentConfig, n: int, m: int, pool: Optional[ProcessPoolExecutor]
-) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    """``cfg.reps`` realizations of (n, m) under the repetition seeds: their
-    values at T and W0(T), one row per seed in seed order, and the (draws,
-    evaluations) of one realization, which all of them share.
+    cfg: ExperimentConfig, cells: Sequence[tuple[int, int]], pool: Optional[ProcessPoolExecutor]
+) -> Iterator[tuple[np.ndarray, np.ndarray, tuple[int, int], float]]:
+    """Per (n, m) cell, in cell order: ``cfg.reps`` realizations under the
+    repetition seeds, their values at T and W0(T), one row per seed in seed
+    order, the (draws, evaluations) of one realization, which all of them
+    share, and the summed seconds of the cell's chunks.
 
-    The seeds go to the worker in chunks of ``reps // (4 * jobs)``, in process
-    too, and fewer where the chunk's total cost budget would pass
-    ``_CHUNK_BUDGET``; the results, bit-identical to one realization per
-    call, do not depend on the chunking, and the chunks are joined in order
-    so that aggregation bytes never depend on the worker count.
+    Each cell's seeds are cut into one chunk per worker, ``ceil(reps /
+    jobs)`` seeds, fewer where the chunk's total cost budget would pass
+    ``_CHUNK_BUDGET``.  With a pool every chunk of every cell is queued at
+    once, costliest cell first, and the first chunk to raise ends the run;
+    in process the chunks run in cell order.  The results, bit-identical to
+    one realization per call, do not depend on the chunking, and each cell's
+    chunks are joined in seed order, so aggregation bytes never depend on the
+    worker count.
     """
     seeds = [rep_seed(cfg.seed, r) for r in range(cfg.reps)]
-    per_chunk = (cfg.reps // (4 * cfg.jobs), _CHUNK_BUDGET // cost_budget(n, m, cfg.d, 1, 1))
-    size = max(1, min(per_chunk))
-    tasks = [(cfg, n, m, tuple(seeds[i : i + size])) for i in range(0, cfg.reps, size)]
-    chunks = map(_worker, tasks) if pool is None else pool.map(_worker, tasks)
-    values, w0, tallies = zip(*chunks)
-    return np.concatenate(values), np.concatenate(w0), tallies[0]
+    budgets = [cost_budget(n, m, cfg.d, 1, 1) for n, m in cells]
+    tasks = []
+    for (n, m), budget in zip(cells, budgets):
+        size = max(1, min(-(-cfg.reps // cfg.jobs), _CHUNK_BUDGET // budget))
+        tasks.append([(cfg, n, m, tuple(seeds[i : i + size])) for i in range(0, cfg.reps, size)])
+    if pool is None:
+        chunks = [map(_worker, cell) for cell in tasks]
+    else:
+        costliest = sorted(range(len(cells)), key=lambda i: -budgets[i])
+        futures = {i: [pool.submit(_worker, task) for task in tasks[i]] for i in costliest}
+        done, _ = wait(itertools.chain(*futures.values()), return_when=FIRST_EXCEPTION)
+        for future in done:
+            future.result()  # raises the first failure before any cell is used
+        chunks = [(future.result() for future in futures[i]) for i in range(len(cells))]
+    for cell in chunks:
+        values, w0, tallies, seconds = zip(*cell)
+        yield np.concatenate(values), np.concatenate(w0), tallies[0], sum(seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +464,9 @@ def write_csv(result: ExperimentResult, path: str) -> None:
 class ExperimentResult:
     """The rows of one mode run: the mode's columns, then ``status`` and
     ``wall_s``, and the footer lines.  Each :meth:`add` closes one span of
-    work, timed from the result's creation or the previous ``add``; its rows
-    share the span's status and wall time, and its ``ok`` folds into the
-    run's."""
+    work, timed from the result's creation or the previous ``add`` unless
+    ``wall`` gives the seconds of work done elsewhere; its rows share the
+    span's status and wall time, and its ``ok`` folds into the run's."""
 
     def __init__(self, cfg: ExperimentConfig, *columns: str) -> None:
         self.mode = cfg.mode
@@ -453,10 +477,11 @@ class ExperimentResult:
         self.ok = True
         self._started = time.perf_counter()
 
-    def add(self, ok: bool, *rows: tuple) -> None:
+    def add(self, ok: bool, *rows: tuple, wall: Optional[float] = None) -> None:
         now = time.perf_counter()
+        wall = now - self._started if wall is None else wall
         self.ok &= ok
-        self.rows += [(*row, "ok" if ok else "FAIL", now - self._started) for row in rows]
+        self.rows += [(*row, "ok" if ok else "FAIL", wall) for row in rows]
         self._started = now
 
     def failures(self) -> list[tuple]:
@@ -481,16 +506,27 @@ def _require_budget(cfg: ExperimentConfig, n: int, m: int) -> int:
     return budget
 
 
+def _norm(x: np.ndarray) -> float:
+    """The Euclidean norm of ``x``, also where its square passes the double
+    range: then it is ``s * ||x / s||`` with ``s = max |x_i|``, and inf only
+    if the norm itself is."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+        if math.isinf(norm) and np.isfinite(x).all():
+            scale = float(np.max(np.abs(x)))
+            norm = scale * float(np.linalg.norm(x / scale))
+    return norm
+
+
 def _bound_constants(problem: Problem) -> tuple[float, float, float]:
     """(L, ||xi||, ||mu(0, 0)||), the problem's constants in the error,
     moment and cost-times-accuracy bounds; one that is not finite, a norm
-    whose square passes the double range included, is a ConfigError."""
-    with np.errstate(over="ignore"):
-        constants = (
-            problem.drift.lipschitz_L,
-            float(np.linalg.norm(problem.initial)),
-            float(np.linalg.norm(problem.drift.value_at_origin)),
-        )
+    past the double range included, is a ConfigError."""
+    constants = (
+        problem.drift.lipschitz_L,
+        _norm(problem.initial),
+        _norm(problem.drift.value_at_origin),
+    )
     if not all(map(math.isfinite, constants)):
         raise ConfigError("bound constants must be finite, got L={}, ||xi||={}, "
                           "||mu(0,0)||={}".format(*constants))
@@ -541,23 +577,25 @@ def _mode_convergence(cfg: ExperimentConfig) -> ExperimentResult:
                       *constants)
         for k in cfg.levels()
     ]
+    rec = ExperimentResult(
+        cfg, "k", "n", "m", "reps", "rmse", "rmse_ci_half", "rmse_ci_upper", "error_bound",
+        "bound_ok", "draws", "evals", "cost_budget", "cost_bound",
+    )
     with _worker_pool(cfg.jobs, cfg.reps) as pool:
-        rec = ExperimentResult(
-            cfg, "k", "n", "m", "reps", "rmse", "rmse_ci_half", "rmse_ci_upper", "error_bound",
-            "bound_ok", "draws", "evals", "cost_budget", "cost_bound",
-        )
-        for k, budget, bound in zip(cfg.levels(), budgets, bounds):
-            values, w0, (draws, evals) = _repetitions(cfg, k, k, pool)
+        cells = _repetitions(cfg, [(k, k) for k in cfg.levels()], pool)
+        for k, budget, bound, cell in zip(cfg.levels(), budgets, bounds, cells):
+            values, w0, (draws, evals), seconds = cell
             diffs = values - pathwise_value(problem, problem.horizon, w0)
             squared = np.array([float(diff @ diff) for diff in diffs])
             rmse, half, se_sq = _summarize_squared_errors(squared)
             ok = rmse + half <= bound
             rmses.append(rmse)
             rmse_ses.append(se_sq / (2.0 * rmse) if rmse > 0 else 0.0)
+            # the level's own estimator seconds, wherever its chunks ran
             rec.add(ok, (
                 k, k, k, cfg.reps, rmse, half, rmse + half, bound, ok, draws, evals,
                 budget, cost_bound(k, k, cfg.d, 1, 1),
-            ))
+            ), wall=seconds)
 
     rec.footer = _slope_footer(list(cfg.levels()), rmses, rmse_ses)
     return rec
@@ -684,7 +722,7 @@ def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
     problem = _problem(cfg)
     rec = ExperimentResult(cfg, "coord", "mlp_mean", "mlp_se", "particle_mean", "particle_se")
     with _worker_pool(cfg.jobs, cfg.reps) as pool:
-        values = _repetitions(cfg, cfg.mlp_n, cfg.mlp_m, pool)[0]
+        values = next(_repetitions(cfg, [(cfg.mlp_n, cfg.mlp_m)], pool))[0]
     mlp_mean = values.mean(axis=0)
     mlp_se = np.sqrt(values.var(axis=0, ddof=1) / cfg.reps)
 

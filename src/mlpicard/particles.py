@@ -110,17 +110,32 @@ class EnsembleStats:
 
 
 def ensemble_stats(samples: np.ndarray) -> EnsembleStats:
-    """Unbiased mean/variance and the second-moment root with delta-method SE."""
+    """Unbiased mean/variance and the second-moment root with delta-method SE.
+
+    Where a variance or squared norm of finite samples passes the double
+    range, the standard errors and the second-moment root are computed from
+    ``samples / s`` with ``s = max |x|`` and scaled back by ``s``, so they
+    stay finite; the variance is then ``s * s`` times the scaled one, which
+    may be inf."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n = samples.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     mean = samples.mean(axis=0)
-    variance = samples.var(axis=0, ddof=1)
-    mean_se = np.sqrt(variance / n)
-    sq_norm = np.einsum("ij,ij->i", samples, samples)
-    mean_sq = float(sq_norm.mean())
-    se_sq = float(np.sqrt(sq_norm.var(ddof=1) / n))
-    root = float(np.sqrt(mean_sq))
-    root_se = se_sq / (2.0 * root) if root > 0.0 else 0.0
-    return EnsembleStats(mean, variance, root, mean_se, root_se)
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        variance = samples.var(axis=0, ddof=1)
+        sq_norm = np.einsum("ij,ij->i", samples, samples)
+        squares_finite = np.isfinite(variance).all() and np.isfinite(sq_norm).all()
+        if not squares_finite and np.isfinite(samples).all():
+            scale = float(np.max(np.abs(samples)))
+            scaled = samples / scale
+            variance = scaled.var(axis=0, ddof=1)
+            sq_norm = np.einsum("ij,ij->i", scaled, scaled)
+        mean_se = scale * np.sqrt(variance / n)
+        mean_sq = float(sq_norm.mean())
+        se_sq = float(np.sqrt(sq_norm.var(ddof=1) / n))
+        root = float(np.sqrt(mean_sq))
+        root_se = se_sq / (2.0 * root) if root > 0.0 else 0.0
+        return EnsembleStats(mean, variance * scale * scale, scale * root, mean_se,
+                             scale * root_se)

@@ -308,24 +308,30 @@ def test_certificate_mode_reports_non_attainment(tmp_path):
 
 @pytest.mark.parametrize("reps", [7, 64])
 def test_repetitions_do_not_depend_on_jobs_or_chunks(monkeypatch, reps):
-    # chunks of 1 (reps = 7) and of 16, 8 and 5 with a short last one
-    # (reps = 64) give each seed's realization, in seed order
+    # several cells in one queue, each cut into one chunk per worker (reps =
+    # 7: 7, then 4 and 3, then 3, 3 and 1; reps = 64: 64, 32 and 32, 22, 22
+    # and 20) or into one-seed chunks, give each cell's realizations under
+    # each seed, in seed order, and the cells in the order asked
     cfg = build_config(None, ["d=2", f"reps={reps}", "seed=5", "mode=convergence"])
     problem = harness_mod._problem(cfg)
-    singles = [realize_estimate(problem, 2, 2, rep_seed(cfg.seed, r)) for r in range(reps)]
-    want = (np.array([single.value for single in singles]).tobytes(),
-            np.array([single.w0_terminal for single in singles]).tobytes(),
-            singles[0].ledger.snapshot())
-    assert all(single.ledger.snapshot() == want[2] for single in singles)
+    cells = [(1, 1), (2, 2), (3, 2)]
+    want = []
+    for n, m in cells:
+        singles = [realize_estimate(problem, n, m, rep_seed(cfg.seed, r)) for r in range(reps)]
+        assert all(single.ledger.snapshot() == singles[0].ledger.snapshot() for single in singles)
+        want.append((np.array([single.value for single in singles]).tobytes(),
+                     np.array([single.w0_terminal for single in singles]).tobytes(),
+                     singles[0].ledger.snapshot()))
     runs = {}
     for jobs in (1, 2, 3):
         cfg = replace(cfg, jobs=jobs)
         with harness_mod._worker_pool(jobs, reps) as pool:
-            runs[jobs] = harness_mod._repetitions(cfg, 2, 2, pool)
+            runs[jobs] = list(harness_mod._repetitions(cfg, cells, pool))
     monkeypatch.setattr(harness_mod, "_CHUNK_BUDGET", 1)  # every chunk one seed
-    runs["cap"] = harness_mod._repetitions(cfg, 2, 2, None)
-    for jobs, (values, w0, tally) in runs.items():
-        assert (values.tobytes(), w0.tobytes(), tally) == want, jobs
+    runs["cap"] = list(harness_mod._repetitions(cfg, cells, None))
+    for jobs, got in runs.items():
+        assert [(values.tobytes(), w0.tobytes(), tally) for values, w0, tally, _ in got] == want, jobs
+        assert all(seconds > 0.0 for *_, seconds in got), jobs
 
 
 class CountedPool(ProcessPoolExecutor):
@@ -377,6 +383,38 @@ def test_dead_worker_fails_closed(tmp_path, monkeypatch, capfd):
     assert not out.exists()
 
 
+def _refusing_worker(task):
+    # every chunk logs its level; the costliest level's chunks, queued
+    # first, refuse at once, and every other chunk takes long enough that the
+    # refusal is seen before the workers could reach the cheapest level
+    with open(_refusing_worker.log, "a") as log:
+        log.write(f"{task[1]}\n")
+    if task[1] == 4:
+        raise ConfigError("k=4 chunk refused")
+    time.sleep(0.2)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched worker reaches the pool through fork")
+def test_refusing_chunk_cancels_the_queue(tmp_path, monkeypatch, capfd):
+    # a chunk that raises ConfigError ends a pooled run with exit 2, one line
+    # on stderr and no CSV, and the chunks still queued are cancelled: of the
+    # 32 one-seed chunks (k = 1..4, 8 per level, costliest level first) only
+    # those a worker had taken or the pool had handed on run, so the
+    # cheapest level never does
+    monkeypatch.setattr(harness_mod, "_worker", _refusing_worker)
+    monkeypatch.setattr(harness_mod, "_CHUNK_BUDGET", 1)
+    monkeypatch.setattr(_refusing_worker, "log", str(tmp_path / "chunks.log"), raising=False)
+    out = tmp_path / "refused.csv"
+    code = main(["convergence", "--jobs", "2", "--reps", "8", "--set", "k_max=4",
+                 "--out", str(out)])
+    err = capfd.readouterr().err
+    assert (code, err) == (2, "config error: k=4 chunk refused\n")
+    assert not out.exists()
+    levels = (tmp_path / "chunks.log").read_text().split()
+    assert "4" in levels and "1" not in levels and len(levels) < 32, levels
+
+
 def run_cli(args):
     """(exit code, stderr) of the command line run in a fresh interpreter, so
     numpy's warnings print as they do for a user, also from worker processes."""
@@ -384,6 +422,20 @@ def run_cli(args):
     done = subprocess.run([sys.executable, "-m", "mlpicard", *args], capture_output=True,
                           text=True, env=env)
     return done.returncode, done.stderr
+
+
+def test_huge_finite_xi_completes(tmp_path):
+    # ||xi|| = 1e200 is finite although its square is not, and so is the
+    # moment bound: verify-bounds reports finite rows, with no numpy warning
+    out = tmp_path / "huge.csv"
+    code, err = run_cli(["verify-bounds", "--set", "problem=sine_meanfield", "--set", "xi=1e200",
+                         "--set", "particles_n=50", "--set", "particles_m=5", "--set",
+                         "rec_draws=40", "--set", "bound_draws=40", "--out", str(out)])
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.read_text().splitlines()[4:] if line[0] != "#"]
+    assert rows[0][0] == "particle_second_moment_root"
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:4]), rows
+    assert 1e200 <= float(rows[0][1]) <= float(rows[0][2]) < 3e200
 
 
 def test_non_finite_drift_exit_code(tmp_path):
@@ -469,8 +521,9 @@ def test_bad_problem_parameters_exit_code(tmp_path, capsys, mode, sets):
      "config error: bound constants must be finite, got L=inf, ||xi||=1.0, "),
     ("certificate", ["b=1e308"], 2,
      "config error: bound constants must be finite, got L=inf, ||xi||=1.0, "),
-    # ||xi|| overflows to inf
-    ("verify-bounds", ["problem=sine_meanfield", "xi=1e308", "particles_n=20", "particles_m=2"],
+    # ||xi|| = 2e308 passes the double range
+    ("verify-bounds", ["problem=sine_meanfield", "xi=1e308", "d=4", "particles_n=20",
+                       "particles_m=2"],
      2, "config error: bound constants must be finite, got L=1.0, ||xi||=inf, "),
     # finite constants, but the moment bound's product overflows to inf
     ("verify-bounds", ["problem=sine_meanfield", "xi=1e154", "L=200", "T=2"], 2,
@@ -517,6 +570,13 @@ def test_wall_columns_time_each_rows_own_work(tmp_path, monkeypatch):
     assert first[0] == "particle_second_moment_root"
     assert first[-1] >= 0.05
     assert len(later) == 6 and all(row[-1] < 0.05 for row in later), later
+    # a pooled convergence run queues its costliest level first, but each
+    # row's wall_s is the seconds of its own level's chunks, not the span up
+    # to its row: k = 4 takes longer than k = 1
+    res = run(_cfg("convergence", tmp_path, extra=["reps=8", "k_max=4"], name="c.csv", jobs=2))
+    walls = [row[-1] for row in res.rows]
+    assert [row[0] for row in res.rows] == [1, 2, 3, 4]
+    assert walls[3] > walls[0], walls
 
     extra = QUICK_PARTICLES + ["problem=sine_meanfield", "L=1.0", "mlp_n=2", "mlp_m=2", "d=2"]
     res = run(_cfg("oracle-compare", tmp_path, extra=extra, name="oc.csv"))

@@ -109,6 +109,16 @@ def test_ensemble_stats_basics():
     with pytest.raises(ValueError):
         ensemble_stats(np.ones((1, 3)))
 
+    # squares past the double range: the second-moment root and the standard
+    # errors are those of samples / max |x|, scaled back, and finite
+    draws = np.array([[1.0, -2.0], [3.0, 0.5], [-1.0, 2.5]])
+    small, huge = ensemble_stats(draws), ensemble_stats(draws * 1e200)
+    assert huge.second_moment_root == pytest.approx(1e200 * small.second_moment_root, rel=1e-14)
+    assert huge.second_moment_root_se == pytest.approx(1e200 * small.second_moment_root_se,
+                                                       rel=1e-14)
+    assert huge.mean_se == pytest.approx(1e200 * small.mean_se, rel=1e-14)
+    assert np.all(np.isinf(huge.variance))
+
 
 def test_ensemble_stats_chi_concentration():
     draws = normals((SEED, (9,)), "chi", 10**4).reshape(-1, 1)
