@@ -20,8 +20,6 @@ verify-bounds      particle-oracle moment check plus recursion/budget/Gronwall
                    property suites.
 oracle-compare     estimator mean over repeated seeds vs the interacting
                    particle ensemble mean.
-recursion-selftest closed forms vs direct recursions, budget vs a brute-force
-                   recursive counter.
 certificate        cost-times-accuracy supremand evaluation and the
                    accuracy-to-level table.
 
@@ -356,51 +354,20 @@ def direct_gronwall(kappa: complex, lam: complex, forcing: Sequence) -> np.ndarr
     return a
 
 
-# (closed form, direct recursion, complex parameters): the suites shared by
-# verify-bounds and recursion-selftest, each mode naming its rows.
+# (verify-bounds row, closed form, direct recursion, complex parameters)
 _CLOSED_FORMS = (
-    (two_step_closed_form, direct_two_step, False),
-    (two_step_closed_form, direct_two_step, True),
-    (gronwall_closed_form, direct_gronwall, False),
-    (gronwall_closed_form, direct_gronwall, True),
+    ("two_step_agreement", two_step_closed_form, direct_two_step, False),
+    ("two_step_agreement_complex", two_step_closed_form, direct_two_step, True),
+    ("gronwall_agreement", gronwall_closed_form, direct_gronwall, False),
+    ("gronwall_agreement_complex", gronwall_closed_form, direct_gronwall, True),
 )
 _CLOSED_FORM_TOL = 1e-9
 _CLOSED_FORM_HORIZON = 30  # forcing terms b(0..30) per case
 
 
-def _brute_force_budget(n: int, m: int, d: int, v: int, f: int) -> int:
-    # Literal recursive transcription of the budget relation; used as the
-    # independent cross-check for the iterative solver.
-    if n == 0:
-        return 0
-    total = v * m**n * d + f
-    for level in range(1, n):
-        total += m ** (n - level) * (
-            v * (m**level * d + 1)
-            + 2 * f
-            + 2 * _brute_force_budget(level, m, d, v, f)
-            + 2 * _brute_force_budget(level - 1, m, d, v, f)
-        )
-    return total
-
-
 def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
     scale = np.maximum(np.abs(want), 1.0)
     return float(np.max(np.abs(got - want) / scale))
-
-
-def _closed_form_suites(cfg: ExperimentConfig):
-    """Per suite of ``_CLOSED_FORMS``, in order: (cases, worst relative gap of
-    the closed form against its direct recursion)."""
-    # the suites of one parameter kind (real or complex) share its draws
-    words = 4 + _CLOSED_FORM_HORIZON + 1
-    draws_of = {kind: _harness_draws(cfg.seed, cfg.rec_draws, "params", words,
-                                     lambda u, kind=kind: _recursion_parameters(u, kind))
-                for kind in (False, True)}
-    for solver, direct, complex_params in _CLOSED_FORMS:
-        draws = draws_of[complex_params]
-        worst = max(0.0, *(_relative_error(solver(*draw), direct(*draw)) for draw in draws))
-        yield len(draws), worst
 
 
 def _harness_draws(seed: int, count: int, tag: str, words: int, draw: Callable) -> list:
@@ -669,9 +636,14 @@ def _mode_verify_bounds(cfg: ExperimentConfig) -> ExperimentResult:
     limit = bound + 3.0 * stats.second_moment_root_se
     rec.add(observed <= limit, _check("particle_second_moment_root", observed, limit))
 
-    names = ("two_step_agreement", "two_step_agreement_complex", "gronwall_agreement",
-             "gronwall_agreement_complex")
-    for name, (_, worst) in zip(names, _closed_form_suites(cfg)):
+    # the suites of one parameter kind (real or complex) share its draws
+    words = 4 + _CLOSED_FORM_HORIZON + 1
+    draws_of = {kind: _harness_draws(cfg.seed, cfg.rec_draws, "params", words,
+                                     lambda u, kind=kind: _recursion_parameters(u, kind))
+                for kind in (False, True)}
+    for name, solver, direct, complex_params in _CLOSED_FORMS:
+        draws = draws_of[complex_params]
+        worst = max(0.0, *(_relative_error(solver(*draw), direct(*draw)) for draw in draws))
         rec.add(worst < _CLOSED_FORM_TOL, _check(name, worst, _CLOSED_FORM_TOL))
 
     grid = itertools.product(range(9), range(1, 6), (1, 10), (0, 1), (0, 1))  # (n, m, d, v, f)
@@ -723,18 +695,20 @@ def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
     rec = ExperimentResult(cfg, "coord", "mlp_mean", "mlp_se", "particle_mean", "particle_se")
     with _worker_pool(cfg.jobs, cfg.reps) as pool:
         values = next(_repetitions(cfg, [(cfg.mlp_n, cfg.mlp_m)], pool))[0]
-    mlp_mean = values.mean(axis=0)
-    mlp_se = np.sqrt(values.var(axis=0, ddof=1) / cfg.reps)
+    mlp = ensemble_stats(values)
 
     samples = simulate_particles(problem, cfg.particles_n, cfg.particles_m, cfg.seed)
     stats = ensemble_stats(samples)
 
-    distance = float(np.linalg.norm(mlp_mean - stats.mean))
-    combined = float(math.sqrt(float(np.sum(mlp_se**2 + stats.mean_se**2))))
+    distance = _norm(mlp.mean - stats.mean)
+    with np.errstate(over="ignore"):
+        combined = float(math.sqrt(float(np.sum(mlp.mean_se**2 + stats.mean_se**2))))
+    if math.isinf(combined):  # the squares passed the double range
+        combined = _norm(np.concatenate([mlp.mean_se, stats.mean_se]))
     agree = distance <= 3.0 * combined
     # one span for every coordinate: the rows share its status and wall time
     rec.add(agree, *[
-        (i, mlp_mean[i], mlp_se[i], stats.mean[i], stats.mean_se[i]) for i in range(cfg.d)
+        (i, mlp.mean[i], mlp.mean_se[i], stats.mean[i], stats.mean_se[i]) for i in range(cfg.d)
     ])
     rec.footer = [
         f"distance={_fmt(distance)}",
@@ -742,18 +716,6 @@ def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
         f"sigmas={_fmt(distance / combined if combined > 0 else 0.0)}",
         f"agree_3se={'1' if agree else '0'}",
     ]
-    return rec
-
-
-def _mode_recursion_selftest(cfg: ExperimentConfig) -> ExperimentResult:
-    rec = ExperimentResult(cfg, "suite", "cases", "max_abs_gap", "tol")
-    names = ("two_step_real", "two_step_complex", "gronwall_real", "gronwall_complex")
-    for name, (cases, worst) in zip(names, _closed_form_suites(cfg)):
-        rec.add(worst < _CLOSED_FORM_TOL, (name, cases, worst, _CLOSED_FORM_TOL))
-
-    grid = list(itertools.product(range(7), (1, 2, 3), (1, 3), (0, 1), (0, 1)))
-    worst_int = max(abs(cost_budget(*case) - _brute_force_budget(*case)) for case in grid)
-    rec.add(worst_int == 0, ("budget_vs_bruteforce", len(grid), float(worst_int), 0.0))
     return rec
 
 
@@ -795,7 +757,6 @@ MODES: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
     "cost-table": _mode_cost_table,
     "verify-bounds": _mode_verify_bounds,
     "oracle-compare": _mode_oracle_compare,
-    "recursion-selftest": _mode_recursion_selftest,
     "certificate": _mode_certificate,
 }
 

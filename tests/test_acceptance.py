@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import csv_without_wall, evaluate_one, generate, report_criterion, uniform
-from mlpicard.harness import build_config, run
+from mlpicard.harness import MODES, build_config, run
 from mlpicard.mlp import realize_estimate, rep_seed
 from mlpicard.models import Problem, builtin_problem, make_drift
 from mlpicard.particles import ensemble_stats, simulate_particles
@@ -310,8 +310,7 @@ def test_criterion_9_harness_determinism(tmp_path):
         "mlp_n=2", "mlp_m=2", "delta=0.95", "cert_kmax=150",
     ]
     all_same = True
-    for mode in ("convergence", "cost-table", "verify-bounds", "oracle-compare",
-                 "recursion-selftest", "certificate"):
+    for mode in MODES:
         sets = list(base)
         if mode == "certificate":
             sets += ["problem=zero_drift", "xi=0.0"]

@@ -56,9 +56,6 @@ GOLDEN_CSV = {
         GOLDEN_SINE + GOLDEN_PARTICLES + ["mlp_n=3", "mlp_m=2"],
         "1018169029cd7a07210099ede8cf934cf12faea1912c37b85cb1f97eb7c4bf11",
     ),
-    "recursion-selftest": (
-        ["rec_draws=40"], "23b1e52c538e32119c1fe59d0475fc358aff0b733e397dbed111d7cc8668eee1",
-    ),
     "certificate": (
         ["problem=zero_drift", "xi=0.0", "delta=0.95", "cert_kmax=200"],
         "6b709aafbbbc8779d6ad3efa072ad5b64e11ff7263cc18792276416474a1c0bb",
@@ -89,12 +86,12 @@ def test_config_file_and_sets(tmp_path):
 def test_shorthands_win_over_sets(tmp_path):
     # file < --set < shorthand < subcommand: a shorthand is the item after
     # every --set item, and the subcommand is the last item of all
-    out = tmp_path / "self.csv"
-    assert main(["recursion-selftest", "--set", "seed=3", "--seed", "5", "--set", "rec_draws=40",
+    out = tmp_path / "table.csv"
+    assert main(["cost-table", "--set", "seed=3", "--seed", "5", "--set", "k_max=2",
                  "--set", "extended=false", "--extended", "--set", "mode=convergence",
                  "--out", str(out)]) == 0
     echo = out.read_text().splitlines()[2].split()
-    assert {"mode=recursion-selftest", "seed=5", "extended=true"} <= set(echo)
+    assert {"mode=cost-table", "seed=5", "extended=true"} <= set(echo)
 
 
 def test_config_errors():
@@ -257,19 +254,6 @@ def test_oracle_compare_mode(tmp_path):
     assert any(entry.startswith("distance=") for entry in res.footer)
 
     rerun = _cfg("oracle-compare", tmp_path, extra=extra, name="again.csv", jobs=2)
-    run(rerun)
-    assert csv_without_wall(cfg.out) == csv_without_wall(rerun.out)
-
-
-def test_recursion_selftest_mode(tmp_path):
-    cfg = _cfg("recursion-selftest", tmp_path, extra=["rec_draws=60"])
-    res = run(cfg)
-    assert res.ok
-    suites = {row[0] for row in res.rows}
-    assert "budget_vs_bruteforce" in suites
-    assert "two_step_complex" in suites
-
-    rerun = _cfg("recursion-selftest", tmp_path, extra=["rec_draws=60"], name="again.csv")
     run(rerun)
     assert csv_without_wall(cfg.out) == csv_without_wall(rerun.out)
 
@@ -438,6 +422,25 @@ def test_huge_finite_xi_completes(tmp_path):
     assert 1e200 <= float(rows[0][1]) <= float(rows[0][2]) < 3e200
 
 
+def test_oracle_compare_huge_finite_xi_keeps_its_errors_finite(tmp_path):
+    # the estimator's values near 2.6e200 have finite standard errors whose
+    # squares are not: the distance, combined standard error and sigmas stay
+    # finite, with no numpy warning, and agreement is decided by them (an
+    # infinite standard error would agree with any distance)
+    out = tmp_path / "huge.csv"
+    code, err = run_cli(["oracle-compare", "--set", "problem=law_only_linear", "--set", "b=1",
+                         "--set", "xi=1e200", "--set", "particles_n=50", "--set",
+                         "particles_m=5", "--set", "mlp_n=3", "--set", "mlp_m=2", "--reps", "8",
+                         "--out", str(out)])
+    assert (code, err) == (0, "")
+    footer = dict(line[2:].split("=") for line in out.read_text().splitlines()[-4:])
+    assert set(footer) == {"distance", "combined_se", "sigmas", "agree_3se"}
+    assert all(math.isfinite(float(value)) for value in footer.values()), footer
+    assert 1e198 < float(footer["combined_se"]) < 1e200
+    assert float(footer["distance"]) <= 3.0 * float(footer["combined_se"])
+    assert footer["agree_3se"] == "1"
+
+
 def test_non_finite_drift_exit_code(tmp_path):
     # convergence: L = 2e155 and the bounds are finite at T = 1e-155, but
     # b * y overflows for y near xi = 1e154 mid-recursion; oracle-compare:
@@ -602,9 +605,7 @@ def test_direct_recursion_helpers_match_naive_loops():
 
 def test_cli_exit_codes(tmp_path):
     out = tmp_path / "cli.csv"
-    ok = main([
-        "recursion-selftest", "--set", "rec_draws=40", "--out", str(out), "--seed", "5",
-    ])
+    ok = main(["cost-table", "--set", "k_max=2", "--out", str(out), "--seed", "5"])
     assert ok == 0
     assert out.exists()
 
@@ -690,11 +691,10 @@ def test_certificate_refuses_unprintable_cost_bound(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "mode, count",
-    [("recursion-selftest", "rec_draws"), ("verify-bounds", "rec_draws"),
-     ("verify-bounds", "bound_draws")],
+    [("verify-bounds", "rec_draws"), ("verify-bounds", "bound_draws")],
 )
 def test_empty_suites_fail_closed(tmp_path, capsys, mode, count):
-    # a suite of no cases would pass vacuously (cases=0, or a worst gap of
+    # a suite of no cases would pass vacuously (a worst gap of 0, or of
     # -inf); the count is refused as a configuration error, before any CSV
     out = tmp_path / "empty.csv"
     code = main([mode, "--set", f"{count}=0", "--out", str(out)] + [
@@ -767,10 +767,6 @@ def test_huge_dimension_fails_closed(tmp_path, capsys, monkeypatch, mode):
         assert err.startswith("resource refusal: out of memory: Unable to allocate 29.8 GiB")
     assert err.count("\n") == 1
     assert not out.exists()
-    if mode == "certificate":
-        # the one mode that reads no d runs as usual
-        assert main(["recursion-selftest", "--set", "d=4000000000", "--set", "rec_draws=40",
-                     "--out", str(out)]) == 0
 
 
 def test_public_names_resolve():
@@ -906,7 +902,8 @@ def test_resource_refusal_from_run(tmp_path):
 
 
 def test_17_digit_formatting(tmp_path):
-    cfg = _cfg("recursion-selftest", tmp_path, extra=["rec_draws=30"])
+    cfg = _cfg("verify-bounds", tmp_path,
+               extra=[*QUICK_PARTICLES, "rec_draws=30", "bound_draws=30"])
     run(cfg)
     text = Path(cfg.out).read_text()
-    assert "1.0000000000000001e-09" in text  # tol column, 17 significant digits
+    assert "1.0000000000000001e-09" in text  # limit column, 17 significant digits

@@ -91,7 +91,7 @@ def test_budget_domination_and_floor():
 
 
 def test_budget_matches_brute_force():
-    for n in range(0, 6):
+    for n in range(0, 7):
         for m in (1, 2, 3):
             for d in (1, 3):
                 for v in (0, 1):
