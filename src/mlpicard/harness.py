@@ -425,7 +425,10 @@ def write_csv(result: ExperimentResult, path: str) -> None:
     ]
     lines.extend(",".join(_fmt(v) for v in row) for row in result.rows)
     lines.extend(f"# {entry}" for entry in result.footer)
-    Path(path).write_text("\n".join(lines) + "\n")
+    try:
+        Path(path).write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write out={path}: {exc.strerror or exc}") from exc
 
 
 class ExperimentResult:

@@ -28,19 +28,20 @@ key group, and one evaluator call serves a batch of key groups whose tops
 share a level: their keys, as one key batch of :mod:`mlpicard.hier_rng`
 (whose layout only that module reads), their paths stacked along a leading
 batch axis, and one flat vector of query times, each with the index of the
-key it belongs to.  Per term level l, one ``children`` call makes the sub
-keys (j, k, l) of every node j > l and key of the batch as one sub-batch,
-and one ``batch_uniforms`` call draws their uniforms, so a call whose top is
-L makes L-1 of each.  The times are then gathered top-down, j = top..1:
-term (j, l) reads node j's columns of the level-l uniforms and appends
-s = u*t to the same-key nodes (theta, l) and (theta, l-1) and to its sub
-keys.  Sub-batch l's fresh paths are generated together at level l right
-before one recursive call evaluates the X_eta nodes l and l-1 at all their
-times, and are dropped when it returns.  A sub key's path, and those of its
-same-key nodes below, is read only at times up to its largest s, so it is
-generated only up to the last grid step such a read can touch.  A call whose
-top is L makes L-1 sub-calls, and a realization 2**(n-1) calls, whatever m
-is.  Each node is then evaluated once, bottom-up, over the rows of all keys.
+key it belongs to.  The unit of work is the term level l: the terms
+(j, k, l) of every node j > l and key.  It makes its sub keys in one
+``children`` call and draws their uniforms in one ``batch_uniforms`` call.
+Node j's rows are three contiguous blocks: the requested times, term level
+j's s (node j the upper half) and term level j+1's s (the lower half).  A
+top-down pass only gathers them, node j appending its s = u*t to each level
+below it.  A bottom-up pass evaluates node j once, then term level j: its
+fresh paths, generated together at level j, live during one recursive call
+for the X_eta nodes j and j-1 at all its rows, and one drift pass per half
+differences all of them (level 1's lower half is the cached mu(0, 0)).  A
+sub key's path, and those of its same-key nodes below, is read only at
+times up to its largest s, so it is generated only up to the last grid step
+such a read can touch.  A call whose top is L makes L-1 sub-calls, and a
+realization 2**(n-1) calls, whatever m is.
 
 A batch may hold many roots: ``_realize_batch`` evaluates the root keys
 (seed, (_ESTIMATOR_BRANCH,)) of many master seeds in one call, each at
@@ -54,10 +55,11 @@ Per (key, time) the arithmetic is that of the scalar recursion:
 xi + W(snap) + t*mu(0, 0), then (t / fan) * (mu(x_hi, y_hi) - mu(x_lo,
 y_lo)) added term by term in (l, k) order, by a cumulative sum along the
 term axis, which adds sequentially.  A drift acts on each row alone, so
-every value is bit-identical to evaluating one key at one time; a drift
-whose result does not have the broadcast shape of its inputs would mix the
-rows of sibling keys and is refused with ValueError.  The lower half of
-every level-1 term is the drift's cached mu(0, 0), ``value_at_origin``.
+every value is bit-identical to evaluating one key at one time, whatever
+the order of a node's rows; a drift whose result does not have the shape of
+its inputs would mix the rows of sibling keys and is refused with
+ValueError.  The lower half of every level-1 term is the drift's cached
+mu(0, 0), ``value_at_origin``.
 
 Instrumentation: a :class:`CostLedger` tallies scalar random draws and
 drift evaluations as plain non-decreasing integers; this module alone
@@ -67,7 +69,7 @@ binary cost switches v and f of the budget recursion in
 bounds the draws, one with v = 0, f = 1 the evaluations.  ``_realize_batch``
 charges m**n * d draws per root for the top-level path, each node with
 n >= 1 charges, per query time, one drift evaluation for its cached mu(0, 0)
-read, and each (l, k) term charges, per query time, one uniform draw,
+read, and each term level l charges once, per row, one uniform draw,
 m**l * d draws for the fresh path, and two drift evaluations.  These are
 logical charges: they count what the scalar recursion would draw and
 evaluate, not the hashes actually computed, so the tallies do not depend on
@@ -113,28 +115,19 @@ class CostLedger:
         return self.scalar_draws, self.drift_evals
 
 
-def _joined(chunks: list) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated (times, owners) of a node's or a sub-batch's chunks."""
-    if len(chunks) == 1:
-        return chunks[0]
-    times, owners = zip(*chunks)
-    return np.concatenate(times), np.concatenate(owners)
-
-
 def _drift(drift: DriftModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """mu(x, y), refused unless it is finite and has the broadcast shape of
-    its inputs.
+    """mu(x, y) over rows of one shape, refused unless it is finite and has
+    that shape.
 
     A drift that reduces or indexes over a leading axis would mix the rows of
     sibling keys evaluated together; changing the shape is how most do it.
     A non-finite value would turn the estimate into inf or nan.
     """
     out = drift.evaluate(x, y)
-    want = x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape)
-    if np.shape(out) != want:
+    if np.shape(out) != x.shape:
         raise ValueError(
             f"drift {drift.name!r} returned shape {np.shape(out)} for inputs of "
-            f"broadcast shape {want}; a drift must act on each (..., d) row alone"
+            f"shape {x.shape}; a drift must act on each (..., d) row alone"
         )
     if not np.isfinite(out).all():
         raise ConfigError(
@@ -162,35 +155,34 @@ def _evaluate(
     """
     d = problem.dim
     top = levels[0]
-    # Chunks of (times, owners) asked of each node, and its rows so far.
-    asked: list[list] = [[] for _ in range(top + 1)]
-    rows = [0] * (top + 1)
-    for j in levels:
-        asked[j].append((times, owner))
-        rows[j] = len(times)
     # Per term level l: the sub keys (j, k, l) of every key, j = top..l+1 and
     # k = 1..m**(j-l), key-major, as one key batch; their uniforms, one row
     # of columns per key, node j's columns right after node j+1's; the next
-    # node's first column; and the chunks of (times, owners) they are asked
-    # at.
-    subs: list = [None] * top
-    uniforms: list = [None] * top
-    cols = [0] * top
-    sub_asked: list = [[] for _ in range(top)]
-    sub_rows = [0] * top
+    # node's first column and row; and the (s, owners in nodes l and l-1,
+    # owners in the sub keys) chunks of its nodes, joined once complete.
+    subs, uniforms, cols, filled = [None] * top, [None] * top, [0] * top, [0] * top
+    chunks: list = [[] for _ in range(top)]
     for level in range(1, top):
         extensions = [(j, k, level) for j in range(top, level, -1)
                       for k in range(1, m ** (j - level) + 1)]
         subs[level] = children(paths.keys, extensions)
         uniforms[level] = batch_uniforms(subs[level], "u", 1).reshape(-1, len(extensions))
 
-    # Top-down: gather every node's times.  A node keeps its terms as (l,
-    # fan, row of its s in node l, in node l-1, in sub-batch l); the s of a
-    # term are laid out k-major, so row k*size + i holds s = u_k * t_i.
-    nodes: list = [None] * (top + 1)
+    # Top-down: node j's rows are the requested times, if j is requested,
+    # term level j's s (node j the upper half) and term level j+1's s (the
+    # lower half).  Level j is complete once nodes top..j+1 are gathered, and
+    # charged per row one uniform, the fresh path and two drift evaluations.
+    # Node j then adds a term (l, fan, first row in level l) to each level
+    # l < j, k-major: row k*size + i holds s = u_k * t_i.
+    nodes: list = []  # top-down, so the bottom-up pass pops node 1 first
     for j in range(top, 0, -1):
-        t, o = _joined(asked[j])
-        asked[j] = None
+        if j < top:
+            chunks[j] = [np.concatenate(c) for c in zip(*chunks[j])]
+            ledger.add_draws(filled[j] * (1 + m**j * d))
+            ledger.add_evals(filled[j] * 2)
+        blocks = [(times, owner)] if j in levels else []
+        blocks += [chunks[level][:2] for level in (j, j + 1) if level < top]
+        t, o = (np.concatenate(block) for block in zip(*blocks))
         size = len(t)
         terms = []
         for level in range(1, j):
@@ -198,70 +190,56 @@ def _evaluate(
             width = uniforms[level].shape[1]
             first = cols[level]  # sub key (g, k) sits at g*width + first + k
             cols[level] += fan
-            s = (uniforms[level][o, first : first + fan].T * t).ravel()
-            same = np.broadcast_to(o, (fan, size)).ravel()  # owners in nodes l, l-1
-            sub_owner = (np.arange(fan)[:, None] + (o * width + first)).ravel()
-            terms.append((level, fan, rows[level], rows[level - 1], sub_rows[level]))
-            sub_asked[level].append((s, sub_owner))
-            sub_rows[level] += len(s)
-            asked[level].append((s, same))
-            rows[level] += len(s)
-            if level >= 2:
-                asked[level - 1].append((s, same))
-                rows[level - 1] += len(s)
-            # Per query time and term: one uniform, the fresh path and two
-            # drift evaluations.
-            ledger.add_draws(size * fan * (1 + m**level * d))
-            ledger.add_evals(size * fan * 2)
+            chunks[level].append((
+                (uniforms[level][o, first : first + fan].T * t).ravel(),
+                np.broadcast_to(o, (fan, size)).ravel(),
+                (np.arange(fan)[:, None] + (o * width + first)).ravel(),
+            ))
+            terms.append((level, fan, filled[level]))
+            filled[level] += fan * size
         ledger.add_evals(size)  # per query time: the cached mu(0,0) read
-        nodes[j] = (t, o, terms)
+        nodes.append((t, o, terms))
 
-    # Bottom-up: each node once over all its times.  Sub-batch l is evaluated
-    # when node l+1 first needs it; its fresh paths, one per sub key,
-    # generated at the finer level l and shared by the level-l and
-    # level-(l-1) copies, live only during that call.
+    # Bottom-up: node j once over all its rows, then term level j: its fresh
+    # paths, one per sub key, generated at the finer level j, live only
+    # during one sub-call for the sub-nodes j and j-1; one drift pass per
+    # half then differences all its rows.
     drift = problem.drift
     values: list = [None] * (top + 1)
-    sub_values: list = [None] * top
+    diffs: list = [None] * top
     for j in range(1, top + 1):
-        if j >= 2:
-            level = j - 1
-            s, o = _joined(sub_asked[level])
-            # each sub key's path is read at its s and at the u*s below them
-            until = np.zeros(uniforms[level].size)
-            np.maximum.at(until, o, s)
-            fresh = generate_batch(subs[level], until, level, m, problem.horizon, d)
-            subs[level] = sub_asked[level] = None
-            sub_levels = (level, level - 1) if level >= 2 else (level,)
-            sub_values[level] = _evaluate(problem, fresh, m, sub_levels, s, o, ledger)
-            del fresh, s
-        t, o, terms = nodes[j]
-        nodes[j] = None
+        t, o, terms = nodes.pop()
         size = len(t)
         value = problem.initial + paths.value_at(t, o, j) + t[:, None] * drift.value_at_origin
         if terms:
-            parts = [value[None]]
-            for level, fan, at_hi, at_lo, at_sub in terms:
-                end = fan * size
-                y = sub_values[level]
-                hi = _drift(drift, values[level][at_hi : at_hi + end], y[0][at_sub : at_sub + end])
-                if level >= 2:
-                    lo = _drift(drift, values[level - 1][at_lo : at_lo + end],
-                                y[1][at_sub : at_sub + end])
-                else:
-                    # Level-0 estimator is identically zero: no query, no charge.
-                    lo = drift.value_at_origin
-                parts.append((t[:, None] / fan) * (hi - lo).reshape(fan, size, d))
             # Sequential sums along the term axis: value + term (1, 1) + ...,
             # in (l, k) order, as with one += per term.
-            sums = np.concatenate(parts)
+            sums = np.concatenate([value[None]] + [
+                (t[:, None] / fan) * diffs[level][at : at + fan * size].reshape(fan, size, d)
+                for level, fan, at in terms])
             np.add.accumulate(sums, axis=0, out=sums)
             value = sums[-1].copy()
+            del sums  # the terms, before the next sub-call
         values[j] = value
-    # The requested times come first in each node's rows; a copy releases
-    # the rest.
-    size = len(times)
-    return [values[j] if len(values[j]) == size else values[j][:size].copy() for j in levels]
+        if j == top:
+            break
+        s, _, o = chunks[j]
+        chunks[j] = None
+        # each sub key's path is read at its s and at the u*s below them
+        until = np.zeros(uniforms[j].size)
+        np.maximum.at(until, o, s)
+        fresh = generate_batch(subs[j], until, j, m, problem.horizon, d)
+        sub_values = _evaluate(problem, fresh, m, (j, j - 1) if j >= 2 else (j,), s, o, ledger)
+        subs[j] = fresh = None
+        upper = len(times) if j in levels else 0
+        hi = _drift(drift, values[j][upper : upper + len(s)], sub_values[0])
+        # the level-0 estimator is identically zero: no query, no charge
+        lo = (_drift(drift, values[j - 1][len(values[j - 1]) - len(s) :], sub_values[1])
+              if j >= 2 else drift.value_at_origin)
+        diffs[j] = hi - lo
+        del sub_values, hi, lo
+    # each node's requested rows come first; a copy releases the rest
+    return [values[j][: len(times)].copy() if j < top else values[j] for j in levels]
 
 
 @dataclass(frozen=True)

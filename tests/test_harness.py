@@ -489,13 +489,16 @@ def test_non_finite_drift_exit_code(tmp_path):
     ("convergence", ["--reps=x"]),
     ("convergence", ["--jobs=two"]),
     ("certificate", ["cert_kmax=1000001"]),
+    ("cost-table", ["--out={tmp}/missing/x.csv"]),
+    ("cost-table", ["--out={tmp}"]),
 ])
 def test_bad_problem_parameters_exit_code(tmp_path, capsys, mode, sets):
     # a non-finite parameter, one the built-in problem rejects, or any other
     # configuration the harness refuses (an unknown problem, an empty grid, a
     # count below its minimum, cert_kmax above its cap, an unparsable value,
-    # the shorthands' included, a missing config file or a config line
-    # without '=') is a configuration error (exit 2) with one line on stderr
+    # the shorthands' included, a missing config file, a config line
+    # without '=' or an --out path in a missing directory or naming a
+    # directory) is a configuration error (exit 2) with one line on stderr
     # and no CSV; at k = 1 no drift is evaluated mid-recursion to catch it
     # later.  An item starting with -- is a flag, any other a --set pair
     (tmp_path / "no_equals.cfg").write_text("seed=3\nreps 4\n")

@@ -239,15 +239,17 @@ def test_evaluator_calls_depend_on_n_only():
 def test_one_sub_key_batch_per_term_level(monkeypatch):
     # an evaluator call whose top level is L makes exactly L - 1 children
     # calls and L - 1 one-column uniform draws, one of each per term level,
-    # over the sub keys of all its nodes and keys; its sub-calls count their
-    # own
+    # over the sub keys of all its nodes and keys, and one drift pass per
+    # half of each term level: 2L - 3 for L >= 2, as term level 1's lower
+    # half is the cached mu(0, 0); its sub-calls count their own
     real_evaluate = mlp_mod._evaluate
     real_children = mlp_mod.children
     real_uniforms = mlp_mod.batch_uniforms
+    real_drift = mlp_mod._drift
     stack, seen = [], []
 
     def evaluate(problem, paths, m, levels, *args):
-        stack.append([levels[0], 0, 0])
+        stack.append([levels[0], 0, 0, 0])
         try:
             return real_evaluate(problem, paths, m, levels, *args)
         finally:
@@ -262,7 +264,12 @@ def test_one_sub_key_batch_per_term_level(monkeypatch):
         stack[-1][2] += 1
         return real_uniforms(keys, tag, count)
 
+    def drift(*args):
+        stack[-1][3] += 1
+        return real_drift(*args)
+
     monkeypatch.setattr(mlp_mod, "_evaluate", evaluate)
+    monkeypatch.setattr(mlp_mod, "_drift", drift)
     monkeypatch.setattr(mlp_mod, "children", children)
     monkeypatch.setattr(mlp_mod, "batch_uniforms", uniforms)
     prob = builtin_problem("law_only_linear", d=1, T=1.0, xi=1.0, b=-1.0)
@@ -270,8 +277,9 @@ def test_one_sub_key_batch_per_term_level(monkeypatch):
         seen.clear()
         realize_estimate(prob, n, m, SEED)
         assert len(seen) == 2 ** (n - 1), (n, m)
-        assert max(top for top, _, _ in seen) == n
-        assert all(made == drawn == top - 1 for top, made, drawn in seen), (n, m, seen)
+        assert max(top for top, _, _, _ in seen) == n
+        assert all(made == drawn == top - 1 for top, made, drawn, _ in seen), (n, m, seen)
+        assert all(passes == max(0, 2 * top - 3) for top, _, _, passes in seen), (n, m, seen)
 
 
 @pytest.mark.parametrize(
