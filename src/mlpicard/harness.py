@@ -25,8 +25,10 @@ certificate        cost-times-accuracy supremand evaluation and the
 
 Repetitions run in chunks of seeds, one estimator batch per chunk: each
 (n, m) cell of a run is cut into one chunk per worker, and every chunk of the
-run is queued at once on one pool of ``jobs`` worker processes, costliest
-cell first, so no cell waits for the one before it.  A convergence row's
+run goes into one queue, costliest cell first, which one ``map`` runs in
+process or on one pool of ``jobs`` worker processes, so no cell waits for the
+one before it.  The run ends at the first chunk in queue order that raises,
+and the chunks not yet handed to a worker are cancelled.  A convergence row's
 ``wall_s`` is the summed seconds of its level's chunks, timed where they run.
 
 The exit-code contract lives in :mod:`mlpicard.cli`: 0 all assertions pass,
@@ -39,13 +41,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -167,6 +169,8 @@ class ExperimentConfig:
             raise ConfigError(f"bad eps_list {self.eps_list!r}: {exc}") from None
         if not eps or any(e <= 0 for e in eps):
             raise ConfigError(f"eps_list must hold positive values, got {self.eps_list!r}")
+        if self.out and (Path(self.out).is_dir() or not Path(self.out).parent.is_dir()):
+            raise ConfigError(f"cannot write out={self.out}: not a file in an existing directory")
 
     def eps_values(self) -> list[float]:
         return [float(tok) for tok in self.eps_list.split(",") if tok.strip()]
@@ -261,30 +265,9 @@ def _worker(task: tuple[ExperimentConfig, int, int, tuple[int, ...]]) -> tuple:
     return (*_realize_batch(_problem(cfg), n, m, seeds), time.perf_counter() - started)
 
 
-@contextmanager
-def _worker_pool(jobs: int, reps: int) -> Iterator[Optional[ProcessPoolExecutor]]:
-    """One pool of ``min(jobs, reps)`` worker processes for a whole run, as a
-    cell never has more chunks than repetitions, or None to run in process.
-    A worker that dies fails the run with ResourceLimitError; on any error
-    the chunks still queued are cancelled, not run."""
-    workers = min(jobs, reps)
-    if workers <= 1:
-        yield None
-        return
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        yield pool
-    except BrokenProcessPool as exc:
-        raise ResourceLimitError(
-            f"a worker process died before returning its results: {exc}"
-        ) from exc
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 def _repetitions(
-    cfg: ExperimentConfig, cells: Sequence[tuple[int, int]], pool: Optional[ProcessPoolExecutor]
-) -> Iterator[tuple[np.ndarray, np.ndarray, tuple[int, int], float]]:
+    cfg: ExperimentConfig, cells: Sequence[tuple[int, int]]
+) -> list[tuple[np.ndarray, np.ndarray, tuple[int, int], float]]:
     """Per (n, m) cell, in cell order: ``cfg.reps`` realizations under the
     repetition seeds, their values at T and W0(T), one row per seed in seed
     order, the (draws, evaluations) of one realization, which all of them
@@ -292,31 +275,33 @@ def _repetitions(
 
     Each cell's seeds are cut into one chunk per worker, ``ceil(reps /
     jobs)`` seeds, fewer where the chunk's total cost budget would pass
-    ``_CHUNK_BUDGET``.  With a pool every chunk of every cell is queued at
-    once, costliest cell first, and the first chunk to raise ends the run;
-    in process the chunks run in cell order.  The results, bit-identical to
-    one realization per call, do not depend on the chunking, and each cell's
-    chunks are joined in seed order, so aggregation bytes never depend on the
-    worker count.
+    ``_CHUNK_BUDGET``.  One queue, costliest cell first, holds every chunk;
+    one ``map`` runs it in process or on a pool of ``min(jobs, reps)``
+    workers, and a worker that dies is a ResourceLimitError.  The results,
+    bit-identical to one realization per call, do not depend on the
+    chunking, and each cell's chunks are joined in seed order, so
+    aggregation bytes never depend on the worker count.
     """
     seeds = [rep_seed(cfg.seed, r) for r in range(cfg.reps)]
     budgets = [cost_budget(n, m, cfg.d, 1, 1) for n, m in cells]
-    tasks = []
-    for (n, m), budget in zip(cells, budgets):
-        size = max(1, min(-(-cfg.reps // cfg.jobs), _CHUNK_BUDGET // budget))
-        tasks.append([(cfg, n, m, tuple(seeds[i : i + size])) for i in range(0, cfg.reps, size)])
-    if pool is None:
-        chunks = [map(_worker, cell) for cell in tasks]
-    else:
-        costliest = sorted(range(len(cells)), key=lambda i: -budgets[i])
-        futures = {i: [pool.submit(_worker, task) for task in tasks[i]] for i in costliest}
-        done, _ = wait(itertools.chain(*futures.values()), return_when=FIRST_EXCEPTION)
-        for future in done:
-            future.result()  # raises the first failure before any cell is used
-        chunks = [(future.result() for future in futures[i]) for i in range(len(cells))]
-    for cell in chunks:
-        values, w0, tallies, seconds = zip(*cell)
-        yield np.concatenate(values), np.concatenate(w0), tallies[0], sum(seconds)
+    queue = {}  # cell index -> its chunks, costliest cell first
+    for i in sorted(range(len(cells)), key=lambda i: -budgets[i]):
+        size = max(1, min(-(-cfg.reps // cfg.jobs), _CHUNK_BUDGET // budgets[i]))
+        queue[i] = [(cfg, *cells[i], tuple(seeds[s : s + size])) for s in range(0, cfg.reps, size)]
+    workers = min(cfg.jobs, cfg.reps)
+    try:
+        with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+            results = (pool.map if pool else map)(_worker, itertools.chain(*queue.values()))
+            chunks = {i: list(itertools.islice(results, len(tasks))) for i, tasks in queue.items()}
+    except BrokenProcessPool as exc:
+        raise ResourceLimitError(
+            f"a worker process died before returning its results: {exc}"
+        ) from exc
+    joined = []
+    for i in range(len(cells)):
+        values, w0, tallies, seconds = zip(*chunks[i])
+        joined.append((np.concatenate(values), np.concatenate(w0), tallies[0], sum(seconds)))
+    return joined
 
 
 # ---------------------------------------------------------------------------
@@ -551,21 +536,20 @@ def _mode_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         cfg, "k", "n", "m", "reps", "rmse", "rmse_ci_half", "rmse_ci_upper", "error_bound",
         "bound_ok", "draws", "evals", "cost_budget", "cost_bound",
     )
-    with _worker_pool(cfg.jobs, cfg.reps) as pool:
-        cells = _repetitions(cfg, [(k, k) for k in cfg.levels()], pool)
-        for k, budget, bound, cell in zip(cfg.levels(), budgets, bounds, cells):
-            values, w0, (draws, evals), seconds = cell
-            diffs = values - pathwise_value(problem, problem.horizon, w0)
-            squared = np.array([float(diff @ diff) for diff in diffs])
-            rmse, half, se_sq = _summarize_squared_errors(squared)
-            ok = rmse + half <= bound
-            rmses.append(rmse)
-            rmse_ses.append(se_sq / (2.0 * rmse) if rmse > 0 else 0.0)
-            # the level's own estimator seconds, wherever its chunks ran
-            rec.add(ok, (
-                k, k, k, cfg.reps, rmse, half, rmse + half, bound, ok, draws, evals,
-                budget, cost_bound(k, k, cfg.d, 1, 1),
-            ), wall=seconds)
+    cells = _repetitions(cfg, [(k, k) for k in cfg.levels()])
+    for k, budget, bound, cell in zip(cfg.levels(), budgets, bounds, cells):
+        values, w0, (draws, evals), seconds = cell
+        diffs = values - pathwise_value(problem, problem.horizon, w0)
+        squared = np.array([float(diff @ diff) for diff in diffs])
+        rmse, half, se_sq = _summarize_squared_errors(squared)
+        ok = rmse + half <= bound
+        rmses.append(rmse)
+        rmse_ses.append(se_sq / (2.0 * rmse) if rmse > 0 else 0.0)
+        # the level's own estimator seconds, wherever its chunks ran
+        rec.add(ok, (
+            k, k, k, cfg.reps, rmse, half, rmse + half, bound, ok, draws, evals,
+            budget, cost_bound(k, k, cfg.d, 1, 1),
+        ), wall=seconds)
 
     rec.footer = _slope_footer(list(cfg.levels()), rmses, rmse_ses)
     return rec
@@ -696,8 +680,7 @@ def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
     _require_budget(cfg, cfg.mlp_n, cfg.mlp_m)
     problem = _problem(cfg)
     rec = ExperimentResult(cfg, "coord", "mlp_mean", "mlp_se", "particle_mean", "particle_se")
-    with _worker_pool(cfg.jobs, cfg.reps) as pool:
-        values = next(_repetitions(cfg, [(cfg.mlp_n, cfg.mlp_m)], pool))[0]
+    values = _repetitions(cfg, [(cfg.mlp_n, cfg.mlp_m)])[0][0]
     mlp = ensemble_stats(values)
 
     samples = simulate_particles(problem, cfg.particles_n, cfg.particles_m, cfg.seed)
@@ -708,6 +691,13 @@ def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
         combined = float(math.sqrt(float(np.sum(mlp.mean_se**2 + stats.mean_se**2))))
     if math.isinf(combined):  # the squares passed the double range
         combined = _norm(np.concatenate([mlp.mean_se, stats.mean_se]))
+    # A mean of N doubles near x, summed in any order, is off by at most
+    # (N - 1) u |x| for the sum plus u |x| for the division (Higham, Accuracy
+    # and Stability of Numerical Algorithms, section 4.2), u = 2**-53 and
+    # u |x| < np.spacing(x): by rounding alone the means differ by up to
+    # (reps + particles_n) spacings a coordinate, sqrt(d) times that in norm.
+    spacing = float(np.spacing(np.max(np.abs(np.concatenate([mlp.mean, stats.mean])))))
+    combined = max(combined, math.sqrt(cfg.d) * (cfg.reps + cfg.particles_n) * spacing)
     agree = distance <= 3.0 * combined
     # one span for every coordinate: the rows share its status and wall time
     rec.add(agree, *[
@@ -716,7 +706,7 @@ def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
     rec.footer = [
         f"distance={_fmt(distance)}",
         f"combined_se={_fmt(combined)}",
-        f"sigmas={_fmt(distance / combined if combined > 0 else 0.0)}",
+        f"sigmas={_fmt(distance / combined)}",
         f"agree_3se={'1' if agree else '0'}",
     ]
     return rec

@@ -104,12 +104,6 @@ class CostLedger:
     scalar_draws: int = 0
     drift_evals: int = 0
 
-    def add_draws(self, n: int) -> None:
-        self.scalar_draws += n
-
-    def add_evals(self, n: int) -> None:
-        self.drift_evals += n
-
     def snapshot(self) -> tuple[int, int]:
         """(scalar draws, drift evaluations) at this point."""
         return self.scalar_draws, self.drift_evals
@@ -178,8 +172,8 @@ def _evaluate(
     for j in range(top, 0, -1):
         if j < top:
             chunks[j] = [np.concatenate(c) for c in zip(*chunks[j])]
-            ledger.add_draws(filled[j] * (1 + m**j * d))
-            ledger.add_evals(filled[j] * 2)
+            ledger.scalar_draws += filled[j] * (1 + m**j * d)
+            ledger.drift_evals += filled[j] * 2
         blocks = [(times, owner)] if j in levels else []
         blocks += [chunks[level][:2] for level in (j, j + 1) if level < top]
         t, o = (np.concatenate(block) for block in zip(*blocks))
@@ -197,7 +191,7 @@ def _evaluate(
             ))
             terms.append((level, fan, filled[level]))
             filled[level] += fan * size
-        ledger.add_evals(size)  # per query time: the cached mu(0,0) read
+        ledger.drift_evals += size  # per query time: the cached mu(0,0) read
         nodes.append((t, o, terms))
 
     # Bottom-up: node j once over all its rows, then term level j: its fresh
@@ -221,25 +215,29 @@ def _evaluate(
             value = sums[-1].copy()
             del sums  # the terms, before the next sub-call
         values[j] = value
-        if j == top:
-            break
-        s, _, o = chunks[j]
-        chunks[j] = None
-        # each sub key's path is read at its s and at the u*s below them
-        until = np.zeros(uniforms[j].size)
-        np.maximum.at(until, o, s)
-        fresh = generate_batch(subs[j], until, j, m, problem.horizon, d)
-        sub_values = _evaluate(problem, fresh, m, (j, j - 1) if j >= 2 else (j,), s, o, ledger)
-        subs[j] = fresh = None
-        upper = len(times) if j in levels else 0
-        hi = _drift(drift, values[j][upper : upper + len(s)], sub_values[0])
-        # the level-0 estimator is identically zero: no query, no charge
-        lo = (_drift(drift, values[j - 1][len(values[j - 1]) - len(s) :], sub_values[1])
-              if j >= 2 else drift.value_at_origin)
-        diffs[j] = hi - lo
-        del sub_values, hi, lo
-    # each node's requested rows come first; a copy releases the rest
-    return [values[j][: len(times)].copy() if j < top else values[j] for j in levels]
+        if j < top:
+            s, _, o = chunks[j]
+            chunks[j] = None
+            # each sub key's path is read at its s and at the u*s below them
+            until = np.zeros(uniforms[j].size)
+            np.maximum.at(until, o, s)
+            fresh = generate_batch(subs[j], until, j, m, problem.horizon, d)
+            sub_values = _evaluate(problem, fresh, m, (j, j - 1) if j >= 2 else (j,), s, o,
+                                   ledger)
+            subs[j] = fresh = None
+            upper = len(times) if j in levels else 0
+            hi = _drift(drift, values[j][upper : upper + len(s)], sub_values[0])
+            # the level-0 estimator is identically zero: no query, no charge
+            lo = (_drift(drift, values[j - 1][len(values[j - 1]) - len(s) :], sub_values[1])
+                  if j >= 2 else drift.value_at_origin)
+            diffs[j] = hi - lo
+            del sub_values, hi, lo
+        # Term levels j-1 and j have read node j-1's two halves (node top-1
+        # has no lower half, node top only requested rows): a copy of its
+        # requested rows, which come first, frees the rest, and a node not
+        # requested is freed whole.
+        values[j - 1] = values[j - 1][: len(times)].copy() if j - 1 in levels else None
+    return [values[j] for j in levels]
 
 
 @dataclass(frozen=True)
@@ -269,7 +267,7 @@ def _realize_batch(
     ledger = CostLedger()
     paths = generate_batch(roots, np.full(count, problem.horizon), n, m, problem.horizon,
                            problem.dim)
-    ledger.add_draws(count * m**n * problem.dim)
+    ledger.scalar_draws += count * m**n * problem.dim
     with np.errstate(over="ignore", invalid="ignore"):  # _drift refuses overflows
         (values,) = _evaluate(problem, paths, m, (n,), np.full(count, problem.horizon),
                               np.arange(count), ledger)

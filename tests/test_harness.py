@@ -306,13 +306,10 @@ def test_repetitions_do_not_depend_on_jobs_or_chunks(monkeypatch, reps):
         want.append((np.array([single.value for single in singles]).tobytes(),
                      np.array([single.w0_terminal for single in singles]).tobytes(),
                      singles[0].ledger.snapshot()))
-    runs = {}
-    for jobs in (1, 2, 3):
-        cfg = replace(cfg, jobs=jobs)
-        with harness_mod._worker_pool(jobs, reps) as pool:
-            runs[jobs] = list(harness_mod._repetitions(cfg, cells, pool))
+    runs = {jobs: harness_mod._repetitions(replace(cfg, jobs=jobs), cells)
+            for jobs in (1, 2, 3)}
     monkeypatch.setattr(harness_mod, "_CHUNK_BUDGET", 1)  # every chunk one seed
-    runs["cap"] = list(harness_mod._repetitions(cfg, cells, None))
+    runs["cap"] = harness_mod._repetitions(replace(cfg, jobs=1), cells)
     for jobs, got in runs.items():
         assert [(values.tobytes(), w0.tobytes(), tally) for values, w0, tally, _ in got] == want, jobs
         assert all(seconds > 0.0 for *_, seconds in got), jobs
@@ -347,6 +344,17 @@ def test_one_worker_pool_per_run(tmp_path, monkeypatch, mode, extra):
         assert len(res.rows) == 4
 
 
+def test_in_process_queue_runs_costliest_cell_first(tmp_path, monkeypatch):
+    # in process, as on a pool, the one queue holds every level's chunks
+    # costliest level first, each level's in seed order
+    ran, worker = [], harness_mod._worker
+    monkeypatch.setattr(harness_mod, "_worker", lambda task: ran.append(task[1:]) or worker(task))
+    monkeypatch.setattr(harness_mod, "_CHUNK_BUDGET", 1)
+    assert run(_cfg("convergence", tmp_path, extra=["k_max=4", "reps=3"])).ok
+    seeds = [(rep_seed(7, r),) for r in range(3)]
+    assert ran == [(k, k, seed) for k in (4, 3, 2, 1) for seed in seeds]
+
+
 def _dying_worker(task):
     os._exit(1)
 
@@ -368,35 +376,40 @@ def test_dead_worker_fails_closed(tmp_path, monkeypatch, capfd):
 
 
 def _refusing_worker(task):
-    # every chunk logs its level; the costliest level's chunks, queued
-    # first, refuse at once, and every other chunk takes long enough that the
-    # refusal is seen before the workers could reach the cheapest level
+    # every chunk logs its level; the refusing level's chunks refuse at once,
+    # and every other chunk pauses (when k = 4 refuses: long enough that the
+    # refusal is seen before the workers could reach the cheapest level)
     with open(_refusing_worker.log, "a") as log:
         log.write(f"{task[1]}\n")
-    if task[1] == 4:
-        raise ConfigError("k=4 chunk refused")
-    time.sleep(0.2)
+    if task[1] == _refusing_worker.refused:
+        raise ConfigError(f"k={task[1]} chunk refused")
+    time.sleep(_refusing_worker.pause)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched worker reaches the pool through fork")
-def test_refusing_chunk_cancels_the_queue(tmp_path, monkeypatch, capfd):
+@pytest.mark.parametrize("refused, pause", [(4, 0.2), (1, 0.0)], ids=["costliest", "cheapest"])
+def test_refusing_chunk_cancels_the_queue(tmp_path, monkeypatch, capfd, refused, pause):
     # a chunk that raises ConfigError ends a pooled run with exit 2, one line
-    # on stderr and no CSV, and the chunks still queued are cancelled: of the
-    # 32 one-seed chunks (k = 1..4, 8 per level, costliest level first) only
-    # those a worker had taken or the pool had handed on run, so the
-    # cheapest level never does
+    # on stderr and no CSV, the cheapest level's chunks, reached last,
+    # included; when the costliest level refuses, the chunks still queued
+    # are cancelled: of the 32 one-seed chunks (k = 1..4, 8 per level,
+    # costliest level first) only those a worker had taken or the pool had
+    # handed on run, so the cheapest level never does
     monkeypatch.setattr(harness_mod, "_worker", _refusing_worker)
     monkeypatch.setattr(harness_mod, "_CHUNK_BUDGET", 1)
-    monkeypatch.setattr(_refusing_worker, "log", str(tmp_path / "chunks.log"), raising=False)
+    for name, value in (("log", str(tmp_path / "chunks.log")), ("refused", refused),
+                        ("pause", pause)):
+        monkeypatch.setattr(_refusing_worker, name, value, raising=False)
     out = tmp_path / "refused.csv"
     code = main(["convergence", "--jobs", "2", "--reps", "8", "--set", "k_max=4",
                  "--out", str(out)])
     err = capfd.readouterr().err
-    assert (code, err) == (2, "config error: k=4 chunk refused\n")
+    assert (code, err) == (2, f"config error: k={refused} chunk refused\n")
     assert not out.exists()
     levels = (tmp_path / "chunks.log").read_text().split()
-    assert "4" in levels and "1" not in levels and len(levels) < 32, levels
+    if refused == 4:
+        assert "4" in levels and "1" not in levels and len(levels) < 32, levels
 
 
 def run_cli(args):
@@ -439,6 +452,28 @@ def test_oracle_compare_huge_finite_xi_keeps_its_errors_finite(tmp_path):
     assert 1e198 < float(footer["combined_se"]) < 1e200
     assert float(footer["distance"]) <= 3.0 * float(footer["combined_se"])
     assert footer["agree_3se"] == "1"
+
+
+def test_oracle_compare_floors_its_rule_at_rounding(tmp_path, monkeypatch):
+    # at xi = 1e200 both standard errors round to 0, and the means differ by
+    # rounding alone (about 2 ulps): they agree, with no numpy warning; a
+    # particle mean shifted by 1000 ulps still does not
+    args = ["oracle-compare", "--set", "problem=sine_meanfield", "--set", "xi=1e200", "--set",
+            "particles_n=50", "--set", "particles_m=5", "--set", "mlp_n=2", "--set", "mlp_m=2",
+            "--reps", "8", "--out", str(tmp_path / "huge.csv")]
+    assert run_cli(args) == (0, "")
+    lines = (tmp_path / "huge.csv").read_text().splitlines()
+    footer = dict(line[2:].split("=") for line in lines[-4:])
+    assert float(footer["distance"]) > 0.0 and footer["agree_3se"] == "1", footer
+    simulate = harness_mod.simulate_particles
+
+    def shifted(*args):
+        samples = simulate(*args)
+        return samples + 1000 * np.spacing(samples)
+
+    monkeypatch.setattr(harness_mod, "simulate_particles", shifted)
+    assert main(args) == 1
+    assert "# agree_3se=0" in (tmp_path / "huge.csv").read_text().splitlines()
 
 
 def test_non_finite_drift_exit_code(tmp_path):
@@ -491,8 +526,9 @@ def test_non_finite_drift_exit_code(tmp_path):
     ("certificate", ["cert_kmax=1000001"]),
     ("cost-table", ["--out={tmp}/missing/x.csv"]),
     ("cost-table", ["--out={tmp}"]),
+    ("verify-bounds", ["--out={tmp}/missing/x.csv"]),
 ])
-def test_bad_problem_parameters_exit_code(tmp_path, capsys, mode, sets):
+def test_bad_problem_parameters_exit_code(tmp_path, capsys, monkeypatch, mode, sets):
     # a non-finite parameter, one the built-in problem rejects, or any other
     # configuration the harness refuses (an unknown problem, an empty grid, a
     # count below its minimum, cert_kmax above its cap, an unparsable value,
@@ -500,7 +536,12 @@ def test_bad_problem_parameters_exit_code(tmp_path, capsys, mode, sets):
     # without '=' or an --out path in a missing directory or naming a
     # directory) is a configuration error (exit 2) with one line on stderr
     # and no CSV; at k = 1 no drift is evaluated mid-recursion to catch it
-    # later.  An item starting with -- is a flag, any other a --set pair
+    # later.  Each is refused before any realization or particle work.  An
+    # item starting with -- is a flag, any other a --set pair
+    def no_work(*args):
+        raise RuntimeError("work started before the refusal")
+    for name in ("_realize_batch", "simulate_particles"):
+        monkeypatch.setattr(harness_mod, name, no_work)
     (tmp_path / "no_equals.cfg").write_text("seed=3\nreps 4\n")
     out = tmp_path / "bad.csv"
     args = [mode, "--reps", "4", "--set", "k_max=1", "--out", str(out)]
