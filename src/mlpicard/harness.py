@@ -56,7 +56,7 @@ from .errors import ConfigError, ResourceLimitError
 from .hier_rng import batch_uniforms, children, derive_seed, pack
 from .mlp import _realize_batch, rep_seed
 from .models import PROBLEM_PARAMS, Problem, builtin_problem, pathwise_value
-from .particles import ensemble_stats, simulate_particles
+from .particles import _require_size, ensemble_stats, simulate_particles
 from .recursions import (
     complexity_certificate,
     cost_bound,
@@ -614,6 +614,7 @@ def _mode_cost_table(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _mode_verify_bounds(cfg: ExperimentConfig) -> ExperimentResult:
     problem = _problem(cfg)
+    _require_size(cfg.particles_n, cfg.particles_m, cfg.d)
     constants = _bound_constants(problem)
     bound = _finite_bound("moment_bound", cfg, constants, moment_bound, cfg.T, *constants, cfg.d)
     rec = ExperimentResult(cfg, "check", "observed", "limit", "margin")
@@ -679,6 +680,7 @@ def _gronwall_majorant_overshoot(
 def _mode_oracle_compare(cfg: ExperimentConfig) -> ExperimentResult:
     _require_budget(cfg, cfg.mlp_n, cfg.mlp_m)
     problem = _problem(cfg)
+    _require_size(cfg.particles_n, cfg.particles_m, cfg.d)  # before the estimator's work
     rec = ExperimentResult(cfg, "coord", "mlp_mean", "mlp_se", "particle_mean", "particle_se")
     values = _repetitions(cfg, [(cfg.mlp_n, cfg.mlp_m)])[0][0]
     mlp = ensemble_stats(values)

@@ -42,11 +42,17 @@ PROBLEM_PARAMS = {
 @dataclass(frozen=True)
 class _Split:
     """A drift declared by its halves: mu(x, y) = h(f(x), g(y)), where f sees
-    only the state point and g only the law sample."""
+    only the state point and g only the law sample.
+
+    ``h(fx, gy, out=None)`` takes an ``out`` array of the broadcast shape of
+    ``fx`` and ``gy``: with it, h may write its result there and return it
+    (the particle system reuses one buffer per thread for its row blocks);
+    without it, h allocates.  Either way it runs the same ufuncs in the same
+    operand order, so the bits do not depend on ``out``."""
 
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
-    h: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    h: Callable[..., np.ndarray]
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.h(self.f(x), self.g(y))
@@ -58,10 +64,11 @@ def _same(x: np.ndarray) -> np.ndarray:
 
 def _halves(evaluate: Callable) -> tuple[Callable, Callable, Callable]:
     """The split (f, g, h) of a drift's ``evaluate``; a plain function has the
-    identity split (x -> x, y -> y, evaluate), with f and g one function."""
+    identity split (x -> x, y -> y, evaluate), with f and g one function and
+    an h that ignores ``out``."""
     if isinstance(evaluate, _Split):
         return evaluate.f, evaluate.g, evaluate.h
-    return _same, _same, evaluate
+    return _same, _same, lambda x, y, out=None: evaluate(x, y)
 
 
 @dataclass(frozen=True)
@@ -79,8 +86,10 @@ class DriftModel:
     their ``evaluate`` is a callable holding (f, g, h) whose call is
     h(f(x), g(y)), the same numpy operations in the same order as the formula
     written out, so bit for bit the same values.  The particle system
-    evaluates f and g once per particle and step and only h per pair.  The
-    split lives inside ``evaluate``: replacing ``evaluate`` (by
+    evaluates f and g once per particle and step and only h per pair, with
+    h's ``out`` argument a buffer it reuses for every row block a thread
+    takes (see ``_Split``); ``evaluate`` itself passes no ``out``.  The split
+    lives inside ``evaluate``: replacing ``evaluate`` (by
     ``dataclasses.replace`` or a wrapper) replaces it, and a plain function
     has the identity split, so the particle system evaluates it on every pair.
     ``value_at_origin`` caches mu(0, 0) so the estimator's constant term does
@@ -177,7 +186,8 @@ def builtin_problem(name: str, d: int = 1, T: float = 1.0, xi=1.0, **params) -> 
 
     if name == "law_only_linear":
         b = float(params["b"])
-        split = _Split(lambda x: 0.0 * x, lambda y: b * y, lambda fx, gy: gy + fx)
+        split = _Split(lambda x: 0.0 * x, lambda y: b * y,
+                       lambda fx, gy, out=None: np.add(gy, fx, out=out))
         drift = make_drift("law_only_linear", split, 2.0 * abs(b), d)
         return Problem(d, float(T), initial, drift, lambda t: initial * np.exp(b * t),
                        lambda t, w: initial * np.exp(b * t) + w)
@@ -185,7 +195,8 @@ def builtin_problem(name: str, d: int = 1, T: float = 1.0, xi=1.0, **params) -> 
     if name == "full_linear":
         a = float(params["a"])
         b = float(params["b"])
-        split = _Split(lambda x: a * x, lambda y: b * y, lambda fx, gy: fx + gy)
+        split = _Split(lambda x: a * x, lambda y: b * y,
+                       lambda fx, gy, out=None: np.add(fx, gy, out=out))
         drift = make_drift("full_linear", split, 2.0 * max(abs(a), abs(b)), d)
         return Problem(d, float(T), initial, drift, lambda t: initial * np.exp((a + b) * t))
 
@@ -194,7 +205,8 @@ def builtin_problem(name: str, d: int = 1, T: float = 1.0, xi=1.0, **params) -> 
     if L < 0:
         raise ValueError(f"sine_meanfield requires L >= 0, got {L}")
     half = 0.5 * L
-    split = _Split(np.sin, np.sin, lambda fx, gy: half * (fx + gy))
+    split = _Split(np.sin, np.sin, lambda fx, gy, out=None:
+                   np.multiply(half, np.add(fx, gy, out=out), out=out))
     drift = make_drift("sine_meanfield", split, L, d)
     return Problem(d, float(T), initial, drift)
 

@@ -575,14 +575,23 @@ def test_bad_problem_parameters_exit_code(tmp_path, capsys, monkeypatch, mode, s
     # finite constants, but the moment bound's product overflows to inf
     ("verify-bounds", ["problem=sine_meanfield", "xi=1e154", "L=200", "T=2"], 2,
      "config error: moment_bound passes the double range at L=200.0, ||xi||=1e+154, "),
+    # a particle ensemble past the pairwise ceiling, or whose noise (2 x 5e8
+    # steps) or pair buffer (64 x 64 x 976562) passes the array ceiling
+    ("oracle-compare", ["particles_n=200000", "mlp_n=4", "mlp_m=4"], 3,
+     "resource refusal: pairwise work N*N*M*d = 8000000000000 exceeds the ceiling 4000000000"),
+    ("oracle-compare", ["particles_n=2", "particles_m=500000000"], 3,
+     "resource refusal: particle arrays of 1000000004 elements (noise N*M*d = 1000000000, "),
+    ("verify-bounds", ["particles_n=64", "particles_m=1", "d=976562"], 3,
+     "resource refusal: particle arrays of 4062497920 elements (noise N*M*d = 62499968, "),
 ])
 def test_out_of_range_budget_or_bound_fails_closed(tmp_path, capsys, monkeypatch, mode, sets,
                                                    code, message):
-    # a cost budget past 64 bits is a resource refusal (exit 3), and a bound
-    # constant that is not finite, or an error or moment bound past the
-    # double range (by an OverflowError or as inf), a configuration error
-    # (exit 2) naming the constants: one line on stderr, no traceback and no
-    # CSV, before any estimator or particle work starts
+    # a cost budget past 64 bits or a particle ensemble past its size
+    # ceilings is a resource refusal (exit 3), and a bound constant that is
+    # not finite, or an error or moment bound past the double range (by an
+    # OverflowError or as inf), a configuration error (exit 2) naming the
+    # constants: one line on stderr, no traceback and no CSV, before any
+    # estimator or particle work starts
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the refusal")
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from helpers import LIPSCHITZ_TOL, generate, lipschitz_selfcheck
-from mlpicard.models import builtin_problem, make_drift, pathwise_value
+from mlpicard.models import _halves, builtin_problem, make_drift, pathwise_value
 
 SEED = 77
 
@@ -132,6 +132,38 @@ def test_split_drift_equals_written_out_formula_bit_for_bit(name, params, formul
             got, expected = prob.drift.evaluate(x, y), want(x, y)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), (x_shape, y_shape)
+
+
+
+_SPLITS = [(n, p) for n, p, _ in _WRITTEN_OUT if n != "zero_drift"]
+
+
+@pytest.mark.parametrize("name, params", _SPLITS,
+                         ids=[f"{n}-{sorted(p.items())}" for n, p in _SPLITS])
+@pytest.mark.parametrize("d", [1, 3])
+def test_split_h_into_out_is_bit_equal(name, params, d):
+    # each built-in split's h(fx, gy, out=buf) writes into buf and returns it, with the bits of
+    # h(fx, gy): on arguments up to the top of the double range (whose sums
+    # overflow) and special values, in a particle block's broadcast shapes
+    # and in full ones, into a fresh buffer and one holding a prior result
+    _, _, h = _halves(builtin_problem(name, d=d, T=1.0, xi=1.0, **params).drift.evaluate)
+    rng = np.random.default_rng(SEED)
+
+    def sample(*shape):
+        values = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.integers(0, 309, size=shape)
+        special = rng.random(shape) < 0.2
+        values[special] = rng.choice(_SPECIALS, size=int(special.sum()))
+        return values
+
+    buf = np.empty((64, 300, d))
+    with np.errstate(all="ignore"):
+        for fx_shape, gy_shape in [((64, 1, d), (1, 300, d)), ((44, 1, d), (1, 300, d)),
+                                   ((64, 300, d), (64, 300, d))]:
+            fx, gy = sample(*fx_shape), sample(*gy_shape)
+            out = buf[: fx_shape[0]]
+            got = h(fx, gy, out=out)
+            assert got is out
+            assert got.tobytes() == h(fx, gy).tobytes(), (fx_shape, gy_shape)
 
 
 def _builtin_suite():

@@ -37,6 +37,35 @@ def test_validation(monkeypatch):
         simulate_particles(wide, 2000, 200, SEED)
 
 
+def test_memory_refused_before_allocation(monkeypatch):
+    # within the pairwise ceiling, but the arrays would pass 10**8 doubles:
+    # the noise of 2 particles x 5*10**8 steps (8 GB), or the one 64 x 64 x d
+    # pair buffer of 64 particles at d = 976562 (32 GB); refused before any
+    # array is allocated or drawn.  Up to 64 particles make one row block and
+    # so one thread, whatever the CPU count.
+    _pretend_cpus(monkeypatch, 8)
+    long = builtin_problem("zero_drift", d=1, T=1.0, xi=0.0)
+    wide = builtin_problem("zero_drift", d=976562, T=1.0, xi=0.0)
+    monkeypatch.setattr(particles_mod, "np", None)
+    monkeypatch.setattr(particles_mod, "batch_normals", None)
+    with pytest.raises(ResourceLimitError, match=(
+            r"particle arrays of 1000000004 elements \(noise N\*M\*d = 1000000000, "
+            r"pair buffers 1\*min\(64, N\)\*N\*d = 4\) exceed the ceiling 100000000")):
+        simulate_particles(long, 2, 5 * 10**8, SEED)
+    with pytest.raises(ResourceLimitError, match=(
+            r"of 4062497920 elements \(noise N\*M\*d = 62499968, "
+            r"pair buffers 1\*min\(64, N\)\*N\*d = 3999997952\)")):
+        simulate_particles(wide, 64, 1, SEED)
+    # one buffer per thread: 3000 particles x 40 steps at d = 11 fit on 8
+    # CPUs (8 buffers), not on 64 (a thread for each of the 47 row blocks)
+    particles_mod._require_size(3000, 40, 11)
+    _pretend_cpus(monkeypatch, 64)
+    with pytest.raises(ResourceLimitError, match=(
+            r"of 100584000 elements \(noise N\*M\*d = 1320000, "
+            r"pair buffers 47\*min\(64, N\)\*N\*d = 99264000\)")):
+        particles_mod._require_size(3000, 40, 11)
+
+
 def test_zero_drift_is_exact_euler():
     # without interaction each particle is xi plus the sum of its increments,
     # regardless of the step count
@@ -209,29 +238,41 @@ def test_drift_error_fails_closed_without_leaking_threads(monkeypatch, cpus):
 @pytest.mark.parametrize("shared", [False, True], ids=["f-and-g", "g-is-f"])
 def test_split_halves_run_once_per_step(monkeypatch, cpus, shared):
     # 300 particles make five row blocks: f and g run once per step on all
-    # particles (once in all when g is f), h once per block on its rows
+    # particles (once in all when g is f), h once per block on its rows,
+    # writing into an out of its block's shape: one buffer per thread's task,
+    # made once per call and reused by every block the task takes, every step
     _pretend_cpus(monkeypatch, cpus)
     calls = []  # list.append is atomic across the pool threads
+    buffers = []  # (block rows, data address) of every out h was given
 
     def counted(label, fn):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             calls.append((label, tuple(np.shape(a) for a in args)))
-            return fn(*args)
+            if "out" in kwargs:
+                out = kwargs["out"]
+                assert out.shape == (args[0].shape[0], 300, 2)
+                buffers.append((out.shape[0], out.__array_interface__["data"][0]))
+            return fn(*args, **kwargs)
         return wrapped
 
     f = counted("f", np.sin)
     g = f if shared else counted("g", np.cos)
-    split = _Split(f, g, counted("h", lambda fx, gy: 0.5 * (fx + gy)))
+    split = _Split(f, g, counted(
+        "h", lambda fx, gy, out=None: np.multiply(0.5, np.add(fx, gy, out=out), out=out)))
     prob = replace(builtin_problem("sine_meanfield", d=2, T=1.0, xi=1.0, L=1.0),
                    drift=make_drift("counted", split, 1.0, 2))
-    calls.clear()  # make_drift evaluated mu(0, 0) once
+    calls.clear()  # make_drift evaluated mu(0, 0) once, with no out
+    assert not buffers
     simulate_particles(prob, 300, 4, SEED)
     labels = [label for label, _ in calls]
     assert labels.count("f") == 4 and labels.count("g") == (0 if shared else 4)
-    assert labels.count("h") == 4 * 5
+    assert labels.count("h") == 4 * 5 == len(buffers)
     assert {shapes for label, shapes in calls if label != "h"} == {((300, 2),)}
     assert sorted({shapes for label, shapes in calls if label == "h"}) == [
         ((44, 1, 2), (1, 300, 2)), ((64, 1, 2), (1, 300, 2))]
+    # min(cpus, 5) tasks share out the five blocks, each into its own buffer
+    addresses = {address for _, address in buffers}
+    assert 1 <= len(addresses) <= min(cpus, 5)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
