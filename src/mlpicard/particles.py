@@ -16,9 +16,12 @@ block allocates its pair array.  A drift without a declared split has the
 identity one, so its ``evaluate`` runs once per block on the particles
 themselves and allocates its result.  Row i's sum over j is the same numpy
 reduction in any block and has one writer, so the bits depend on neither the
-block size, the thread count nor which thread takes a block.  Before anything
-is allocated, an ensemble is refused whose pairwise work N*N*M*d passes
-4*10**9, or whose noise and pair buffers pass 10**8 doubles.  Particle noise
+block size, the thread count nor which thread takes a block.  ``_plan``
+decides an ensemble once, before anything is allocated: it refuses one whose
+pairwise work N*N*M*d passes 4*10**9, or whose noise, with one key batch's
+draw, and one pair buffer pass 10**8 doubles, by a rule that reads nothing of
+the machine; otherwise it sets the thread count, capped by the CPUs, the row
+blocks and the pair buffers that fit beside the noise.  Particle noise
 keys live on a reserved root branch disjoint from the estimator's keys, so
 oracle and estimator stay independent under one master seed; the noise of
 each block of 128 particles is drawn as one key batch, the children
@@ -32,7 +35,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,41 +46,35 @@ __all__ = ["EnsembleStats", "ensemble_stats", "simulate_particles"]
 
 _PARTICLE_BRANCH = 1  # root path coordinate reserved for particle noise
 _CEILING = 4 * 10**9  # limit on N*N*M*d pairwise work
-_ELEMENTS = 10**8  # limit on the doubles of the noise and pair buffers (800 MB)
+_ELEMENTS = 10**8  # limit on the doubles of the noise, its draw and a pair buffer (800 MB)
 _ROWS = 64  # row block of the pairwise drift sum
 _KEYS = 128  # particles per noise key batch
 
 
-def _workers(N: int) -> int:
-    """One thread per CPU this process may run on, at most one per row block."""
-    affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
-    return min(len(affinity(0)), -(-N // _ROWS))
-
-
-def _require_size(N: int, M: int, d: int) -> None:
-    """Refuse, with ``ResourceLimitError``, an ensemble whose pairwise work
-    N*N*M*d or whose arrays pass their ceiling; checked before anything is
-    allocated.  The arrays are the noise, N*M*d doubles, and one pair buffer
-    of min(64, N)*N*d doubles per thread."""
+def _plan(N: int, M: int, d: int) -> int:
+    """Threads, one pair buffer each, for N particles, M steps, dimension d:
+    the least of the CPUs, the row blocks and the buffers that fit beside the
+    noise.  ``ResourceLimitError`` refuses pairwise work N*N*M*d past
+    ``_CEILING``, or noise N*M*d, one key batch's draw 3*min(128, N)*M*d (freed
+    before the buffers are made) and one buffer past ``_ELEMENTS``."""
     if N * N * M * d > _CEILING:
         raise ResourceLimitError(
             f"pairwise work N*N*M*d = {N * N * M * d} exceeds the ceiling {_CEILING}"
         )
-    workers = _workers(N)
-    noise, buffers = N * M * d, workers * min(_ROWS, N) * N * d
-    if noise + buffers > _ELEMENTS:
+    noise, draw, buffer = N * M * d, 3 * min(_KEYS, N) * M * d, min(_ROWS, N) * N * d
+    if noise + draw + buffer > _ELEMENTS:
         raise ResourceLimitError(
-            f"particle arrays of {noise + buffers} elements (noise N*M*d = {noise}, pair "
-            f"buffers {workers}*min({_ROWS}, N)*N*d = {buffers}) exceed the ceiling {_ELEMENTS}"
+            f"particle arrays of {noise + draw + buffer} elements (noise N*M*d = {noise}, "
+            f"its draw 3*min({_KEYS}, N)*M*d = {draw}, one pair buffer min({_ROWS}, N)*N*d = "
+            f"{buffer}) exceed the ceiling {_ELEMENTS}"
         )
+    affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
+    return min(len(affinity(0)), -(-N // _ROWS), (_ELEMENTS - noise) // buffer)
 
 
-def _interaction_mean(problem: Problem, state: np.ndarray, pool=None,
-                      buffers: Optional[np.ndarray] = None) -> np.ndarray:
+def _interaction_mean(halves: tuple, state: np.ndarray, pool, buffers: np.ndarray) -> np.ndarray:
     n, d = state.shape
-    if buffers is None:
-        buffers = np.empty((1, min(_ROWS, n), n, d))
-    f, g, h = _halves(problem.drift.evaluate)
+    f, g, h = halves
     fx = f(state)
     gy = fx if g is f else g(state)
     sums = np.empty_like(state)
@@ -111,7 +107,7 @@ def simulate_particles(problem: Problem, N: int, M: int, master_seed: int) -> np
     if M < 1:
         raise ValueError(f"need at least 1 time step, got {M}")
     d = problem.dim
-    _require_size(N, M, d)
+    threads = _plan(N, M, d)
     dt = problem.horizon / M
     root = pack([(master_seed, (_PARTICLE_BRANCH,))])
     increments = np.empty((N, M, d))
@@ -121,14 +117,14 @@ def simulate_particles(problem: Problem, N: int, M: int, master_seed: int) -> np
     state = np.tile(problem.initial, (N, 1))
     # leaving the pool's block joins every thread, also when a drift raises.
     # numpy's error state is per thread, so each pool thread sets its own.
-    workers = _workers(N)
-    buffers = np.empty((workers, min(_ROWS, N), N, d))
+    halves = _halves(problem.drift.evaluate)
+    buffers = np.empty((threads, min(_ROWS, N), N, d))
     quiet = {"over": "ignore", "invalid": "ignore"}
-    pool = (ThreadPoolExecutor(workers, initializer=lambda: np.seterr(**quiet))
-            if workers > 1 else nullcontext())
+    pool = (ThreadPoolExecutor(threads, initializer=lambda: np.seterr(**quiet))
+            if threads > 1 else nullcontext())
     with pool as pool, np.errstate(**quiet):
         for step in range(M):
-            mean = _interaction_mean(problem, state, pool, buffers)
+            mean = _interaction_mean(halves, state, pool, buffers)
             state = state + dt * mean + increments[:, step, :]
     if not np.isfinite(state).all():
         raise ConfigError(

@@ -30,6 +30,7 @@ certificate's supremand overflows doubles near its maximum.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -58,7 +59,7 @@ _COST_LIMIT = (1 << 63) - 1  # refuse counts beyond a signed 64-bit tally
 
 def two_step_roots(kappa: complex, lam: complex) -> tuple[complex, complex]:
     """Roots of x**2 = kappa*x + lambda, rejected when (nearly) coincident."""
-    disc = np.lib.scimath.sqrt(kappa * kappa + 4.0 * lam)
+    disc = cmath.sqrt(kappa * kappa + 4.0 * lam)
     x1 = (kappa - disc) / 2.0
     x2 = (kappa + disc) / 2.0
     scale = max(abs(x1), abs(x2))

@@ -575,14 +575,15 @@ def test_bad_problem_parameters_exit_code(tmp_path, capsys, monkeypatch, mode, s
     # finite constants, but the moment bound's product overflows to inf
     ("verify-bounds", ["problem=sine_meanfield", "xi=1e154", "L=200", "T=2"], 2,
      "config error: moment_bound passes the double range at L=200.0, ||xi||=1e+154, "),
-    # a particle ensemble past the pairwise ceiling, or whose noise (2 x 5e8
-    # steps) or pair buffer (64 x 64 x 976562) passes the array ceiling
+    # a particle ensemble past the pairwise ceiling, or whose noise and its
+    # draw (2 x 5e8 steps) or pair buffer (64 x 64 x 976562) pass the array
+    # ceiling
     ("oracle-compare", ["particles_n=200000", "mlp_n=4", "mlp_m=4"], 3,
      "resource refusal: pairwise work N*N*M*d = 8000000000000 exceeds the ceiling 4000000000"),
     ("oracle-compare", ["particles_n=2", "particles_m=500000000"], 3,
-     "resource refusal: particle arrays of 1000000004 elements (noise N*M*d = 1000000000, "),
+     "resource refusal: particle arrays of 4000000004 elements (noise N*M*d = 1000000000, "),
     ("verify-bounds", ["particles_n=64", "particles_m=1", "d=976562"], 3,
-     "resource refusal: particle arrays of 4062497920 elements (noise N*M*d = 62499968, "),
+     "resource refusal: particle arrays of 4249997824 elements (noise N*M*d = 62499968, "),
 ])
 def test_out_of_range_budget_or_bound_fails_closed(tmp_path, capsys, monkeypatch, mode, sets,
                                                    code, message):
@@ -591,12 +592,15 @@ def test_out_of_range_budget_or_bound_fails_closed(tmp_path, capsys, monkeypatch
     # not finite, or an error or moment bound past the double range (by an
     # OverflowError or as inf), a configuration error (exit 2) naming the
     # constants: one line on stderr, no traceback and no CSV, before any
-    # estimator or particle work starts
+    # estimator or particle work starts, and a resource refusal before the
+    # problem is built
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the refusal")
 
     monkeypatch.setattr(harness_mod, "_realize_batch", no_work)
     monkeypatch.setattr(harness_mod, "simulate_particles", no_work)
+    if code == 3:
+        monkeypatch.setattr(harness_mod, "_problem", no_work)
     out = tmp_path / "refused.csv"
     args = [mode, "--reps", "4", "--out", str(out)]
     assert main(args + [arg for item in sets for arg in ("--set", item)]) == code
@@ -798,24 +802,28 @@ def test_budget_refusal_in_every_caller(tmp_path, capsys, monkeypatch, mode):
 @pytest.mark.parametrize("mode", [*BUDGETED_MODES, "verify-bounds", "certificate"])
 def test_huge_dimension_fails_closed(tmp_path, capsys, monkeypatch, mode):
     # d = 4e9 asks for 30 GB per state vector: the budgeted modes refuse its
-    # cost budget before the problem is built, and an allocation that fails
-    # in the other modes is a resource refusal too (exit 3), with one line on
-    # stderr and no CSV.  No test allocates: the problem's builder is
-    # replaced, by one that must not run or by one that runs out of memory
+    # cost budget and verify-bounds its particle ensemble before the problem
+    # is built, and an allocation that fails in certificate is a resource
+    # refusal too (exit 3), with one line on stderr and no CSV.  No test
+    # allocates: the problem's builder is replaced, by one that must not run
+    # or by one that runs out of memory
     def unbuilt(cfg):
-        raise AssertionError("problem built before the budget check")
+        raise AssertionError("problem built before the size check")
 
     def out_of_memory(cfg):
         raise MemoryError("Unable to allocate 29.8 GiB for an array with shape (4000000000,)")
 
-    budgeted = mode in BUDGETED_MODES
-    monkeypatch.setattr(harness_mod, "_problem", unbuilt if budgeted else out_of_memory)
+    monkeypatch.setattr(harness_mod, "_problem",
+                        out_of_memory if mode == "certificate" else unbuilt)
     out = tmp_path / "huge.csv"
     assert main([mode, "--set", "d=4000000000", "--reps", "4", "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    if budgeted:
+    if mode in BUDGETED_MODES:
         assert err.startswith("resource refusal: cost budget ")
         assert "d=4000000000) exceeds the ceiling 1000000000" in err
+    elif mode == "verify-bounds":
+        assert err == ("resource refusal: pairwise work N*N*M*d = 3200000000000000000 "
+                       "exceeds the ceiling 4000000000\n")
     else:
         assert err.startswith("resource refusal: out of memory: Unable to allocate 29.8 GiB")
     assert err.count("\n") == 1

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import os
+import re
 import sys
 import threading
 import warnings
@@ -12,7 +13,7 @@ import pytest
 import mlpicard.particles as particles_mod
 from helpers import normals
 from mlpicard.errors import ConfigError, ResourceLimitError
-from mlpicard.models import _Split, builtin_problem, make_drift
+from mlpicard.models import _halves, _Split, builtin_problem, make_drift
 from mlpicard.particles import _interaction_mean, ensemble_stats, simulate_particles
 from mlpicard.recursions import moment_bound
 
@@ -38,32 +39,74 @@ def test_validation(monkeypatch):
 
 
 def test_memory_refused_before_allocation(monkeypatch):
-    # within the pairwise ceiling, but the arrays would pass 10**8 doubles:
-    # the noise of 2 particles x 5*10**8 steps (8 GB), or the one 64 x 64 x d
-    # pair buffer of 64 particles at d = 976562 (32 GB); refused before any
-    # array is allocated or drawn.  Up to 64 particles make one row block and
-    # so one thread, whatever the CPU count.
-    _pretend_cpus(monkeypatch, 8)
+    # within the pairwise ceiling, but the noise, one key batch's draw and one
+    # pair buffer would pass 10**8 doubles: the noise of 2 particles x 5*10**8
+    # steps (8 GB), the one 64 x 64 x d pair buffer of 64 particles at
+    # d = 976562 (32 GB), or the draw of 32 particles x 10**6 steps (0.8 GB
+    # beside 0.26 GB of noise); refused before any array is allocated or drawn
     long = builtin_problem("zero_drift", d=1, T=1.0, xi=0.0)
     wide = builtin_problem("zero_drift", d=976562, T=1.0, xi=0.0)
     monkeypatch.setattr(particles_mod, "np", None)
     monkeypatch.setattr(particles_mod, "batch_normals", None)
     with pytest.raises(ResourceLimitError, match=(
-            r"particle arrays of 1000000004 elements \(noise N\*M\*d = 1000000000, "
-            r"pair buffers 1\*min\(64, N\)\*N\*d = 4\) exceed the ceiling 100000000")):
+            r"particle arrays of 4000000004 elements \(noise N\*M\*d = 1000000000, "
+            r"its draw 3\*min\(128, N\)\*M\*d = 3000000000, "
+            r"one pair buffer min\(64, N\)\*N\*d = 4\) exceed the ceiling 100000000")):
         simulate_particles(long, 2, 5 * 10**8, SEED)
     with pytest.raises(ResourceLimitError, match=(
-            r"of 4062497920 elements \(noise N\*M\*d = 62499968, "
-            r"pair buffers 1\*min\(64, N\)\*N\*d = 3999997952\)")):
+            r"of 4249997824 elements \(noise N\*M\*d = 62499968, its draw [^=]*= 187499904, "
+            r"one pair buffer min\(64, N\)\*N\*d = 3999997952\)")):
         simulate_particles(wide, 64, 1, SEED)
-    # one buffer per thread: 3000 particles x 40 steps at d = 11 fit on 8
-    # CPUs (8 buffers), not on 64 (a thread for each of the 47 row blocks)
-    particles_mod._require_size(3000, 40, 11)
-    _pretend_cpus(monkeypatch, 64)
     with pytest.raises(ResourceLimitError, match=(
-            r"of 100584000 elements \(noise N\*M\*d = 1320000, "
-            r"pair buffers 47\*min\(64, N\)\*N\*d = 99264000\)")):
-        particles_mod._require_size(3000, 40, 11)
+            r"of 128001024 elements \(noise N\*M\*d = 32000000, its draw [^=]*= 96000000, ")):
+        simulate_particles(long, 32, 10**6, SEED)
+    # one pair buffer in the rule, whatever the CPU count: 3000 particles x 40
+    # steps at d = 11 fit, and on 64 CPUs run 46 threads, the buffers of
+    # 64 x 3000 x 11 doubles that fit beside the noise, not one for each of
+    # the 47 row blocks
+    _pretend_cpus(monkeypatch, 64)
+    assert particles_mod._plan(3000, 40, 11) == 46
+
+
+# (N, M, d) on both sides of the size rule, and the refusal each gets, if any
+SIZE_CASES = [
+    ((10**5, 1, 1), r"^pairwise work N\*N\*M\*d = 10000000000 exceeds the ceiling 4000000000$"),
+    ((2000, 200, 8), r"^pairwise work N\*N\*M\*d = 6400000000 exceeds"),
+    ((2, 5 * 10**8, 1), r"^particle arrays of 4000000004 elements "),
+    ((64, 1, 976562), r"^particle arrays of 4249997824 elements "),
+    ((32, 10**6, 1), r"^particle arrays of 128001024 elements "),
+    ((3000, 40, 11), None),
+    ((3000, 200, 1), None),
+    ((2000, 200, 1), None),
+    ((300, 7, 4), None),
+    ((2, 1, 1), None),
+]
+
+
+@pytest.mark.parametrize("size, refusal", SIZE_CASES, ids=lambda v: "x".join(map(str, v))
+                         if isinstance(v, tuple) else None)
+def test_plan_verdict_is_machine_independent(monkeypatch, size, refusal):
+    # whether an ensemble is refused, and the message, are the same on 1, 8
+    # and 64 CPUs; an accepted one runs as many threads as the least of the
+    # CPUs, its row blocks and the pair buffers that fit beside its noise
+    N, M, d = size
+    verdicts = set()
+    for cpus in (1, 8, 64):
+        _pretend_cpus(monkeypatch, cpus)
+        try:
+            threads = particles_mod._plan(N, M, d)
+        except ResourceLimitError as exc:
+            verdicts.add(str(exc))
+            continue
+        fit = (10**8 - N * M * d) // (min(64, N) * N * d)
+        assert threads == min(cpus, -(-N // 64), fit) >= 1
+        verdicts.add(None)
+    assert len(verdicts) == 1
+    (verdict,) = verdicts
+    if refusal is None:
+        assert verdict is None
+    else:
+        assert re.search(refusal, verdict), verdict
 
 
 def test_zero_drift_is_exact_euler():
@@ -99,12 +142,15 @@ def test_interaction_symmetry_under_permutation():
     # relabelling the particles permutes their interaction means, up to
     # reduction-order roundoff in the sum over the others
     prob = builtin_problem("sine_meanfield", d=2, T=1.0, xi=0.5, L=1.0)
+    halves = _halves(prob.drift.evaluate)
     rng = np.random.default_rng(SEED)
     for n in (7, 300):  # 300 spans five row blocks, the last one short
         state = rng.normal(size=(n, 2))
         perm = rng.permutation(n)
-        got = _interaction_mean(prob, state[perm])
-        assert np.allclose(got, _interaction_mean(prob, state)[perm], rtol=0.0, atol=1e-12)
+        buffers = np.empty((1, min(64, n), n, 2))
+        got = _interaction_mean(halves, state[perm], None, buffers)
+        want = _interaction_mean(halves, state, None, buffers)[perm]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_mean_matches_analytic_oracle():

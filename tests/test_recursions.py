@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlpicard.harness as harness_mod
 from mlpicard.recursions import (
     complexity_certificate,
     cost_bound,
@@ -76,6 +77,46 @@ def test_two_step_complex_parameters():
     want = direct_two_step(kappa, lam, forcing)
     assert np.allclose(got, want, rtol=1e-10)
     assert np.iscomplexobj(got)
+
+
+def _scimath_roots(kappa, lam):
+    # the reference form: numpy's scimath square root of the discriminant
+    disc = np.lib.scimath.sqrt(kappa * kappa + 4.0 * lam)
+    x1, x2 = (kappa - disc) / 2.0, (kappa + disc) / 2.0
+    if x1 == x2 or abs(x2 - x1) < 1e-8 * max(abs(x1), abs(x2)):
+        raise ValueError("characteristic roots coincide")
+    return complex(x1), complex(x2)
+
+
+def _root_bits(roots, kappa, lam):
+    # float.hex tells the signs of zero apart
+    try:
+        return [(z.real.hex(), z.imag.hex()) for z in roots(kappa, lam)]
+    except ValueError:
+        return "coincident"
+
+
+def test_two_step_roots_match_scimath_bit_for_bit():
+    # the roots, signs of zero included, of the scimath square root of the
+    # discriminant: on both verify-bounds parameter kinds of seed 7, at kappa
+    # (two-step) and 1 + kappa (Gronwall), and on real negative, zero and
+    # complex discriminants with imaginary parts of either zero
+    words = 4 + harness_mod._CLOSED_FORM_HORIZON + 1
+    cases = [(shift + kappa, lam)
+             for kind in (False, True)
+             for kappa, lam, _ in harness_mod._harness_draws(
+                 7, 1000, "params", words,
+                 lambda u, kind=kind: harness_mod._recursion_parameters(u, kind))
+             for shift in (0.0, 1.0)]
+    assert len(cases) == 4000
+    zeros = (0.0, -0.0)
+    cases += [(kappa, lam) for kappa in (*zeros, 1.0, -1.5, 2.0) for lam in (*zeros, -1.0, -3.0)]
+    cases += [(complex(re, im), complex(lre, lim)) for re in (0.5, *zeros) for im in zeros
+              for lre in (-1.0, *zeros, 2.0) for lim in zeros]
+    cases += [(complex(0.5, 0.25), complex(1.0, -0.5)), (complex(-2.0, -0.0), complex(-1.0, 0.0))]
+    for kappa, lam in cases:
+        want = _root_bits(_scimath_roots, kappa, lam)
+        assert _root_bits(two_step_roots, kappa, lam) == want, (kappa, lam)
 
 
 def test_complex_forcing_term_keeps_the_solution_complex():
