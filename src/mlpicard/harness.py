@@ -45,7 +45,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -74,8 +73,6 @@ __all__ = [
     "ExperimentResult",
     "MODES",
     "build_config",
-    "direct_gronwall",
-    "direct_two_step",
     "run",
     "write_csv",
 ]
@@ -244,10 +241,9 @@ def build_config(config_path: Optional[str] = None, sets: Sequence[str] = ()) ->
 # problems and worker-pool plumbing
 
 
-@lru_cache(maxsize=8)
 def _problem(cfg: ExperimentConfig) -> Problem:
-    """The configured built-in problem, built once per process and config; a
-    parameter it rejects is a ConfigError."""
+    """The configured built-in problem, built afresh on each call (a build
+    takes microseconds); a parameter it rejects is a ConfigError."""
     params = {name: getattr(cfg, name) for name in PROBLEM_PARAMS[cfg.problem]}
     try:
         return builtin_problem(cfg.problem, cfg.d, cfg.T, cfg.xi, **params)

@@ -212,21 +212,19 @@ def error_bound(
 
 @dataclass(frozen=True)
 class CertificateResult:
-    """The cost-times-accuracy supremand over 1 <= k <= k_max and its
-    maximum over all k >= 1, which may lie beyond k_max.
+    """The cost-times-accuracy supremand at its argmax over all k >= 1.
 
     ``attained`` is False only when the supremand still rises at k = 2**53,
     in which case ``argmax_k`` is 2**53 and ``log_sup`` only a lower bound.
     The ``n_eps`` selector maps a target accuracy to the smallest level whose
-    error bound (and that of every deeper level up to k_max) is below it.
+    error bound (and that of every deeper level up to k_max) is below it; its
+    error table over the levels 1..k_max is the one per-level table.
     """
 
-    k_max: int
-    log_supremand: np.ndarray  # index k-1 holds the value at k
     argmax_k: int
     log_sup: float
     attained: bool
-    _log_error: np.ndarray
+    _log_error: np.ndarray  # index k-1 holds the log error bound at level k
 
     def n_eps(self, eps: float) -> int:
         if not 0.0 < eps:
@@ -236,7 +234,7 @@ class CertificateResult:
         hits = np.nonzero(suffix < log_eps)[0]
         if len(hits) == 0:
             raise ValueError(
-                f"error bound does not fall below {eps} for any level up to {self.k_max}"
+                f"error bound does not fall below {eps} for any level up to {len(self._log_error)}"
             )
         return int(hits[0]) + 1
 
@@ -255,11 +253,12 @@ def complexity_certificate(
         (4k+4)**(k+1) * [exp(k/2) * (1 + ||xi|| + ||mu(0,0)||*T + sqrt(T*d))
                           * exp(L*T) * (1 + 2*L*T)**k / k**(k/2)]**(2+delta)
 
-    over 1 <= k <= k_max, its maximum over all k >= 1 and the accuracy-to-level
-    selector.  The log-supremand f is strictly concave, f''(k) = 1/(k+1) -
-    (2+delta)/(2k) < 0, so its argmax is the least k with f(k+1) - f(k) <= 0,
-    found by doubling and bisection on that difference in closed form (the
-    float difference cancels near k = 1e11)."""
+    at its maximum over all k >= 1, and the accuracy-to-level selector over
+    the levels 1..k_max.  The log-supremand f is strictly concave, f''(k) =
+    1/(k+1) - (2+delta)/(2k) < 0, so its argmax is the least k with f(k+1) -
+    f(k) <= 0, found by doubling and bisection on that difference in closed
+    form (the float difference cancels near k = 1e11); f is then evaluated
+    at that argmax alone."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if k_max < 1:
@@ -279,19 +278,16 @@ def complexity_certificate(
     while attained and hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if rises(mid) else (lo, mid)
-    k = np.arange(1, k_max + 2, dtype=float)
-    k[-1] = hi  # the table's k, then the argmax
-    log_vals = (k + 1.0) * np.log(4.0 * k + 4.0) + (2.0 + delta) * (
+    k = np.float64(hi)
+    log_sup = (k + 1.0) * np.log(4.0 * k + 4.0) + (2.0 + delta) * (
         0.5 * k - 0.5 * k * np.log(k) + inner_const + k * growth
     )
     log_error = np.array(
         [log_error_bound(kk, kk, T, T, d, L, norm_xi, norm_mu00) for kk in range(1, k_max + 1)]
     )
     return CertificateResult(
-        k_max=k_max,
-        log_supremand=log_vals[:-1],
         argmax_k=hi,
-        log_sup=float(log_vals[-1]),
+        log_sup=float(log_sup),
         attained=attained,
         _log_error=log_error,
     )

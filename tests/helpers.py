@@ -1,9 +1,10 @@
 """Shared test utilities: one-key draw, path and estimator references, a
-Lipschitz sampler, CSV normalization and acceptance reporting.  A key is a
-``(seed, path)`` pair."""
+Lipschitz sampler, the certificate's supremand table, CSV normalization and
+acceptance reporting.  A key is a ``(seed, path)`` pair."""
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,6 +109,18 @@ def lipschitz_selfcheck(model, d, samples, radius, key):
     if ratio[worst] <= 1.0 + LIPSCHITZ_TOL:
         return float(ratio[worst]), None
     return float(ratio[worst]), (x1[worst], y1[worst], x2[worst], y2[worst])
+
+
+def log_supremand(delta, T, d, L, norm_xi, norm_mu00, k_max) -> np.ndarray:
+    """The log-supremand of ``complexity_certificate`` at k = 1..k_max (index
+    k-1 holds k), by its expression in its operation order, so that the
+    table's maximum compares to the certificate's ``log_sup`` bit for bit."""
+    inner_const = math.log(1.0 + norm_xi + norm_mu00 * T + math.sqrt(T * d)) + L * T
+    growth = math.log1p(2.0 * L * T)
+    k = np.arange(1, k_max + 1, dtype=float)
+    return (k + 1.0) * np.log(4.0 * k + 4.0) + (2.0 + delta) * (
+        0.5 * k - 0.5 * k * np.log(k) + inner_const + k * growth
+    )
 
 
 def csv_without_wall(path: str | Path) -> str:

@@ -10,7 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import csv_without_wall, evaluate_one, generate, report_criterion, uniform
+from helpers import (
+    csv_without_wall, evaluate_one, generate, log_supremand, report_criterion, uniform,
+)
 from mlpicard.harness import MODES, build_config, run
 from mlpicard.mlp import realize_estimate, rep_seed
 from mlpicard.models import Problem, builtin_problem, make_drift
@@ -233,7 +235,10 @@ def test_criterion_7_certificate_algebra():
     # turnover for the trivial problem sits at exp(2*(1+ln 4)/delta)
     near_one = complexity_certificate(0.95, 1.0, 1, 0.0, 0.0, 0.0, 200)
     interior = near_one.attained and 1 < near_one.argmax_k < 200
-    decreasing = bool(np.all(np.diff(near_one.log_supremand[near_one.argmax_k:]) < 0.0))
+    table = log_supremand(0.95, 1.0, 1, 0.0, 0.0, 0.0, 200)
+    decreasing = bool(np.all(np.diff(table[near_one.argmax_k:]) < 0.0))
+    # the certificate evaluates the supremand at its argmax alone
+    peak = near_one.log_sup == table.max() == table[near_one.argmax_k - 1]
 
     # at delta = 0.5 the maximum is finite but far beyond 200; scan past it
     delta = 0.5
@@ -246,7 +251,7 @@ def test_criterion_7_certificate_algebra():
         rhs = math.log(1 + 1) + cert.log_sup
         table_ok &= lhs <= rhs
     elapsed = time.perf_counter() - started
-    passed = interior and decreasing and attained and table_ok and elapsed < 1.0
+    passed = interior and decreasing and peak and attained and table_ok and elapsed < 1.0
     report_criterion(
         7,
         f"supremand max at k={near_one.argmax_k} (delta 0.95) / k={cert.argmax_k} "
@@ -255,6 +260,7 @@ def test_criterion_7_certificate_algebra():
     )
     assert interior
     assert decreasing
+    assert peak
     assert attained
     assert table_ok
     assert elapsed < 1.0

@@ -19,12 +19,12 @@ import mlpicard
 import mlpicard.harness as harness_mod
 import mlpicard.mlp as mlp_mod
 import mlpicard.particles as particles_mod
-from helpers import csv_without_wall
+from helpers import csv_without_wall, log_supremand
 from mlpicard.cli import main
 from mlpicard.errors import ConfigError, ResourceLimitError
 from mlpicard.harness import build_config, direct_gronwall, direct_two_step, run
 from mlpicard.mlp import realize_estimate, rep_seed
-from mlpicard.recursions import complexity_certificate, gronwall_bound
+from mlpicard.recursions import gronwall_bound
 
 QUICK_CONVERGENCE = [
     "problem=law_only_linear", "b=-1.0", "d=1", "T=1.0", "xi=1.0",
@@ -133,6 +133,16 @@ def test_convergence_mode_rows_and_determinism(tmp_path):
     cfg2 = _cfg("convergence", tmp_path, name="b.csv")
     run(cfg2)
     assert csv_without_wall(cfg1.out) == csv_without_wall(cfg2.out)
+
+
+def test_version_has_one_source():
+    # the package metadata reads mlpicard.__version__, the version the CSV
+    # header prints, so a version bump is one edit
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "mlpicard.__version__"}
 
 
 def test_convergence_slope_negative_full_grid(tmp_path):
@@ -275,7 +285,7 @@ def test_certificate_mode_reports_non_attainment(tmp_path):
     # 40000-term scan of acceptance criterion 7 finds, and passes
     extra = ["problem=zero_drift", "xi=0.0", "delta=0.5", "cert_kmax=200"]
     res = run(_cfg("certificate", tmp_path, extra=extra))
-    scan = complexity_certificate(0.5, 1.0, 1, 0.0, 0.0, 0.0, 40000).log_supremand
+    scan = log_supremand(0.5, 1.0, 1, 0.0, 0.0, 0.0, 40000)
     assert res.ok
     assert res.footer == [
         f"argmax_k={int(np.argmax(scan)) + 1}", f"log_sup={scan.max():.17g}", "sup_attained=1",
@@ -906,8 +916,6 @@ def test_public_api_is_pinned():
         "ExperimentResult",
         "MODES",
         "build_config",
-        "direct_gronwall",
-        "direct_two_step",
         "run",
         "write_csv",
     ]

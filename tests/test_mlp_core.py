@@ -553,6 +553,67 @@ def test_realize_batch_returns_each_seeds_tally(n, d, tally):
         assert realize_estimate(prob, n, n, seed).ledger.snapshot() == tally, seed
 
 
+def tally_closed_form(n, m, d):
+    # one realization's (draws, evaluations): the root path's m**n * d draws
+    # plus c_n, where c_0 = e_0 = 0 and, over term levels 1 <= l < j,
+    #   c_j = sum m**(j-l) * (1 + m**l * d + 2 c_l + 2 c_(l-1)),
+    #   e_j = 1 + sum m**(j-l) * (2 + 2 e_l + 2 e_(l-1))
+    c, e = [0], [0]
+    for j in range(1, n + 1):
+        terms = [(m ** (j - level), level) for level in range(1, j)]
+        c.append(sum(fan * (1 + m**level * d + 2 * c[level] + 2 * c[level - 1])
+                     for fan, level in terms))
+        e.append(1 + sum(fan * (2 + 2 * e[level] + 2 * e[level - 1]) for fan, level in terms))
+    return m**n * d + c[n], e[n]
+
+
+def test_ledger_tally_closed_form():
+    # the tally the budget relation bounds, in closed form for every small
+    # (n, m, d), and its evaluation count is the budget's own
+    assert tally_closed_form(4, 4, 1) == (4372, 2745)
+    assert tally_closed_form(4, 4, 4) == (15508, 2745)
+    assert tally_closed_form(5, 5, 1) == (156505, 81031)
+    for n in range(1, 5):
+        for m in range(1, 5):
+            for d in (1, 3):
+                prob = builtin_problem("law_only_linear", d=d, T=1.0, xi=1.0, b=-1.0)
+                want = tally_closed_form(n, m, d)
+                for seed in BATCH_SEEDS[:2]:
+                    assert mlp_mod._realize_batch(prob, n, m, (seed,))[2] == want, (n, m, d)
+                assert want[1] == cost_budget(n, m, d, 0, 1), (n, m, d)
+
+
+def distinct_keys(n, m):
+    # K(1) = 1 and K(L) = 1 + sum_{j=2..L} sum_{l<j} m**(j-l) K(l): a node's
+    # own key, and per term level l of each node j its m**(j-l) sub keys,
+    # each the root of a level-l tree
+    K = [None, 1]
+    for top in range(2, n + 1):
+        K.append(1 + sum(m ** (j - level) * K[level]
+                         for j in range(2, top + 1) for level in range(1, j)))
+    return K[n]
+
+
+@pytest.mark.parametrize("n, m, want", [(2, 5, 6), (3, 2, 13), (4, 3, 163), (4, 4, 349),
+                                        (5, 5, 6746)])
+def test_distinct_keys_closed_form(monkeypatch, n, m, want):
+    # every key a realization makes comes from one children call and is
+    # made once: the root plus the keys of all children calls number K(n)
+    real_children = mlp_mod.children
+    made = []
+
+    def children(keys, extensions):
+        batch = real_children(keys, extensions)
+        made.extend(zip(batch.seeds, batch.coords))
+        return batch
+
+    monkeypatch.setattr(mlp_mod, "children", children)
+    prob = builtin_problem("zero_drift", d=1, T=1.0, xi=1.0)
+    realize_estimate(prob, n, m, SEED)
+    assert len(set(made)) == len(made)
+    assert 1 + len(made) == distinct_keys(n, m) == want
+
+
 def test_non_finite_drift_fails_closed():
     # mu is finite at the origin and inf elsewhere: the first drift call of
     # the recursion off the origin is refused, instead of a nan estimate

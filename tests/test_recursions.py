@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlpicard.harness as harness_mod
+from helpers import log_supremand
 from mlpicard.recursions import (
     complexity_certificate,
     cost_bound,
@@ -317,9 +318,10 @@ def test_certificate_trivial_problem():
     cert = complexity_certificate(0.95, 1.0, 1, 0.0, 0.0, 0.0, 200)
     assert cert.attained
     assert 1 < cert.argmax_k < 200
-    # decreasing beyond the maximum
-    tail = cert.log_supremand[cert.argmax_k :]
-    assert np.all(np.diff(tail) < 0.0)
+    # decreasing beyond the maximum, which is the table's to the bit
+    table = log_supremand(0.95, 1.0, 1, 0.0, 0.0, 0.0, 200)
+    assert np.all(np.diff(table[cert.argmax_k :]) < 0.0)
+    assert cert.log_sup == table.max()
     # n_eps matches a direct scan of the error bounds
     for eps in (0.5, 0.2, 0.1):
         want = next(
@@ -337,8 +339,8 @@ def test_certificate_reports_non_attainment():
     # with delta = 0.5 the supremand still rises at k = 200, and its maximum
     # beyond the table is the one a 40000-term scan finds, to the bit
     cert = complexity_certificate(0.5, 1.0, 1, 0.0, 0.0, 0.0, 200)
-    scan = complexity_certificate(0.5, 1.0, 1, 0.0, 0.0, 0.0, 40000).log_supremand
-    assert np.all(np.diff(cert.log_supremand) > 0.0)
+    scan = log_supremand(0.5, 1.0, 1, 0.0, 0.0, 0.0, 40000)
+    assert np.all(np.diff(scan[:200]) > 0.0)
     assert cert.attained
     assert cert.argmax_k == int(np.argmax(scan)) + 1 == 13981
     assert cert.log_sup == scan.max()
