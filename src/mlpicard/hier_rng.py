@@ -66,6 +66,7 @@ class KeyBatch(NamedTuple):
 _SEED_MASK = (1 << 64) - 1
 _WORDS_PER_BLOCK = 8  # 64-byte digest -> eight little-endian u64 words
 _INV_2_53 = 1.0 / (1 << 53)
+_BELOW_ONE = 1.0 - _INV_2_53  # the largest double below 1
 _INT_TAG = b"I"
 _SUFFIX_TABLES = 64  # suffix and extension tables kept; a grid run uses a handful
 
@@ -201,23 +202,29 @@ def _hash_suffixes(
     return digests
 
 
-def _words(keys: KeyBatch, tag: Tag, count: int) -> np.ndarray:
-    """``count`` pseudo-random u64 words for (key, tag), one row per key."""
-    if count < 0:
-        raise ValueError(f"word count must be non-negative, got {count}")
-    blocks = -(-count // _WORDS_PER_BLOCK)
-    digests = _hash_suffixes(keys, _tag_bytes(tag), _block_suffixes(blocks))
+def _words(keys: KeyBatch, tag: Tag, count: int, start: int = 0) -> np.ndarray:
+    """Words ``start`` to ``start + count`` of the pseudo-random u64 stream
+    of (key, tag), one row per key; only the blocks holding them are hashed."""
+    if count < 0 or start < 0:
+        raise ValueError(f"word count and start must be non-negative, got {count}, {start}")
+    first, last = start // _WORDS_PER_BLOCK, -(-(start + count) // _WORDS_PER_BLOCK)
+    # the cached table serves draws from word 0; a window's few counters are
+    # encoded afresh, so a run of windows neither rebuilds 0..last nor churns the cache
+    suffixes = _block_suffixes(last) if first == 0 else tuple(map(_varint, range(first, last)))
+    digests = _hash_suffixes(keys, _tag_bytes(tag), suffixes)
     words = np.frombuffer(digests, dtype="<u8")
-    words = words.reshape(len(keys.coords), blocks * _WORDS_PER_BLOCK)
-    return words[:, :count]
+    words = words.reshape(len(keys.coords), (last - first) * _WORDS_PER_BLOCK)
+    offset = start - first * _WORDS_PER_BLOCK
+    return words[:, offset : offset + count]
 
 
 def _gaussians(words: np.ndarray, variance: float) -> np.ndarray:
     if variance < 0:
         raise ValueError(f"variance must be non-negative, got {variance}")
-    # Shift into the open interval (0, 1) so ndtri stays finite.
+    # Shift into the open interval (0, 1) so ndtri stays finite; the top
+    # word's (2**53 - 1) + 0.5 rounds to 2**53, so it is clamped below 1.
     u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
-    return ndtri(u) * np.sqrt(variance)
+    return ndtri(np.minimum(u, _BELOW_ONE, out=u)) * np.sqrt(variance)
 
 
 def batch_uniforms(keys: KeyBatch, tag: Tag, count: int) -> np.ndarray:
@@ -226,14 +233,20 @@ def batch_uniforms(keys: KeyBatch, tag: Tag, count: int) -> np.ndarray:
     return (_words(keys, tag, count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def batch_normals(keys: KeyBatch, tag: Tag, count: int, variance: float = 1.0) -> np.ndarray:
+def batch_normals(
+    keys: KeyBatch, tag: Tag, count: int, variance: float = 1.0, start: int = 0
+) -> np.ndarray:
     """``count`` i.i.d. centered normal draws with the given variance per key
     of the batch, for its (key, tag) stream, in shape (number of keys, count).
 
-    Uses the inverse normal CDF on counter-based uniforms shifted into the
-    open interval (0, 1), so generation is rejection-free and deterministic.
+    The draws are those from position ``start`` on: bit for bit, columns
+    ``start:start + count`` of the draw of ``start + count`` from 0, with
+    only the hash blocks of those columns computed, so a stream can be drawn
+    one window at a time.  Uses the inverse normal CDF on counter-based
+    uniforms shifted into the open interval (0, 1), so generation is
+    rejection-free and deterministic.
     """
-    return _gaussians(_words(keys, tag, count), variance)
+    return _gaussians(_words(keys, tag, count, start), variance)
 
 
 def batch_step_normals(

@@ -17,15 +17,17 @@ identity one, so its ``evaluate`` runs once per block on the particles
 themselves and allocates its result.  Row i's sum over j is the same numpy
 reduction in any block and has one writer, so the bits depend on neither the
 block size, the thread count nor which thread takes a block.  ``_plan``
-decides an ensemble once, before anything is allocated: it refuses one whose
-pairwise work N*N*M*d passes 4*10**9, or whose noise, with one key batch's
-draw, and one pair buffer pass 10**8 doubles, by a rule that reads nothing of
-the machine; otherwise it sets the thread count, capped by the CPUs, the row
-blocks and the pair buffers that fit beside the noise.  Particle noise
-keys live on a reserved root branch disjoint from the estimator's keys, so
-oracle and estimator stay independent under one master seed; the noise of
-each block of 128 particles is drawn as one key batch, the children
-(seed, (1, i)) of the branch root.
+decides an ensemble once, before anything is allocated: it refuses pairwise
+work max(N, 64)*N*M*d past 4*10**9, or a noise window, its draw and one pair
+buffer past 10**8 doubles, by a rule that reads nothing of the machine;
+otherwise it sets the thread count, capped by the CPUs, the row blocks and
+the pair buffers that fit beside the noise.  Particle noise keys live on a
+reserved root branch disjoint from the estimator's keys, so oracle and
+estimator stay independent under one master seed: the children
+(seed, (1, i)) of the branch root, one key batch per call.  The step loop
+draws their noise 8 steps at a time: 8*d words of each key's stream are
+exactly d hash blocks, and word k*d + c is step k's increment in coordinate
+c, so an ensemble's memory grows with N*d, not with M.
 """
 
 from __future__ import annotations
@@ -45,31 +47,32 @@ from .models import Problem, _halves
 __all__ = ["EnsembleStats", "ensemble_stats", "simulate_particles"]
 
 _PARTICLE_BRANCH = 1  # root path coordinate reserved for particle noise
-_CEILING = 4 * 10**9  # limit on N*N*M*d pairwise work
-_ELEMENTS = 10**8  # limit on the doubles of the noise, its draw and a pair buffer (800 MB)
+_CEILING = 4 * 10**9  # limit on max(N, 64)*N*M*d pairwise work
+_ELEMENTS = 10**8  # limit on the doubles of a noise window, its draw and a pair buffer (800 MB)
 _ROWS = 64  # row block of the pairwise drift sum
-_KEYS = 128  # particles per noise key batch
+_WINDOW = 8  # steps per noise draw: 8*d words of a key's stream are d whole hash blocks
 
 
 def _plan(N: int, M: int, d: int) -> int:
     """Threads, one pair buffer each, for N particles, M steps, dimension d:
     the least of the CPUs, the row blocks and the buffers that fit beside the
-    noise.  ``ResourceLimitError`` refuses pairwise work N*N*M*d past
-    ``_CEILING``, or noise N*M*d, one key batch's draw 3*min(128, N)*M*d (freed
-    before the buffers are made) and one buffer past ``_ELEMENTS``."""
-    if N * N * M * d > _CEILING:
+    noise.  ``ResourceLimitError`` refuses pairwise work past ``_CEILING``,
+    each step counted as at least one full row block (a step of a few
+    particles costs as much), or a noise window 8*N*d, the draw of the next
+    (4 windows, by tracemalloc) and one buffer past ``_ELEMENTS``."""
+    rows = max(N, _ROWS)
+    if rows * N * M * d > _CEILING:
+        raise ResourceLimitError(f"pairwise work {'N' if rows == N else rows}*N*M*d = "
+                                 f"{rows * N * M * d} exceeds the ceiling {_CEILING}")
+    window, buffer = _WINDOW * N * d, min(_ROWS, N) * N * d
+    if 5 * window + buffer > _ELEMENTS:
         raise ResourceLimitError(
-            f"pairwise work N*N*M*d = {N * N * M * d} exceeds the ceiling {_CEILING}"
-        )
-    noise, draw, buffer = N * M * d, 3 * min(_KEYS, N) * M * d, min(_ROWS, N) * N * d
-    if noise + draw + buffer > _ELEMENTS:
-        raise ResourceLimitError(
-            f"particle arrays of {noise + draw + buffer} elements (noise N*M*d = {noise}, "
-            f"its draw 3*min({_KEYS}, N)*M*d = {draw}, one pair buffer min({_ROWS}, N)*N*d = "
-            f"{buffer}) exceed the ceiling {_ELEMENTS}"
+            f"particle arrays of {5 * window + buffer} elements (noise window {_WINDOW}*N*d = "
+            f"{window}, its draw 4*{_WINDOW}*N*d = {4 * window}, one pair buffer "
+            f"min({_ROWS}, N)*N*d = {buffer}) exceed the ceiling {_ELEMENTS}"
         )
     affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
-    return min(len(affinity(0)), -(-N // _ROWS), (_ELEMENTS - noise) // buffer)
+    return min(len(affinity(0)), -(-N // _ROWS), (_ELEMENTS - 5 * window) // buffer)
 
 
 def _interaction_mean(halves: tuple, state: np.ndarray, pool, buffers: np.ndarray) -> np.ndarray:
@@ -109,11 +112,7 @@ def simulate_particles(problem: Problem, N: int, M: int, master_seed: int) -> np
     d = problem.dim
     threads = _plan(N, M, d)
     dt = problem.horizon / M
-    root = pack([(master_seed, (_PARTICLE_BRANCH,))])
-    increments = np.empty((N, M, d))
-    for lo in range(0, N, _KEYS):
-        keys = children(root, [(i,) for i in range(lo, min(lo + _KEYS, N))])
-        increments[lo : lo + _KEYS] = batch_normals(keys, "dw", M * d, dt).reshape(-1, M, d)
+    keys = children(pack([(master_seed, (_PARTICLE_BRANCH,))]), [(i,) for i in range(N)])
     state = np.tile(problem.initial, (N, 1))
     # leaving the pool's block joins every thread, also when a drift raises.
     # numpy's error state is per thread, so each pool thread sets its own.
@@ -123,9 +122,10 @@ def simulate_particles(problem: Problem, N: int, M: int, master_seed: int) -> np
     pool = (ThreadPoolExecutor(threads, initializer=lambda: np.seterr(**quiet))
             if threads > 1 else nullcontext())
     with pool as pool, np.errstate(**quiet):
-        for step in range(M):
-            mean = _interaction_mean(halves, state, pool, buffers)
-            state = state + dt * mean + increments[:, step, :]
+        for lo in range(0, M, _WINDOW):
+            noise = batch_normals(keys, "dw", min(_WINDOW, M - lo) * d, dt, start=lo * d)
+            for increment in noise.reshape(N, -1, d).transpose(1, 0, 2):
+                state = state + dt * _interaction_mean(halves, state, pool, buffers) + increment
     if not np.isfinite(state).all():
         raise ConfigError(
             f"drift {problem.drift.name!r} drove the particle ensemble to a non-finite value"

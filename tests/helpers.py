@@ -1,6 +1,6 @@
-"""Shared test utilities: one-key draw, path and estimator references, a
-Lipschitz sampler, the certificate's supremand table, CSV normalization and
-acceptance reporting.  A key is a ``(seed, path)`` pair."""
+"""Shared test utilities: one-key draw, path, estimator and particle
+references, a Lipschitz sampler, the certificate's supremand table, CSV
+normalization and acceptance reporting.  A key is a ``(seed, path)`` pair."""
 
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ import numpy as np
 from mlpicard.brownian import PathBatch, _check_query_level, _snap_indices, generate_batch
 from mlpicard.hier_rng import batch_normals, batch_uniforms, pack
 from mlpicard.mlp import CostLedger, _evaluate
+from mlpicard.models import _halves
+from mlpicard.particles import _interaction_mean
 
 
 def uniform(key, tag) -> float:
@@ -68,6 +70,23 @@ def evaluate_one(problem, key, n, m, t, path, ledger=None) -> np.ndarray:
     (value,) = _evaluate(problem, batch, m, (n,), np.array([t]), np.zeros(1, dtype=np.intp),
                          CostLedger() if ledger is None else ledger)
     return value[0]
+
+
+def particles_reference(problem, N: int, M: int, seed: int) -> np.ndarray:
+    """The ensemble of ``simulate_particles`` with the whole noise, N*M*d
+    doubles, drawn up front in one ``batch_normals`` call over the keys
+    (seed, (1, i)), and the pairwise sums on the calling thread."""
+    d, dt = problem.dim, problem.horizon / M
+    keys = pack([(seed, (1, i)) for i in range(N)])
+    increments = batch_normals(keys, "dw", M * d, dt).reshape(N, M, d)
+    halves = _halves(problem.drift.evaluate)
+    buffers = np.empty((1, min(64, N), N, d))
+    state = np.tile(problem.initial, (N, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(M):
+            mean = _interaction_mean(halves, state, None, buffers)
+            state = state + dt * mean + increments[:, step, :]
+    return state
 
 
 # Relative slack for the sampled Lipschitz ratio; exact-equality cases like

@@ -585,15 +585,15 @@ def test_bad_problem_parameters_exit_code(tmp_path, capsys, monkeypatch, mode, s
     # finite constants, but the moment bound's product overflows to inf
     ("verify-bounds", ["problem=sine_meanfield", "xi=1e154", "L=200", "T=2"], 2,
      "config error: moment_bound passes the double range at L=200.0, ||xi||=1e+154, "),
-    # a particle ensemble past the pairwise ceiling, or whose noise and its
-    # draw (2 x 5e8 steps) or pair buffer (64 x 64 x 976562) pass the array
-    # ceiling
+    # a particle ensemble past the pairwise ceiling, also by counting each
+    # of its 5e8 steps as one full row block, or whose pair buffer
+    # (64 x 64 x 976562) passes the array ceiling
     ("oracle-compare", ["particles_n=200000", "mlp_n=4", "mlp_m=4"], 3,
      "resource refusal: pairwise work N*N*M*d = 8000000000000 exceeds the ceiling 4000000000"),
     ("oracle-compare", ["particles_n=2", "particles_m=500000000"], 3,
-     "resource refusal: particle arrays of 4000000004 elements (noise N*M*d = 1000000000, "),
+     "resource refusal: pairwise work 64*N*M*d = 64000000000 exceeds the ceiling 4000000000"),
     ("verify-bounds", ["particles_n=64", "particles_m=1", "d=976562"], 3,
-     "resource refusal: particle arrays of 4249997824 elements (noise N*M*d = 62499968, "),
+     "resource refusal: particle arrays of 6499996672 elements (noise window 8*N*d = 499999744, "),
 ])
 def test_out_of_range_budget_or_bound_fails_closed(tmp_path, capsys, monkeypatch, mode, sets,
                                                    code, message):

@@ -155,6 +155,47 @@ def test_normals_block_consistency(seed, count):
     assert full.shape == (count,)
 
 
+@pytest.mark.parametrize("size", [1, 130])
+def test_windowed_normals_are_columns_of_the_whole_draw(monkeypatch, size):
+    # a draw of count words from start is columns start:start + count of the
+    # draw of start + count from 0, bit for bit, and hashes only the blocks
+    # holding those columns; windows start on and off block edges and cross
+    # them
+    keys = pack((SEED, (7, i)) for i in range(size))
+    for start in (0, 3, 8, 13, 64):
+        for count in (0, 1, 5, 8, 11, 24):
+            whole = batch_normals(keys, "win", start + count, 0.5)
+            window = batch_normals(keys, "win", count, 0.5, start=start)
+            assert window.shape == (size, count)
+            assert np.array_equal(window.view(np.uint64),
+                                  whole[:, start:].view(np.uint64)), (start, count)
+    hashed = []
+    hash_suffixes = hier_rng._hash_suffixes
+
+    def counted(keys, prefix, suffixes, counts=None):
+        hashed.append(len(suffixes))
+        return hash_suffixes(keys, prefix, suffixes, counts)
+
+    monkeypatch.setattr(hier_rng, "_hash_suffixes", counted)
+    for start, count in ((64, 8), (13, 3), (13, 11)):
+        batch_normals(keys, "win", count, start=start)
+    assert hashed == [1, 1, 2]
+    with pytest.raises(ValueError):
+        batch_normals(keys, "win", 1, start=-1)
+
+
+def test_top_words_map_to_finite_normals():
+    # (2**53 - 1) + 0.5 rounds to 2**53, so the top words would map to u = 1
+    # and ndtri(1) = inf: they map to the largest double below 1 instead, and
+    # the words below them keep their values
+    words = np.array([[2**64 - 1, 2**64 - 2**11, 2**64 - 2**12, 0]], dtype=np.uint64)
+    got = hier_rng._gaussians(words, 4.0)[0]
+    top = ndtri(1.0 - 2.0**-53) * 2.0
+    assert np.isfinite(top) and got[0] == got[1] == top
+    assert got[2] == ndtri((2.0**53 - 2) / 2.0**53) * 2.0 < top
+    assert got[3] == ndtri(2.0**-54) * 2.0
+
+
 @pytest.mark.parametrize("dim", [0, 1, 4, 8, 9, 17])
 def test_step_normals_rows_are_per_step_normals(dim):
     # dims 8, 9 and 17 cross the 8-word digest block; paths with components

@@ -4,6 +4,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import mlpicard.particles as particles_mod
-from helpers import normals
+from helpers import normals, particles_reference
 from mlpicard.errors import ConfigError, ResourceLimitError
 from mlpicard.models import _halves, _Split, builtin_problem, make_drift
 from mlpicard.particles import _interaction_mean, ensemble_stats, simulate_particles
@@ -39,27 +40,31 @@ def test_validation(monkeypatch):
 
 
 def test_memory_refused_before_allocation(monkeypatch):
-    # within the pairwise ceiling, but the noise, one key batch's draw and one
-    # pair buffer would pass 10**8 doubles: the noise of 2 particles x 5*10**8
-    # steps (8 GB), the one 64 x 64 x d pair buffer of 64 particles at
-    # d = 976562 (32 GB), or the draw of 32 particles x 10**6 steps (0.8 GB
-    # beside 0.26 GB of noise); refused before any array is allocated or drawn
+    # refused before any array is allocated or drawn: 2 particles x 5*10**8
+    # steps, whose pairwise work is small but whose steps would run for hours,
+    # each counted as one full 64-row block; the one 64 x 64 x d pair buffer
+    # of 64 particles at d = 976562 (32 GB); and the noise window of 2
+    # particles at d = 1250000 with its draw (0.8 GB beside a 40 MB buffer)
     long = builtin_problem("zero_drift", d=1, T=1.0, xi=0.0)
     wide = builtin_problem("zero_drift", d=976562, T=1.0, xi=0.0)
+    wider = builtin_problem("zero_drift", d=1250000, T=1.0, xi=0.0)
     monkeypatch.setattr(particles_mod, "np", None)
     monkeypatch.setattr(particles_mod, "batch_normals", None)
     with pytest.raises(ResourceLimitError, match=(
-            r"particle arrays of 4000000004 elements \(noise N\*M\*d = 1000000000, "
-            r"its draw 3\*min\(128, N\)\*M\*d = 3000000000, "
-            r"one pair buffer min\(64, N\)\*N\*d = 4\) exceed the ceiling 100000000")):
+            r"^pairwise work 64\*N\*M\*d = 64000000000 exceeds the ceiling 4000000000$")):
         simulate_particles(long, 2, 5 * 10**8, SEED)
     with pytest.raises(ResourceLimitError, match=(
-            r"of 4249997824 elements \(noise N\*M\*d = 62499968, its draw [^=]*= 187499904, "
-            r"one pair buffer min\(64, N\)\*N\*d = 3999997952\)")):
+            r"of 6499996672 elements \(noise window 8\*N\*d = 499999744, its draw [^=]*= "
+            r"1999998976, one pair buffer min\(64, N\)\*N\*d = 3999997952\)")):
         simulate_particles(wide, 64, 1, SEED)
     with pytest.raises(ResourceLimitError, match=(
-            r"of 128001024 elements \(noise N\*M\*d = 32000000, its draw [^=]*= 96000000, ")):
-        simulate_particles(long, 32, 10**6, SEED)
+            r"^particle arrays of 105000000 elements \(noise window 8\*N\*d = 20000000, "
+            r"its draw 4\*8\*N\*d = 80000000, one pair buffer min\(64, N\)\*N\*d = 5000000\) "
+            r"exceed the ceiling 100000000$")):
+        simulate_particles(wider, 2, 1, SEED)
+    # the noise does not grow with the steps: 32 particles x 10**6 steps fit,
+    # on one thread for their one row block
+    assert particles_mod._plan(32, 10**6, 1) == 1
     # one pair buffer in the rule, whatever the CPU count: 3000 particles x 40
     # steps at d = 11 fit, and on 64 CPUs run 46 threads, the buffers of
     # 64 x 3000 x 11 doubles that fit beside the noise, not one for each of
@@ -72,9 +77,10 @@ def test_memory_refused_before_allocation(monkeypatch):
 SIZE_CASES = [
     ((10**5, 1, 1), r"^pairwise work N\*N\*M\*d = 10000000000 exceeds the ceiling 4000000000$"),
     ((2000, 200, 8), r"^pairwise work N\*N\*M\*d = 6400000000 exceeds"),
-    ((2, 5 * 10**8, 1), r"^particle arrays of 4000000004 elements "),
-    ((64, 1, 976562), r"^particle arrays of 4249997824 elements "),
-    ((32, 10**6, 1), r"^particle arrays of 128001024 elements "),
+    ((2, 5 * 10**8, 1), r"^pairwise work 64\*N\*M\*d = 64000000000 exceeds the ceiling"),
+    ((64, 1, 976562), r"^particle arrays of 6499996672 elements "),
+    ((2, 1, 1250000), r"^particle arrays of 105000000 elements "),
+    ((32, 10**6, 1), None),
     ((3000, 40, 11), None),
     ((3000, 200, 1), None),
     ((2000, 200, 1), None),
@@ -89,6 +95,7 @@ def test_plan_verdict_is_machine_independent(monkeypatch, size, refusal):
     # whether an ensemble is refused, and the message, are the same on 1, 8
     # and 64 CPUs; an accepted one runs as many threads as the least of the
     # CPUs, its row blocks and the pair buffers that fit beside its noise
+    # window and the draw of the next
     N, M, d = size
     verdicts = set()
     for cpus in (1, 8, 64):
@@ -98,7 +105,7 @@ def test_plan_verdict_is_machine_independent(monkeypatch, size, refusal):
         except ResourceLimitError as exc:
             verdicts.add(str(exc))
             continue
-        fit = (10**8 - N * M * d) // (min(64, N) * N * d)
+        fit = (10**8 - 5 * 8 * N * d) // (min(64, N) * N * d)
         assert threads == min(cpus, -(-N // 64), fit) >= 1
         verdicts.add(None)
     assert len(verdicts) == 1
@@ -239,6 +246,35 @@ def test_multi_block_outputs_pinned_by_digest(monkeypatch, cpus):
     assert digest.hexdigest() == (
         "dec21096a5c388e2b071e68ab87285b7ff2b18ee828c3c53b8560a4f4bf00055"
     )
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_windowed_noise_matches_the_whole_draw(monkeypatch, cpus):
+    # 150 particles at d = 3 and 21 steps (two 8-step noise windows and one
+    # of 5): the same bytes as the noise drawn whole, up front
+    _pretend_cpus(monkeypatch, cpus)
+    prob = builtin_problem("sine_meanfield", d=3, T=1.0, xi=1.0, L=1.0)
+    got = simulate_particles(prob, 150, 21, SEED)
+    assert got.tobytes() == particles_reference(prob, 150, 21, SEED).tobytes()
+
+
+def test_memory_does_not_grow_with_the_steps(monkeypatch):
+    # tracemalloc's peak for 300 particles at d = 1 on one thread: 800 steps
+    # allocate no more than 16 do, within 16 KiB, and under 384 KiB in all,
+    # where the whole noise of 800 steps alone would be 1.9 MB
+    _pretend_cpus(monkeypatch, 1)
+    prob = builtin_problem("zero_drift", d=1, T=1.0, xi=0.0)
+    simulate_particles(prob, 300, 16, SEED)  # fills the key extension cache
+    peaks = {}
+    for M in (16, 800):
+        tracemalloc.start()
+        try:
+            simulate_particles(prob, 300, M, SEED)
+            peaks[M] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[800] <= peaks[16] + 16 * 1024, peaks
+    assert peaks[800] < 384 * 1024, peaks
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
